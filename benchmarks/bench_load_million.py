@@ -130,7 +130,7 @@ def run_topology(
 ) -> dict:
     """Time one topology end to end; returns its result row."""
     num_reports = reports.shape[0]
-    service = CollectionService(flush_interval=0.05)
+    service = CollectionService()
     root_thread = ServiceThread(service)
     root_host, root_port = root_thread.start()
     control = ServiceClient(root_host, root_port)
@@ -150,7 +150,6 @@ def run_topology(
                 root_host,
                 root_port,
                 edge_id=f"bench-edge-{index}",
-                flush_interval=0.05,
                 forward_interval=0.25,
                 forward_reports=arguments.forward_reports,
             )

@@ -102,16 +102,13 @@ def time_direct_pipeline(manager_factory, reports, batch_size):
 
     async def run() -> tuple[float, int]:
         manager = manager_factory()
-        pipeline = IngestPipeline(manager, num_workers=2)
-        await pipeline.start()
+        pipeline = IngestPipeline(manager)
         start = time.perf_counter()
         for begin in range(0, reports.shape[0], batch_size):
             await pipeline.submit_reports(
                 CAMPAIGN, reports[begin : begin + batch_size]
             )
-        await pipeline.drain()
         elapsed = time.perf_counter() - start
-        await pipeline.stop()
         return elapsed, manager.get(CAMPAIGN).num_reports
 
     return asyncio.run(run())
@@ -288,7 +285,6 @@ def main(argv=None) -> int:
                     }
                 service = CollectionService(
                     manager=CampaignManager(),
-                    flush_interval=0.05,
                     cluster_workers=workers,
                     **durability,
                 )

@@ -9,7 +9,7 @@ answers them *while reports arrive*.  This walkthrough:
 3. simulates 10,000 clients — each value is randomized **on the client**
    against the public strategy; the server never sees a raw value,
 4. queries mid-stream (estimates sharpen as reports accumulate) and after
-   draining,
+   the last report,
 5. verifies the live answer equals the batch engine's ``finalize`` on the
    same reports,
 6. checkpoints, kills the server without a graceful shutdown, restarts it
@@ -35,9 +35,7 @@ CHECKPOINT_DIR = tempfile.mkdtemp(prefix="repro-live-service-")
 def main() -> None:
     # 1. An always-on server with checkpointing (in-process for the demo;
     #    `repro serve` runs the same thing as a standalone process).
-    service = CollectionService(
-        checkpoint_dir=CHECKPOINT_DIR, flush_interval=0.05
-    )
+    service = CollectionService(checkpoint_dir=CHECKPOINT_DIR)
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)

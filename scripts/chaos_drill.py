@@ -7,8 +7,9 @@ supports, in one run:
 
 1. **mid-dispatch** — the coordinator SIGKILLs a worker right before
    sending it a batch (``kill_worker``);
-2. **mid-flush** — a worker dies after flushing its shards but before
-   acking the drain (``drop_reply`` on ``op=drain``);
+2. **mid-fold** — a worker dies after folding a batch but before acking
+   it (``drop_reply`` on ``op=json``): the coordinator re-routes the
+   batch, and the respawn rebuilds only the batches the worker acked;
 3. **mid-checkpoint** — a worker dies after computing its checkpoint cut
    but before acking it (``drop_reply`` on ``op=cut``), the
    coordinator's worst case: it cannot know whether the cut landed;
@@ -24,7 +25,7 @@ storm-killed in-flight batch (the torn record was never acked) is resent
 after the restart.  At the end the pool must report ``healthy`` without
 any worker-death process restart, the campaign must hold **exactly** the
 acked reports, and the estimates must be **bit-identical** to the same
-batches folded serially by an in-process single-worker service.
+batches folded serially by an in-process service.
 
 Everything — batch data and fault occurrence points — derives from
 ``--seed``, so a failure replays exactly.  Exits non-zero on any
@@ -86,8 +87,6 @@ class Server:
             wal_dir,
             "--checkpoint-interval",
             "3600",
-            "--flush-interval",
-            "0.05",
         ]
         if fault_plan is not None:
             arguments += ["--fault-plan", json.dumps(fault_plan)]
@@ -158,9 +157,9 @@ def build_plan(seed: int, phase1: int, phase3: int) -> dict:
                 "at": int(rng.integers(2, phase1 - 1)),
                 "worker": 1,
             },
-            # mid-flush: worker 0 dies after its checkpoint-A drain
-            # (drain #1 is the campaign-creation checkpoint)
-            {"action": "drop_reply", "at": 2, "op": "drain", "worker": 0},
+            # mid-fold: worker 0 dies after folding its first batch,
+            # before the ack
+            {"action": "drop_reply", "at": 1, "op": "json", "worker": 0},
             # mid-checkpoint: worker 2 dies after computing cut #2
             {"action": "drop_reply", "at": 2, "op": "cut", "worker": 2},
             # torn tail: the first send after the storm dies mid-fsync
@@ -207,8 +206,8 @@ def wait_for_health(client: ServiceClient, timeout: float = 60.0) -> dict:
 
 
 def serial_reference(batches: list[np.ndarray]) -> dict:
-    """The same batches folded by an in-process single-worker service."""
-    single = CollectionService(flush_interval=0.02)
+    """The same batches folded by an in-process service."""
+    single = CollectionService()
     with ServiceThread(single) as (host, port):
         client = ServiceClient(host, port)
         create_campaign(client)
@@ -246,27 +245,29 @@ def main() -> int:
     create_campaign(client)
     cursor = 0
 
-    # Phase 1: sends through the mid-dispatch kill + delayed ack.
+    # Phase 1: sends through the mid-dispatch kill, the mid-fold death and
+    # the delayed ack.
     for _ in range(arguments.phase1):
         client.send_reports(CAMPAIGN, batches[cursor])
         ledger["acked"] += 1
         cursor += 1
     print(f"[chaos] phase 1: {ledger['acked']} batches acked through the kill")
 
-    # Phase 2: checkpoint A — mid-flush and mid-checkpoint deaths.
+    # Phase 2: checkpoint A — the mid-checkpoint death.
     client.checkpoint()
     health = wait_for_health(client)
     if health["worker_restarts"] < 3:
         raise SystemExit(
             f"[chaos] FAIL: expected >= 3 worker restarts (dispatch kill, "
-            f"drain death, cut death), saw {health['worker_restarts']}"
+            f"fold death, cut death), saw {health['worker_restarts']}"
         )
     artifact["phases"]["storm"] = {
         "worker_restarts": health["worker_restarts"],
         "wal": client.metrics()["wal"],
     }
     print(
-        f"[chaos] phase 2: checkpoint survived mid-flush + mid-cut deaths, "
+        "[chaos] phase 2: checkpoint survived the mid-cut death after the "
+        "mid-dispatch and mid-fold deaths, "
         f"{health['worker_restarts']} worker restarts, pool healthy"
     )
 

@@ -92,8 +92,6 @@ class Server:
                 checkpoint_dir,
                 "--checkpoint-interval",
                 "5",
-                "--flush-interval",
-                "0.05",
                 "--campaign",
                 CAMPAIGN,
                 "--workload",

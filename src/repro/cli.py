@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "pool degrades (only meaningful with --wal-dir and --workers)",
     )
     serve.add_argument(
-        "--ingest-workers", type=int, default=2, help="ingest worker tasks"
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -293,24 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("json", "binary", "both"),
         default="both",
         help="accepted ingest wire format(s) on /v1/report(s)",
-    )
-    serve.add_argument(
-        "--flush-reports",
-        type=int,
-        default=8192,
-        help="flush a worker's partial accumulator at this many reports",
-    )
-    serve.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.2,
-        help="seconds between timer-driven ingest flushes",
-    )
-    serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=256,
-        help="ingest queue bound (backpressure beyond it)",
     )
     serve.add_argument(
         "--store",
@@ -412,27 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="seconds after which a non-empty partial forwards anyway",
-    )
-    edge.add_argument(
-        "--ingest-workers", type=int, default=2, help="ingest worker tasks"
-    )
-    edge.add_argument(
-        "--flush-reports",
-        type=int,
-        default=8192,
-        help="flush a worker's partial accumulator at this many reports",
-    )
-    edge.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.2,
-        help="seconds between timer-driven ingest flushes",
-    )
-    edge.add_argument(
-        "--max-pending",
-        type=int,
-        default=256,
-        help="ingest queue bound (backpressure beyond it)",
     )
     edge.add_argument(
         "--drain-timeout",
@@ -539,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--sync",
         action="store_true",
-        help="drain the server's ingest queue before answering",
+        help="accepted for compatibility: every acknowledged report is "
+        "already counted",
     )
     query.add_argument(
         "--limit",
@@ -926,6 +885,7 @@ def _run_strategy_prune(arguments) -> int:
 
 
 def _run_serve(arguments) -> int:
+    from repro.exceptions import ServiceError
     from repro.service import CollectionService, run_service
     from repro.telemetry import configure_logging
 
@@ -942,23 +902,24 @@ def _run_serve(arguments) -> int:
         from repro.store import StrategyStore
 
         store = StrategyStore(arguments.store)
-    service = CollectionService(
-        checkpoint_dir=arguments.checkpoint_dir,
-        checkpoint_interval=arguments.checkpoint_interval,
-        store=store,
-        num_workers=arguments.ingest_workers,
-        max_pending=arguments.max_pending,
-        flush_reports=arguments.flush_reports,
-        flush_interval=arguments.flush_interval,
-        cluster_workers=arguments.workers,
-        transport=arguments.transport,
-        tracing=not arguments.no_tracing,
-        wal_dir=arguments.wal_dir,
-        wal_segment_bytes=arguments.wal_segment_bytes,
-        wal_fsync=not arguments.no_wal_fsync,
-        fault_plan=arguments.fault_plan,
-        worker_restart_limit=arguments.worker_restart_limit,
-    )
+    try:
+        service = CollectionService(
+            checkpoint_dir=arguments.checkpoint_dir,
+            checkpoint_interval=arguments.checkpoint_interval,
+            store=store,
+            cluster_workers=arguments.workers,
+            transport=arguments.transport,
+            tracing=not arguments.no_tracing,
+            wal_dir=arguments.wal_dir,
+            wal_segment_bytes=arguments.wal_segment_bytes,
+            wal_fsync=not arguments.no_wal_fsync,
+            fault_plan=arguments.fault_plan,
+            worker_restart_limit=arguments.worker_restart_limit,
+        )
+    except ServiceError as error:
+        # e.g. a recovered adaptive campaign with --workers
+        print(error, file=sys.stderr)
+        return 2
     if arguments.campaign is not None and arguments.campaign not in service.manager:
         adaptive = None
         if arguments.adaptive is not None:
@@ -1012,10 +973,6 @@ def _run_edge(arguments) -> int:
         arguments.upstream_port,
         edge_id=arguments.edge_id,
         campaigns=campaigns,
-        num_workers=arguments.ingest_workers,
-        max_pending=arguments.max_pending,
-        flush_reports=arguments.flush_reports,
-        flush_interval=arguments.flush_interval,
         forward_reports=arguments.forward_reports,
         forward_interval=arguments.forward_interval,
         drain_timeout=arguments.drain_timeout,
@@ -1081,8 +1038,7 @@ def _render_metrics_summary(snapshot: dict) -> str:
     lines.append(
         f"ingest: {ingest.get('ingested', 0):,} folded, "
         f"{ingest.get('rejected_batches', 0):,} batches rejected, "
-        f"{ingest.get('reports_dropped', 0):,} stale-cohort drops, "
-        f"queue depth {snapshot.get('queue_depth', 0)}"
+        f"{ingest.get('reports_dropped', 0):,} stale-cohort drops"
     )
     lines.append(
         f"checkpoints: {snapshot.get('checkpoints_written', 0)} written, "

@@ -5,21 +5,21 @@ The batch pipeline (optimize → collect → reconstruct) becomes a standing
 deployment: the server holds any number of named *campaigns* (immutable
 :class:`~repro.protocol.engine.ProtocolSession` + live mergeable
 :class:`~repro.protocol.engine.ShardAccumulator`), ingests privatized
-reports through an async micro-batching path with backpressure, answers
+reports by folding each validated batch before acknowledging it, answers
 workload queries with confidence intervals *while collection is in
 flight*, and writes periodic atomic checkpoints it can recover from after
 a crash.  Clients randomize locally — the server never sees a raw value.
 
 * :class:`~repro.service.campaigns.CampaignManager` — named campaigns.
-* :class:`~repro.service.ingest.IngestPipeline` — bounded-queue
-  micro-batching ingestion.
+* :class:`~repro.service.ingest.IngestPipeline` — validate-and-fold
+  ingestion at ack time, shared by the root, cluster workers, and edges.
 * :class:`~repro.service.checkpoint.CheckpointStore` — atomic snapshots +
   crash recovery.
 * :class:`~repro.service.server.CollectionService` — the asyncio HTTP
   server (``repro serve``), JSON or binary-framed ingest.
 * :class:`~repro.service.cluster.WorkerPool` — the multi-process
-  scale-out tier (``repro serve --workers K``): per-process
-  :class:`~repro.service.ingest.IngestPipeline` over owned shard
+  scale-out tier (``repro serve --workers K``): each worker folds through
+  its own :class:`~repro.service.ingest.IngestPipeline` into owned shard
   accumulators, merged bit-identically for queries and checkpoints.
 * :mod:`repro.service.framing` — the length-prefixed binary ingest
   frames (``--transport binary``).

@@ -243,9 +243,6 @@ class Campaign:
         (a mechanism name, ``"store"``, or ``"strategy"``).
     created_at:
         Unix timestamp of campaign creation.
-    flushes:
-        How many ingest flushes have folded pending reports into the
-        accumulator (observability only; not part of the estimate).
     adaptive, ledger, rounds, current_round:
         Adaptive-mode state: the round plan, the exact budget ledger, the
         completed :class:`RoundRecord` history, and the round the live
@@ -262,7 +259,6 @@ class Campaign:
     source: str
     created_at: float = field(default_factory=time.time)
     accumulator: ShardAccumulator = field(default=None)  # type: ignore[assignment]
-    flushes: int = 0
     adaptive: AdaptivePlan | None = None
     ledger: BudgetLedger | None = None
     rounds: list[RoundRecord] = field(default_factory=list)
@@ -343,7 +339,6 @@ class Campaign:
             "source": self.source,
             "created_at": self.created_at,
             "num_reports": self.num_reports,
-            "flushes": self.flushes,
             "round": self.current_round,
         }
         if self.adaptive is not None:
@@ -625,11 +620,7 @@ class CampaignManager:
             )
         return campaign
 
-    def plan_advance(
-        self,
-        name: str,
-        pending: list[ShardAccumulator] | None = None,
-    ) -> AdvancePlan:
+    def plan_advance(self, name: str) -> AdvancePlan:
         """Plan the next round transition (fast, pure, runs on the loop).
 
         Scores each sub-workload by the root-mean-square plug-in standard
@@ -649,7 +640,7 @@ class CampaignManager:
                 f"({campaign.current_round} of {plan.num_rounds})"
             )
         budget = plan.budgets(campaign.epsilon)[campaign.current_round]
-        answer = self.query(name, pending=pending)
+        answer = self.query(name)
         groups = partition_workload(campaign.session.workload, plan.num_groups)
         scores = group_scores(groups, answer.intervals.standard_errors)
         rng = np.random.default_rng([plan.seed, campaign.current_round])
@@ -836,7 +827,6 @@ class CampaignManager:
                 f"campaign {name!r}'s {campaign.session.num_outputs} outputs"
             )
         campaign.accumulator = campaign.accumulator.merge(partial)
-        campaign.flushes += 1
         campaign.edge_sequences[edge_id] = sequence
         return {
             "campaign": name,
@@ -857,10 +847,9 @@ class CampaignManager:
     ) -> QueryAnswer:
         """Current estimates for one campaign, with confidence intervals.
 
-        ``pending`` lets the caller fold in not-yet-flushed partial
-        accumulators (the ingest pipeline's per-worker state) without
-        mutating the campaign — the answer then reflects every report that
-        has cleared validation, even mid-flush.
+        ``pending`` lets the caller fold in accumulators held outside the
+        campaign (the cluster workers' shard snapshots) without mutating
+        it.
 
         Adaptive campaigns combine every completed round with the live one:
         rounds collect from disjoint client cohorts, so their total-count

@@ -375,9 +375,9 @@ class ServiceClient:
     def query(
         self, campaign: str, confidence: float = 0.95, sync: bool = False
     ) -> dict:
-        """Current estimates (+ confidence intervals).  ``sync=True`` asks
-        the server to drain its ingest queue first, so the answer reflects
-        every report accepted before the call."""
+        """Current estimates (+ confidence intervals).  The answer counts
+        every report acknowledged before the call; ``sync`` is still sent
+        for servers that predate ack-time folding."""
         params = urllib.parse.urlencode(
             {
                 "campaign": campaign,

@@ -6,37 +6,39 @@ folded sums (the factorization view), so aggregation parallelizes across
 processes without changing a single bit of the answer.  This module is
 that seam: a coordinator (the asyncio HTTP process) dispatches validated
 report batches over :mod:`multiprocessing` pipes to ``K`` worker
-processes, each running its own
-:class:`~repro.service.ingest.IngestPipeline` over shard accumulators it
+processes, each folding through its own
+:class:`~repro.service.ingest.IngestPipeline` into shard accumulators it
 exclusively owns.  Queries and checkpoints pull per-worker snapshots back
 through the version-tagged :meth:`ShardAccumulator.to_bytes` payloads and
-merge them — the same commutative-monoid merge the in-process pipeline
-uses, so serial and worker-pool folds are bit-identical.
+merge them — a commutative-monoid merge of integer counts, so serial and
+worker-pool folds are bit-identical.
 
 Division of labor: the coordinator reads HTTP framing and routes on the
 path + content type only; ingest *bodies* — JSON or binary frames — are
 shipped to a worker verbatim, and the worker parses, validates, and folds
 them, so the per-report decode cost lands on the worker's core and the
-coordinator stays an almost pure switchboard.  Validation failures travel
-back on the reply and surface as a synchronous 400, exactly like the
-single-process path.  Dispatch is pipelined: a sender thread and a reader
-thread per worker connection keep any number of batches in flight (bounded
-by a per-worker semaphore), with replies matched to awaiting handlers in
-FIFO order — the order the worker necessarily answers in.
+coordinator stays an almost pure switchboard.  A worker replies only after
+folding, and validation failures travel back on the reply and surface as a
+synchronous 400, exactly like the single-process path.  Dispatch is
+pipelined: a sender thread and a reader thread per worker connection keep
+any number of batches in flight (bounded by a per-worker semaphore), with
+replies matched to awaiting handlers in FIFO order — the order the worker
+necessarily answers in.  The same order means a snapshot or cut sent after
+a batch's ack always includes that batch.
 
 Failure semantics depend on whether the pool has a write-ahead log:
 
 * **Without a WAL** (``wal=None``, the default) failures are deliberately
   loud: a worker that dies (crash, ``SIGKILL``) takes its un-checkpointed
   reports with it, so the pool marks itself degraded and every subsequent
-  submit/drain/snapshot raises
+  submit/snapshot/cut raises
   :class:`~repro.exceptions.ClusterDegradedError` instead of silently
   under-counting.  Recovery is a restart from the last coordinated
   checkpoint.
 * **With a WAL** the pool is *self-healing*: every dispatched ingest body
   carries its WAL sequence, and the coordinator remembers which sequences
   each worker has folded since the last checkpoint *cut* (a checkpoint in
-  WAL mode drains, serializes, and resets every worker's accumulators into
+  WAL mode serializes and resets every worker's accumulators into
   the coordinator's recovery base — so a worker's live state is exactly
   the records routed to it since that cut).  When a worker dies, its
   pending dispatches fail internally and are re-routed to live workers,
@@ -115,13 +117,14 @@ class _ShardSession:
 
 
 class _ShardCampaign:
-    """Worker-side view of one campaign: accumulator + flush counter."""
+    """Worker-side view of one campaign: its shard accumulator."""
 
-    __slots__ = ("name", "session", "accumulator", "flushes")
+    __slots__ = ("name", "session", "accumulator")
 
-    # Adaptive campaigns are rejected in cluster mode at creation, so the
-    # worker-side view is always single-round; the ingest pipeline's round
-    # resolution reads these two attributes.
+    # Adaptive campaigns are refused in cluster mode (at creation and on
+    # restart from a checkpoint), so the worker-side view is always
+    # single-round; the ingest pipeline's round resolution reads these two
+    # attributes.
     adaptive = None
     current_round = 0
 
@@ -129,7 +132,6 @@ class _ShardCampaign:
         self.name = name
         self.session = _ShardSession(num_outputs)
         self.accumulator = self.session.new_accumulator()
-        self.flushes = 0
 
     @property
     def num_reports(self) -> int:
@@ -180,41 +182,25 @@ class ShardManager:
         return len(self._campaigns)
 
 
-def _worker_main(
-    connection,
-    index: int,
-    flush_reports: int,
-    flush_interval: float,
-    faults=None,
-):
+def _worker_main(connection, index: int, faults=None):
     """Entry point of one worker process (module-level so ``spawn`` can
     import it).  Shutdown is protocol-driven — ``("stop",)`` or pipe EOF —
     so terminal signals aimed at the process *group* (an operator's
-    Ctrl-C) leave workers alive for the coordinator's graceful drain."""
+    Ctrl-C) leave workers alive for the coordinator's graceful stop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     try:
-        asyncio.run(_worker_loop(connection, index, flush_reports, flush_interval, faults))
+        asyncio.run(_worker_loop(connection, index, faults))
     finally:
         connection.close()
 
 
-async def _worker_loop(
-    connection, index: int, flush_reports: int, flush_interval: float, faults=None
-):
+async def _worker_loop(connection, index: int, faults=None):
     manager = ShardManager()
     # Each worker owns its telemetry: only trace *ids* cross the pipe, and
     # the coordinator merges the histogram snapshots pulled via "stats".
     registry = MetricsRegistry()
-    pipeline = IngestPipeline(
-        manager,
-        num_workers=1,
-        flush_reports=flush_reports,
-        flush_interval=flush_interval,
-        registry=registry,
-        tracer=Tracer(registry),
-    )
-    await pipeline.start()
+    pipeline = IngestPipeline(manager, registry=registry, tracer=Tracer(registry))
     loop = asyncio.get_running_loop()
     while True:
         try:
@@ -271,12 +257,8 @@ async def _handle(message, manager: ShardManager, pipeline: IngestPipeline):
         _, name, num_outputs = message
         manager.open(name, num_outputs)
         return None
-    if op == "drain":
-        await pipeline.drain()
-        return None
     if op == "snapshot":
         _, only = message
-        pipeline.flush_all()
         return {
             campaign.name: campaign.accumulator.to_bytes()
             for campaign in manager.campaigns()
@@ -288,7 +270,6 @@ async def _handle(message, manager: ShardManager, pipeline: IngestPipeline):
         # Afterwards this worker's live state is exactly the records routed
         # to it since this cut — the invariant that lets a respawn rebuild
         # it from checkpoint + WAL replay alone.
-        pipeline.flush_all()
         payloads = {
             campaign.name: campaign.accumulator.to_bytes()
             for campaign in manager.campaigns()
@@ -302,7 +283,6 @@ async def _handle(message, manager: ShardManager, pipeline: IngestPipeline):
         metrics = pipeline._metrics
         return {
             "ingest": pipeline.stats.to_json(),
-            "queue_depth": pipeline.queue_depth,
             # Bucket snapshot travels as plain lists; the coordinator's
             # element-wise merge is commutative, so the cluster-wide
             # histogram is independent of worker order.
@@ -315,7 +295,6 @@ async def _handle(message, manager: ShardManager, pipeline: IngestPipeline):
     if op == "ping":
         return "pong"
     if op == "stop":
-        await pipeline.stop()
         return None
     raise ServiceError(f"unknown cluster op {op!r}")
 
@@ -394,8 +373,6 @@ class WorkerPool:
     ----------
     num_workers:
         Worker process count ``K``.
-    flush_reports, flush_interval:
-        Forwarded to each worker's :class:`IngestPipeline`.
     start_method:
         ``multiprocessing`` start method; see :data:`DEFAULT_START_METHOD`.
     wal:
@@ -418,8 +395,6 @@ class WorkerPool:
         self,
         num_workers: int,
         *,
-        flush_reports: int = 8_192,
-        flush_interval: float = 0.2,
         start_method: str = DEFAULT_START_METHOD,
         wal=None,
         faults=None,
@@ -432,8 +407,6 @@ class WorkerPool:
         if restart_limit < 0:
             raise ServiceError(f"restart_limit must be >= 0, got {restart_limit}")
         self.num_workers = num_workers
-        self.flush_reports = flush_reports
-        self.flush_interval = flush_interval
         self.wal = wal
         self.faults = faults
         self.restart_limit = restart_limit
@@ -464,13 +437,7 @@ class WorkerPool:
         parent_end, child_end = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
-            args=(
-                child_end,
-                index,
-                self.flush_reports,
-                self.flush_interval,
-                faults,
-            ),
+            args=(child_end, index, faults),
             name=f"repro-cluster-{index}",
             daemon=True,
         )
@@ -852,7 +819,7 @@ class WorkerPool:
 
     async def _await_all_up(self) -> None:
         """Wait until every worker is ``up`` (degraded raises).  Control
-        ops — drain, snapshot, cut — need the whole pool, not a quorum:
+        ops — snapshot, cut — need the whole pool, not a quorum:
         a missing worker's records would silently vanish from the fold."""
         while True:
             self._ensure_healthy()
@@ -912,8 +879,7 @@ class WorkerPool:
         """Send one op to every worker and collect the replies.  In
         supervised mode this waits out worker deaths and re-issues the op
         to the whole (restored) pool until a fully-live round answers —
-        sound because every broadcast op (open/drain/snapshot) is
-        idempotent."""
+        sound because every broadcast op (open/snapshot) is idempotent."""
         if not self.supervised:
             self._ensure_healthy()
             return await asyncio.gather(
@@ -1015,10 +981,6 @@ class WorkerPool:
         )
         self._count_accepted(worker, {campaign: accepted})
         return accepted
-
-    async def drain(self) -> None:
-        """Wait until every dispatched batch is folded on its worker."""
-        await self._broadcast(("drain",))
 
     async def snapshots(
         self, campaign: str | None = None

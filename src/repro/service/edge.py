@@ -6,11 +6,12 @@ merges form a commutative monoid — associative, order-independent, and
 bit-identical to a serial fold — aggregation can fan out horizontally: any
 number of :class:`EdgeAggregator` processes accept client reports over the
 same JSON/binary transports the root speaks, fold them into local partial
-accumulators (reusing the root's :class:`~repro.service.ingest.IngestPipeline`
-verbatim), and forward the merged partials upstream via
-``POST /v1/campaigns/<name>/partials``.  The root folds ``E`` partial blobs
-per flush window instead of ``N`` client batches, so its load is independent
-of the client population.
+accumulators (through the root's ingest endpoints and
+:class:`~repro.service.ingest.IngestPipeline`, shared via
+:class:`~repro.service.server.HttpTier`), and forward the merged partials
+upstream via ``POST /v1/campaigns/<name>/partials``.  The root folds ``E``
+partial blobs per forward window instead of ``N`` client batches, so its
+load is independent of the client population.
 
 Exactly-once folding without a transaction log:
 
@@ -29,8 +30,8 @@ with exponential backoff, so an unreachable root loses nothing.  4xx
 responses are *permanent* — the payload can never be accepted (usually a
 round that advanced under the edge), so it is dropped, counted, and the
 campaign mirror refreshed.  A graceful stop (SIGTERM via ``repro edge``)
-closes the listener, drains the pipeline, cuts the final partials, and
-forwards them before exiting.
+closes the listener, cuts the final partials, and forwards them before
+exiting.
 """
 
 from __future__ import annotations
@@ -45,24 +46,10 @@ from repro._version import __version__
 from repro.exceptions import ServiceError, ServiceHTTPError
 from repro.protocol.engine import ShardAccumulator
 from repro.service.client import ServiceClient
-from repro.service.ingest import (
-    IngestPipeline,
-    fold_frame_body,
-    fold_json_body,
-)
-from repro.service.server import (
-    HttpTier,
-    _HttpError,
-    _RawResponse,
-    _Request,
-)
+from repro.service.ingest import IngestPipeline
+from repro.service.server import HttpTier, _HttpError, _Request, run_service
 from repro.telemetry.logs import get_logger
-from repro.telemetry.metrics import (
-    Gauge,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-)
+from repro.telemetry.metrics import Gauge, MetricsRegistry
 
 _LOG = get_logger(__name__)
 
@@ -88,8 +75,8 @@ class _MirroredCampaign:
     """Edge-local mirror of one upstream campaign.
 
     Duck-typed to the campaign surface :class:`IngestPipeline` and
-    :func:`~repro.service.ingest.resolve_round` consume (``session``,
-    ``current_round``, ``adaptive``, ``accumulator``, ``flushes``), so the
+    :func:`~repro.service.ingest.resolve_round` consume (``name``,
+    ``session``, ``current_round``, ``adaptive``, ``accumulator``), so the
     pipeline folds into it exactly as the root folds into a real
     :class:`~repro.service.campaigns.Campaign`.
     """
@@ -100,7 +87,6 @@ class _MirroredCampaign:
         "current_round",
         "adaptive",
         "accumulator",
-        "flushes",
         "sequence",
         "last_cut",
     )
@@ -119,7 +105,6 @@ class _MirroredCampaign:
         #: truthy marker instead of the upstream plan object.
         self.adaptive = True if adaptive else None
         self.accumulator = self.session.new_accumulator(self.current_round)
-        self.flushes = 0
         #: Last flush sequence this edge cut for the campaign (the upstream
         #: applies each ``(edge, campaign, sequence)`` at most once).
         self.sequence = 0
@@ -199,8 +184,6 @@ class EdgeAggregator(HttpTier):
         Callable returning a fresh :class:`ServiceClient` per upstream
         call; injectable so tests can simulate an unreachable or flaky
         root deterministically.
-    ingest options (num_workers, max_pending, flush_reports, flush_interval):
-        Forwarded to the reused :class:`IngestPipeline`.
 
     Examples
     --------
@@ -219,10 +202,6 @@ class EdgeAggregator(HttpTier):
         *,
         edge_id: str | None = None,
         campaigns: list[str] | None = None,
-        num_workers: int = 2,
-        max_pending: int = 256,
-        flush_reports: int = 8_192,
-        flush_interval: float = 0.2,
         forward_reports: int = 50_000,
         forward_interval: float = 1.0,
         retry_base: float = 0.25,
@@ -270,19 +249,11 @@ class EdgeAggregator(HttpTier):
         )
         self.manager = _EdgeManager()
         self.pipeline = IngestPipeline(
-            self.manager,
-            num_workers=num_workers,
-            max_pending=max_pending,
-            flush_reports=flush_reports,
-            flush_interval=flush_interval,
-            registry=self.registry,
-            tracer=self.tracer,
+            self.manager, registry=self.registry, tracer=self.tracer
         )
         self._outbox: deque[_PendingForward] = deque()
         self._outbox_event = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
-        self.started_at: float | None = None
-        self._started_monotonic: float | None = None
         self.reports_forwarded = 0
         self.reports_lost = 0
         self.forwards_applied = 0
@@ -292,11 +263,6 @@ class EdgeAggregator(HttpTier):
 
     def _register_edge_metrics(self) -> None:
         registry = self.registry
-        self._m_ingest_latency = registry.histogram(
-            "repro_ingest_latency_seconds",
-            "End-to-end latency of ingest requests "
-            "(dispatch + decode + queue admission).",
-        )
         self._m_forwards = registry.counter(
             "repro_edge_forwards_total",
             "Partial forwards to the root, by outcome "
@@ -325,17 +291,6 @@ class EdgeAggregator(HttpTier):
         )
         assert isinstance(outbox, Gauge)
         outbox.set_function(lambda: float(len(self._outbox)))
-        uptime = registry.gauge(
-            "repro_uptime_seconds",
-            "Seconds since the edge started (monotonic clock).",
-        )
-        assert isinstance(uptime, Gauge)
-        uptime.set_function(self._uptime)
-
-    def _uptime(self) -> float:
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
 
     # -- upstream mirror ----------------------------------------------------
 
@@ -418,17 +373,14 @@ class EdgeAggregator(HttpTier):
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Mirror upstream campaigns, start the pipeline, listener, and
-        forwarder; returns the bound ``(host, port)``."""
+        """Mirror upstream campaigns, start the listener and forwarder;
+        returns the bound ``(host, port)``."""
         await self.refresh_campaigns()
-        await self.pipeline.start()
         bound = await self._start_listener(host, port)
         self._tasks = [
             asyncio.create_task(self._cut_timer(), name="edge-cutter"),
             asyncio.create_task(self._forward_pump(), name="edge-forwarder"),
         ]
-        self.started_at = time.time()
-        self._started_monotonic = time.monotonic()
         _LOG.info(
             "edge aggregator started",
             extra={
@@ -442,8 +394,8 @@ class EdgeAggregator(HttpTier):
         return bound
 
     async def stop(self, *, final_checkpoint: bool = True) -> None:
-        """Graceful drain: close the listener, drain the pipeline, cut the
-        final partials, and forward everything buffered.
+        """Graceful drain: close the listener, cut the final partials, and
+        forward everything buffered.
 
         The listener dies first, so no report can be acknowledged after the
         final cut — an edge 200 means the report is in a partial that the
@@ -460,12 +412,10 @@ class EdgeAggregator(HttpTier):
         self._tasks = []
         await self._close_listener()
         if final_checkpoint:
-            await self.pipeline.stop()
             for mirror in self.manager.campaigns():
                 self._cut(mirror)
             await self._drain_outbox(self.drain_timeout)
         else:
-            await self.pipeline.abort()
             self._outbox.clear()
 
     # -- cut & forward ------------------------------------------------------
@@ -474,8 +424,8 @@ class EdgeAggregator(HttpTier):
         """Seal the mirror's live partial and queue it for forwarding.
 
         Runs on the event loop (like every accumulator mutation), so a cut
-        can never tear a pipeline flush: the sealed payload is exactly the
-        merges that completed before this tick.
+        can never tear a fold: the sealed payload holds exactly the
+        batches acknowledged before this tick.
         """
         accumulator = mirror.accumulator
         mirror.last_cut = time.monotonic()
@@ -627,30 +577,11 @@ class EdgeAggregator(HttpTier):
 
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch(self, request: _Request) -> tuple[int, dict]:
-        method, path = request.method, request.path.rstrip("/") or "/"
+    async def _route(
+        self, request: _Request, method: str, path: str
+    ) -> tuple[int, dict]:
         if path == "/v1/healthz" and method == "GET":
             return 200, self._healthz()
-        if path == "/v1/metrics" and method == "GET":
-            fmt = request.params.get("format", "json")
-            if fmt == "prometheus":
-                return 200, _RawResponse(
-                    self._prometheus_text().encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            if fmt != "json":
-                raise _HttpError(
-                    400, f"unknown metrics format {fmt!r}; use json or prometheus"
-                )
-            return 200, self._metrics()
-        if path == "/v1/report" and method == "POST":
-            if request.is_frame:
-                raise _HttpError(400, "binary ingest frames go to /v1/reports")
-            return await self._ingest_json(request, single=True)
-        if path == "/v1/reports" and method == "POST":
-            if request.is_frame:
-                return await self._ingest_frames(request)
-            return await self._ingest_json(request)
         if (
             path == "/v1/campaigns" or path.startswith("/v1/campaigns/")
         ) and method == "GET":
@@ -677,46 +608,6 @@ class EdgeAggregator(HttpTier):
 
     # -- handlers -----------------------------------------------------------
 
-    async def _ingest_json(
-        self, request: _Request, single: bool = False
-    ) -> tuple[int, dict]:
-        trace_id = self._mint_trace(request)
-        started = time.perf_counter()
-        with self.tracer.span("ingest", trace_id=trace_id) as span:
-            span.set_attribute("transport", "json")
-            span.set_attribute("tier", "edge")
-            with span.child("dispatch"):
-                per_campaign = await fold_json_body(
-                    self.pipeline, request.raw, single, trace_id=trace_id
-                )
-        self._m_ingest_latency.observe(time.perf_counter() - started)
-        return 200, self._ingest_reply(per_campaign, trace_id)
-
-    async def _ingest_frames(self, request: _Request) -> tuple[int, dict]:
-        trace_id = self._mint_trace(request)
-        started = time.perf_counter()
-        with self.tracer.span("ingest", trace_id=trace_id) as span:
-            span.set_attribute("transport", "binary")
-            span.set_attribute("tier", "edge")
-            with span.child("dispatch"):
-                per_campaign = await fold_frame_body(
-                    self.pipeline, request.raw, trace_id=trace_id
-                )
-        self._m_ingest_latency.observe(time.perf_counter() - started)
-        return 200, self._ingest_reply(per_campaign, trace_id)
-
-    def _ingest_reply(self, per_campaign: dict[str, int], trace_id: str) -> dict:
-        payload = {
-            "accepted": sum(per_campaign.values()),
-            "campaigns": per_campaign,
-            "queue_depth": self.pipeline.queue_depth,
-        }
-        if trace_id:
-            payload["trace"] = trace_id
-        if len(per_campaign) == 1:
-            payload["campaign"] = next(iter(per_campaign))
-        return payload
-
     def _healthz(self) -> dict:
         return {
             "status": "ok",
@@ -729,10 +620,9 @@ class EdgeAggregator(HttpTier):
             "uptime_seconds": self._uptime(),
         }
 
-    def _metrics(self) -> dict:
+    async def _metrics(self) -> dict:
         return {
-            "uptime_seconds": self._uptime(),
-            "requests_served": self.requests_served,
+            **await super()._metrics(),
             "edge_id": self.edge_id,
             "upstream": f"{self.upstream_host}:{self.upstream_port}",
             "campaigns": {
@@ -740,12 +630,9 @@ class EdgeAggregator(HttpTier):
                     "buffered_reports": mirror.accumulator.num_reports,
                     "sequence": mirror.sequence,
                     "round": mirror.current_round,
-                    "flushes": mirror.flushes,
                 }
                 for mirror in self.manager.campaigns()
             },
-            "ingest": self.pipeline.stats.to_json(),
-            "queue_depth": self.pipeline.queue_depth,
             "outbox_depth": len(self._outbox),
             "forwards": {
                 "applied": self.forwards_applied,
@@ -754,48 +641,19 @@ class EdgeAggregator(HttpTier):
                 "reports_forwarded": self.reports_forwarded,
                 "reports_lost": self.reports_lost,
             },
-            "telemetry": self.registry.to_json(),
         }
 
-    def _prometheus_text(self) -> str:
-        sections = [self.registry]
-        global_registry = get_registry()
-        if global_registry is not self.registry:
-            sections.append(global_registry)
-        return render_prometheus(*sections)
+    def _banner(self, host: str, port: int) -> tuple[str, str]:
+        """The startup and shutdown lines ``repro edge`` prints."""
+        return (
+            f"repro edge {self.edge_id} listening on http://{host}:{port} "
+            f"(forwarding to {self.upstream_host}:{self.upstream_port}, "
+            f"{len(self.manager)} campaign(s) mirrored)",
+            "repro edge shutting down (forwarding final partials)",
+        )
 
 
-async def _serve_edge_forever(
-    edge: EdgeAggregator, host: str, port: int
-) -> None:
-    import signal
-
-    loop = asyncio.get_running_loop()
-    stopping = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stopping.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    bound_host, bound_port = await edge.start(host, port)
-    print(
-        f"repro edge {edge.edge_id} listening on "
-        f"http://{bound_host}:{bound_port} "
-        f"(forwarding to {edge.upstream_host}:{edge.upstream_port}, "
-        f"{len(edge.manager)} campaign(s) mirrored)",
-        flush=True,
-    )
-    await stopping.wait()
-    print(
-        "repro edge shutting down (draining + forwarding final partials)",
-        flush=True,
-    )
-    await edge.stop()
-
-
-def run_edge(
-    edge: EdgeAggregator, host: str = "127.0.0.1", port: int = 8321
-) -> None:
+def run_edge(edge: EdgeAggregator, host: str = "127.0.0.1", port: int = 8321) -> None:
     """Blocking entry point used by ``repro edge``: runs until SIGINT or
-    SIGTERM, then drains the pipeline and forwards the final partials."""
-    asyncio.run(_serve_edge_forever(edge, host, port))
+    SIGTERM, then forwards the final partials."""
+    run_service(edge, host, port)

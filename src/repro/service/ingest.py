@@ -1,34 +1,37 @@
-"""Async micro-batching ingestion path.
+"""Ingestion: validate a report body and fold it at ack time.
 
-Reports flow through a bounded :class:`asyncio.Queue` (full queue =
-backpressure propagated to the submitting HTTP handler, and from there to
-the client's TCP connection) to a small pool of worker tasks.  Each worker
-folds validated reports into its *own* per-campaign partial
-:class:`~repro.protocol.engine.ShardAccumulator`; a flusher merges the
-partials into the campaign's live accumulator whenever a partial grows past
-``flush_reports`` or on a ``flush_interval`` timer.  Because accumulators
-form a commutative monoid, the micro-batching is invisible in the result:
-any interleaving of submissions, across any number of workers, folds to
-exactly the histogram a serial pass would produce.
+The server side of the mechanism only ever adds: a report batch folds into
+its campaign's response histogram, and every estimate is linear in that
+histogram.  So a validated batch folds into the campaign's live
+:class:`~repro.protocol.engine.ShardAccumulator` in the same synchronous
+step that accepts it — there is nothing to queue, flush, or drain, and an
+acknowledged report is counted by the very next query.  Counts are
+integers held in float64, so in-place folds in any order are bit-identical
+to a serial fold.
 
-Everything here runs on one event loop, so "lock-free" is literal — merges
-are plain accumulator additions with no synchronization beyond the loop's
-cooperative scheduling.
+Validation and fold run with no ``await`` between them.  Every other
+mutation of a campaign (a round swap, an edge cut, a checkpoint snapshot)
+also runs on the event loop, so none of them can interleave with a
+half-folded body.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ProtocolError, ServiceError, StaleRoundError
-from repro.protocol.engine import ShardAccumulator
+from repro.exceptions import (
+    ProtocolError,
+    ReproError,
+    ServiceError,
+    StaleRoundError,
+)
 from repro.service.campaigns import CampaignManager
-from repro.service.framing import KIND_REPORTS, decode_frames
+from repro.service.framing import KIND_HISTOGRAM, KIND_REPORTS, decode_frames
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer, is_trace_id
 
@@ -40,9 +43,8 @@ def validate_reports(reports, num_outputs: int) -> np.ndarray:
     """Validate one report batch against an output alphabet of size
     ``num_outputs``; returns the batch as an ``int64`` array.
 
-    Shared by the in-process pipeline and the cluster tier (where the
-    coordinator validates JSON batches and each worker process validates
-    the packed batches dispatched to it).
+    Every ingest path (root, cluster worker, edge) validates through
+    :class:`IngestPipeline`, which calls this.
 
     Examples
     --------
@@ -128,7 +130,7 @@ def validate_histogram(histogram, num_outputs: int) -> np.ndarray:
     """
     try:
         array = np.asarray(histogram, dtype=float)
-    except (ValueError, TypeError) as error:
+    except (ValueError, TypeError, OverflowError) as error:
         raise ServiceError(f"histogram is not a numeric vector: {error}")
     if array.shape != (num_outputs,):
         raise ServiceError(f"histogram shape {array.shape} != ({num_outputs},)")
@@ -143,121 +145,95 @@ def validate_histogram(histogram, num_outputs: int) -> np.ndarray:
 class IngestStats:
     """Counters exposed via ``/v1/metrics``."""
 
-    submitted: int = 0
     ingested: int = 0
     rejected_batches: int = 0
-    flushes: int = 0
-    queue_high_water: int = 0
     reports_dropped: int = 0
 
     def to_json(self) -> dict:
         return {
-            "submitted": self.submitted,
             "ingested": self.ingested,
             "rejected_batches": self.rejected_batches,
-            "flushes": self.flushes,
-            "queue_high_water": self.queue_high_water,
             "reports_dropped": self.reports_dropped,
         }
 
 
 @dataclass
 class _Batch:
-    """One validated queue item: reports or a pre-aggregated histogram.
+    """One validated batch: reports or a pre-aggregated histogram, checked
+    against ``campaign`` (the live campaign object) in its current round."""
 
-    ``round_id`` is the campaign round the batch was accepted into (0 for
-    non-adaptive campaigns), resolved at submit time.
-    """
-
-    campaign: str
-    reports: np.ndarray | None = None
-    histogram: np.ndarray | None = None
-    num_reports: int = 0
-    round_id: int = 0
-    trace_id: str = ""
+    campaign: object
+    kind: int
+    values: np.ndarray
+    num_reports: int
+    trace_id: str
 
 
-@dataclass
-class _Worker:
-    """One ingest worker's mutable state: per-campaign partial accumulators."""
-
-    partials: dict[str, ShardAccumulator] = field(default_factory=dict)
+def _batch_size(kind: int, values) -> int:
+    """Reports in a batch that has not been validated (0 when the values
+    are too malformed to tell)."""
+    try:
+        if kind == KIND_REPORTS:
+            return len(values)
+        total = float(np.asarray(values, dtype=float).sum())
+    except (ValueError, TypeError, OverflowError):
+        return 0
+    return int(round(total)) if np.isfinite(total) else 0
 
 
 class _PipelineMetrics:
     """The pipeline's registry handles (one instance per pipeline).
 
     Mirrors :class:`IngestStats` into the shared registry so the
-    Prometheus exposition and the JSON stats never disagree, and adds
-    what flat counters cannot express: the per-batch fold-latency
-    histogram and the live queue-depth gauge.
+    Prometheus exposition and the JSON stats never disagree, and adds the
+    per-batch fold-latency histogram flat counters cannot express.
     """
 
-    def __init__(self, registry: MetricsRegistry, pipeline: IngestPipeline) -> None:
-        self.submitted = registry.counter(
-            "repro_ingest_reports_submitted_total",
-            "Reports accepted into the ingest queue.",
-        )
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.ingested = registry.counter(
             "repro_ingest_reports_total",
-            "Reports folded into partial accumulators.",
+            "Reports folded into live campaign accumulators.",
         )
         self.rejected = registry.counter(
             "repro_ingest_rejected_batches_total",
-            "Report batches rejected at validation or mid-flight.",
+            "Ingest bodies refused: undecodable, unknown campaign, invalid "
+            "reports, or a stale round.",
         )
         self.dropped = registry.counter(
             "repro_reports_dropped_total",
             "Reports dropped because their cohort's round was retired "
             "(stale-cohort rejections).",
         )
-        self.flushes = registry.counter(
-            "repro_ingest_flushes_total",
-            "Partial-accumulator merges into live campaign accumulators.",
-        )
         self.fold_seconds = registry.histogram(
             "repro_ingest_fold_seconds",
             "Per-batch accumulator fold duration.",
         )
-        queue_depth = registry.gauge(
-            "repro_ingest_queue_depth", "Batches waiting in the ingest queue."
-        )
-        queue_depth.set_function(lambda: float(pipeline.queue_depth))
-        high_water = registry.gauge(
-            "repro_ingest_queue_high_water",
-            "Deepest the ingest queue has been since startup.",
-        )
-        high_water.set_function(lambda: float(pipeline.stats.queue_high_water))
 
 
 class IngestPipeline:
-    """Bounded-queue micro-batching ingestion in front of a manager.
+    """Validate-and-fold ingestion in front of a campaign manager.
+
+    Every ingest path (the root in-process, each cluster worker, and the
+    edge) folds through one of these, so a client sees the same 400s
+    whichever process handled its body.  A body is all-or-nothing: every
+    batch in it is validated before the first is folded, and a refused
+    body counts once in ``stats.rejected_batches``.
 
     Parameters
     ----------
     manager:
-        The :class:`~repro.service.campaigns.CampaignManager` whose
-        campaigns receive the reports.
-    num_workers:
-        Concurrent folding tasks.  More workers help when submissions are
-        many and small; the result is identical regardless.
-    max_pending:
-        Queue bound — submissions beyond it await (backpressure).
-    flush_reports:
-        A worker flushes a campaign partial into the live accumulator once
-        it holds at least this many reports.
-    flush_interval:
-        Seconds between timer-driven flushes of all partials (so a trickle
-        of reports still becomes visible to live queries promptly).
+        The :class:`~repro.service.campaigns.CampaignManager` (or a
+        duck-typed stand-in with ``get(name)``) whose campaigns receive
+        the reports.
     registry:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry` the
-        pipeline mirrors its counters into, plus a fold-latency histogram
-        and queue-depth gauges.  One pipeline per registry: two pipelines
-        sharing one registry would share (and double-count) families.
+        pipeline mirrors its counters into, plus a fold-latency histogram.
+        One pipeline per registry: two pipelines sharing one registry
+        would share (and double-count) families.
     tracer:
         Optional :class:`~repro.telemetry.tracing.Tracer`; when a batch
-        carries a trace id, its fold is recorded as a ``fold`` child span
-        of the edge's ``ingest`` span.
+        carries a trace id, its decode and fold are recorded as ``decode``
+        and ``fold`` child spans of the edge's ``ingest`` span.
 
     Examples
     --------
@@ -265,13 +241,9 @@ class IngestPipeline:
     >>> manager = CampaignManager()
     >>> _ = manager.create("demo", workload="Histogram", domain_size=4,
     ...                    epsilon=1.0, mechanism="Randomized Response")
-    >>> async def feed():
-    ...     pipeline = IngestPipeline(manager)
-    ...     await pipeline.start()
-    ...     await pipeline.submit_reports("demo", [0, 1, 2, 3, 3])
-    ...     await pipeline.drain()
-    ...     await pipeline.stop()
-    >>> asyncio.run(feed())
+    >>> pipeline = IngestPipeline(manager)
+    >>> asyncio.run(pipeline.submit_reports("demo", [0, 1, 2, 3, 3]))
+    5
     >>> manager.get("demo").num_reports
     5
     """
@@ -280,132 +252,13 @@ class IngestPipeline:
         self,
         manager: CampaignManager,
         *,
-        num_workers: int = 2,
-        max_pending: int = 256,
-        flush_reports: int = 8_192,
-        flush_interval: float = 0.2,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ServiceError(f"need >= 1 ingest worker, got {num_workers}")
-        if max_pending < 1:
-            raise ServiceError(f"need >= 1 queue slot, got {max_pending}")
-        if flush_reports < 1:
-            raise ServiceError(f"flush_reports must be >= 1, got {flush_reports}")
-        if flush_interval <= 0:
-            raise ServiceError(
-                f"flush_interval must be positive, got {flush_interval}"
-            )
         self.manager = manager
-        self.num_workers = num_workers
-        self.flush_reports = flush_reports
-        self.flush_interval = flush_interval
         self.stats = IngestStats()
         self.tracer = tracer
-        self._metrics = (
-            _PipelineMetrics(registry, self) if registry is not None else None
-        )
-        self._queue: asyncio.Queue[_Batch] = asyncio.Queue(maxsize=max_pending)
-        self._workers: list[_Worker] = []
-        self._tasks: list[asyncio.Task] = []
-        self._running = False
-        self._batches_submitted = 0
-        self._batches_processed = 0
-        self._batch_processed = asyncio.Event()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        """Spawn the worker and flusher tasks."""
-        if self._running:
-            raise ServiceError("ingest pipeline already started")
-        self._running = True
-        self._workers = [_Worker() for _ in range(self.num_workers)]
-        self._tasks = [
-            asyncio.create_task(self._work(worker), name=f"ingest-{i}")
-            for i, worker in enumerate(self._workers)
-        ]
-        self._tasks.append(
-            asyncio.create_task(self._flush_timer(), name="ingest-flusher")
-        )
-
-    async def stop(self) -> None:
-        """Drain outstanding work, flush everything, cancel the tasks.
-
-        New submissions are rejected from the moment stop begins — a
-        report accepted during the drain could otherwise be acknowledged
-        and then lost when the workers are cancelled.
-        """
-        if not self._running:
-            return
-        self._running = False
-        await self.drain()
-        await self.abort()
-
-    async def abort(self) -> None:
-        """Cancel the tasks *without* draining — the crash-simulation path
-        (anything still queued or unflushed is lost, as a real crash would
-        lose it)."""
-        self._running = False
-        for task in self._tasks:
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
-
-    async def drain(self) -> None:
-        """Wait until every report submitted *before this call* is visible
-        in the live accumulators, then flush all partials.
-
-        The wait is bounded by the submission counter at entry, not by the
-        queue becoming empty — so a sync query on one campaign cannot be
-        starved forever by another campaign's sustained report stream.
-        """
-        target = self._batches_submitted
-        while self._batches_processed < target:
-            self._batch_processed.clear()
-            if self._batches_processed >= target:
-                break
-            await self._batch_processed.wait()
-        self.flush_all()
-
-    # -- submission --------------------------------------------------------
-
-    def _validate_reports(
-        self, campaign: str, reports, round_id, trace_id: str
-    ) -> _Batch:
-        target = self.manager.get(campaign)
-        array = validate_reports(reports, target.session.num_outputs)
-        return _Batch(
-            campaign=campaign,
-            reports=array,
-            num_reports=int(array.shape[0]),
-            round_id=resolve_round(target, round_id),
-            trace_id=trace_id,
-        )
-
-    def _validate_histogram(
-        self, campaign: str, histogram, round_id, trace_id: str
-    ) -> _Batch:
-        target = self.manager.get(campaign)
-        array = validate_histogram(histogram, target.session.num_outputs)
-        return _Batch(
-            campaign=campaign,
-            histogram=array,
-            num_reports=int(round(float(array.sum()))),
-            round_id=resolve_round(target, round_id),
-            trace_id=trace_id,
-        )
-
-    def _reject(self, error: Exception, dropped_reports: int) -> None:
-        self.stats.rejected_batches += 1
-        if self._metrics is not None:
-            self._metrics.rejected.inc()
-        if isinstance(error, StaleRoundError):
-            self.stats.reports_dropped += dropped_reports
-            if self._metrics is not None:
-                self._metrics.dropped.inc(dropped_reports)
+        self._metrics = _PipelineMetrics(registry) if registry is not None else None
 
     async def submit_reports(
         self,
@@ -414,24 +267,17 @@ class IngestPipeline:
         round_id: int | None = None,
         trace_id: str = "",
     ) -> int:
-        """Validate and enqueue a batch of privatized reports.
+        """Validate and fold a batch of privatized reports; returns the
+        number accepted.
 
-        Returns the number of reports accepted.  Raises
-        :class:`ServiceError` (or :class:`ProtocolError` for a round-tag
-        mismatch) and counts a rejected batch without enqueuing anything if
-        validation fails — a batch is all-or-nothing.
+        Raises :class:`ServiceError` (or :class:`ProtocolError` for a
+        round-tag mismatch) and counts a refused batch, folding nothing,
+        if validation fails.  Never suspends: the batch is folded when
+        this returns.
         """
-        try:
-            batch = self._validate_reports(campaign, reports, round_id, trace_id)
-        except (ProtocolError, ServiceError) as error:
-            try:
-                dropped = len(reports)
-            except TypeError:
-                dropped = 0
-            self._reject(error, dropped)
-            raise
-        await self._enqueue(batch)
-        return batch.num_reports
+        with self._refusals():
+            batch = self._validate(campaign, KIND_REPORTS, reports, round_id, trace_id)
+        return self._fold([batch])[campaign]
 
     async def submit_histogram(
         self,
@@ -440,131 +286,109 @@ class IngestPipeline:
         round_id: int | None = None,
         trace_id: str = "",
     ) -> int:
-        """Validate and enqueue a pre-aggregated response histogram (the
+        """Validate and fold a pre-aggregated response histogram (the
         cross-tier path: an edge aggregator ships its merged counts)."""
-        try:
-            batch = self._validate_histogram(campaign, histogram, round_id, trace_id)
-        except (ProtocolError, ServiceError) as error:
-            try:
-                total = float(np.asarray(histogram, dtype=float).sum())
-                dropped = int(round(total)) if np.isfinite(total) else 0
-            except (ValueError, TypeError, OverflowError):
-                dropped = 0
-            self._reject(error, dropped)
-            raise
-        await self._enqueue(batch)
-        return batch.num_reports
-
-    async def _enqueue(self, batch: _Batch) -> None:
-        if not self._running:
-            raise ServiceError("ingest pipeline is not running")
-        await self._queue.put(batch)
-        self._batches_submitted += 1
-        self.stats.submitted += batch.num_reports
-        if self._metrics is not None:
-            self._metrics.submitted.inc(batch.num_reports)
-        self.stats.queue_high_water = max(
-            self.stats.queue_high_water, self._queue.qsize()
-        )
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    # -- folding -----------------------------------------------------------
-
-    async def _work(self, worker: _Worker) -> None:
-        while True:
-            batch = await self._queue.get()
-            started = time.perf_counter()
-            try:
-                campaign = self.manager.get(batch.campaign)
-                if batch.round_id != campaign.current_round:
-                    raise StaleRoundError(
-                        f"round {batch.round_id} batch arrived after campaign "
-                        f"{batch.campaign!r} advanced to round "
-                        f"{campaign.current_round}"
-                    )
-                partial = worker.partials.get(batch.campaign)
-                if partial is not None and partial.round_id != batch.round_id:
-                    self._flush_partial(worker, batch.campaign)
-                    partial = None
-                if partial is None:
-                    partial = campaign.session.new_accumulator(batch.round_id)
-                    worker.partials[batch.campaign] = partial
-                if batch.reports is not None:
-                    partial.add_reports(batch.reports)
-                else:
-                    partial.add_histogram(batch.histogram)
-                self.stats.ingested += batch.num_reports
-                duration = time.perf_counter() - started
-                if self._metrics is not None:
-                    self._metrics.ingested.inc(batch.num_reports)
-                    self._metrics.fold_seconds.observe(duration)
-                if self.tracer is not None and batch.trace_id:
-                    self.tracer.record(
-                        "fold",
-                        duration,
-                        trace_id=batch.trace_id,
-                        parent="ingest",
-                        campaign=batch.campaign,
-                        reports=batch.num_reports,
-                    )
-                if partial.num_reports >= self.flush_reports:
-                    self._flush_partial(worker, batch.campaign)
-            except (ProtocolError, ServiceError) as error:
-                # Validation happens at submit time; a failure here means the
-                # campaign vanished (or advanced its round) mid-flight.
-                # Count it and keep serving.
-                self._reject(error, batch.num_reports)
-            finally:
-                self._batches_processed += 1
-                self._batch_processed.set()
-                self._queue.task_done()
-
-    def _flush_partial(self, worker: _Worker, campaign_name: str) -> None:
-        partial = worker.partials.pop(campaign_name, None)
-        if partial is None or partial.num_reports == 0:
-            return
-        campaign = self.manager.get(campaign_name)
-        if partial.round_id != campaign.accumulator.round_id:
-            # Unreachable when advances drain the pipeline first (the
-            # service does); a partial stranded across a round swap must
-            # not poison the flush timer, so count it and drop it rather
-            # than raise from a background task.
-            self._reject(
-                StaleRoundError("partial stranded across a round swap"),
-                partial.num_reports,
+        with self._refusals():
+            batch = self._validate(
+                campaign, KIND_HISTOGRAM, histogram, round_id, trace_id
             )
-            return
-        # merge() is the one place the monoid semantics (and their shape
-        # checks) live; reassigning is safe because every mutation of the
-        # campaign happens on the event loop and snapshots are copies.
-        campaign.accumulator = campaign.accumulator.merge(partial)
-        campaign.flushes += 1
-        self.stats.flushes += 1
-        if self._metrics is not None:
-            self._metrics.flushes.inc()
+        return self._fold([batch])[campaign]
 
-    def flush_all(self) -> None:
-        """Merge every worker's partials into the live accumulators."""
-        for worker in self._workers:
-            for campaign_name in list(worker.partials):
-                self._flush_partial(worker, campaign_name)
+    @contextlib.contextmanager
+    def _refusals(self):
+        """Count a body refused inside this block as one rejected batch,
+        then re-raise."""
+        try:
+            yield
+        except ReproError:
+            self.stats.rejected_batches += 1
+            if self._metrics is not None:
+                self._metrics.rejected.inc()
+            raise
 
-    async def _flush_timer(self) -> None:
-        while True:
-            await asyncio.sleep(self.flush_interval)
-            self.flush_all()
+    def _validate(
+        self, campaign: str, kind: int, values, round_id, trace_id: str = ""
+    ) -> _Batch:
+        """Check one batch (``KIND_REPORTS`` or ``KIND_HISTOGRAM``) against
+        its campaign's live round and output alphabet; folds nothing.
 
-    def pending_accumulators(self, campaign: str) -> list[ShardAccumulator]:
-        """Snapshots of the not-yet-flushed partials for one campaign (live
-        queries fold these in so mid-flush reports are never invisible)."""
-        return [
-            worker.partials[campaign].snapshot()
-            for worker in self._workers
-            if campaign in worker.partials
-        ]
+        The round is resolved first: a round advance can re-optimize onto
+        a different output alphabet, and a stale batch should be refused
+        as stale, not as out of range.
+        """
+        target = self.manager.get(campaign)
+        try:
+            resolve_round(target, round_id)
+        except StaleRoundError:
+            # The cohort randomized against a retired strategy; surface
+            # the loss in the stale-drop telemetry before the 400.
+            dropped = _batch_size(kind, values)
+            self.stats.reports_dropped += dropped
+            if self._metrics is not None:
+                self._metrics.dropped.inc(dropped)
+            raise
+        num_outputs = target.session.num_outputs
+        if kind == KIND_REPORTS:
+            array = validate_reports(values, num_outputs)
+            count = int(array.shape[0])
+        else:
+            array = validate_histogram(values, num_outputs)
+            count = int(round(float(array.sum())))
+        return _Batch(target, kind, array, count, trace_id)
+
+    def _fold(self, batches: list[_Batch]) -> dict[str, int]:
+        """Fold validated batches into their campaigns' live accumulators;
+        returns per-campaign accepted counts.  Call it in the same
+        synchronous step as :meth:`_validate`."""
+        per_campaign: dict[str, int] = {}
+        for batch in batches:
+            started = time.perf_counter()
+            accumulator = batch.campaign.accumulator
+            if batch.kind == KIND_REPORTS:
+                accumulator.add_reports(batch.values)
+            else:
+                accumulator.add_histogram(batch.values)
+            duration = time.perf_counter() - started
+            name = batch.campaign.name
+            per_campaign[name] = per_campaign.get(name, 0) + batch.num_reports
+            self.stats.ingested += batch.num_reports
+            if self._metrics is not None:
+                self._metrics.ingested.inc(batch.num_reports)
+                self._metrics.fold_seconds.observe(duration)
+            self._span(
+                "fold",
+                duration,
+                batch.trace_id,
+                campaign=name,
+                reports=batch.num_reports,
+            )
+        return per_campaign
+
+    def _span(self, name: str, duration: float, trace_id: str, **attributes):
+        if self.tracer is not None and trace_id:
+            self.tracer.record(
+                name, duration, trace_id=trace_id, parent="ingest", **attributes
+            )
+
+
+def _parse_json_body(payload: bytes, single: bool) -> dict:
+    try:
+        body = json.loads(payload)
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError and undecodable UTF-8.
+        raise ServiceError(f"request body is not valid JSON: {error}")
+    if not isinstance(body, dict):
+        raise ServiceError("request body must be a JSON object")
+    if single:
+        if "report" not in body:
+            raise ServiceError("body needs a 'report' field")
+        body = dict(body)
+        body["reports"] = [body.pop("report")]
+    if not isinstance(body.get("campaign"), str):
+        raise ServiceError("body needs a 'campaign' field")
+    if ("reports" in body) == ("histogram" in body):
+        raise ServiceError("body needs exactly one of 'reports' or 'histogram'")
+    return body
 
 
 async def fold_json_body(
@@ -577,53 +401,27 @@ async def fold_json_body(
     (``single=True`` for the ``/v1/report`` shape); returns per-campaign
     accepted counts.
 
-    The one implementation of the JSON ingest semantics: the
-    single-process server and every cluster worker call this, so a client
-    sees identical 400s whichever process validated its batch.
-
     A client-minted ``"trace"`` field in the body wins over the
     ``trace_id`` the caller (typically the HTTP edge) minted, so a trace
     started upstream of this process stays one trace.  The decode stage
-    (parse + shape checks) is timed as a ``decode`` child span when the
+    (parse + validation) is timed as a ``decode`` child span when the
     pipeline has a tracer.
     """
     started = time.perf_counter()
-    try:
-        body = json.loads(payload)
-    except json.JSONDecodeError as error:
-        raise ServiceError(f"request body is not valid JSON: {error}")
-    if not isinstance(body, dict):
-        raise ServiceError("request body must be a JSON object")
-    if single:
-        if "report" not in body:
-            raise ServiceError("body needs a 'report' field")
-        body = dict(body)
-        body["reports"] = [body.pop("report")]
-    campaign = body.get("campaign")
-    if not isinstance(campaign, str):
-        raise ServiceError("body needs a 'campaign' field")
-    if ("reports" in body) == ("histogram" in body):
-        raise ServiceError("body needs exactly one of 'reports' or 'histogram'")
-    if is_trace_id(body.get("trace")):
-        trace_id = body["trace"]
-    round_id = body.get("round")
-    if pipeline.tracer is not None and trace_id:
-        pipeline.tracer.record(
-            "decode",
-            time.perf_counter() - started,
-            trace_id=trace_id,
-            parent="ingest",
-            transport="json",
+    with pipeline._refusals():
+        body = _parse_json_body(payload, single)
+        if is_trace_id(body.get("trace")):
+            trace_id = body["trace"]
+        kind = KIND_REPORTS if "reports" in body else KIND_HISTOGRAM
+        batch = pipeline._validate(
+            body["campaign"],
+            kind,
+            body["reports" if kind == KIND_REPORTS else "histogram"],
+            body.get("round"),
+            trace_id,
         )
-    if "reports" in body:
-        accepted = await pipeline.submit_reports(
-            campaign, body["reports"], round_id, trace_id=trace_id
-        )
-    else:
-        accepted = await pipeline.submit_histogram(
-            campaign, body["histogram"], round_id, trace_id=trace_id
-        )
-    return {campaign: accepted}
+    pipeline._span("decode", time.perf_counter() - started, trace_id, transport="json")
+    return pipeline._fold([batch])
 
 
 async def fold_frame_body(
@@ -634,60 +432,29 @@ async def fold_frame_body(
 
     The body is all-or-nothing, like a JSON batch: every frame is decoded
     and validated *before* the first one is folded, so a 400 means no
-    report from the body was counted (a partially-folded body would leave
-    metrics and accepted-count bookkeeping permanently out of step with
-    the accumulators).
+    report from the body was counted.
 
     A frame-embedded trace id (see :mod:`repro.service.framing`) wins
     over the caller's ``trace_id`` for the frames that carry one; the
     decode stage is timed as a ``decode`` child span.
     """
     started = time.perf_counter()
-    validated: list[tuple[str, int, np.ndarray, int, str]] = []
-    for frame in decode_frames(payload):
-        target = pipeline.manager.get(frame.campaign)
-        try:
-            resolve_round(target, frame.round_id or None)
-        except StaleRoundError:
-            # The cohort randomized against a retired strategy; surface
-            # the loss in the stale-drop telemetry before the 400.
-            pipeline.stats.reports_dropped += frame.count
-            if pipeline._metrics is not None:
-                pipeline._metrics.dropped.inc(frame.count)
-            raise
-        if frame.kind == KIND_REPORTS:
-            array = validate_reports(frame.reports(), target.session.num_outputs)
-        else:
-            array = validate_histogram(
-                frame.histogram(), target.session.num_outputs
-            )
-        validated.append(
-            (
+    with pipeline._refusals():
+        batches = [
+            pipeline._validate(
                 frame.campaign,
                 frame.kind,
-                array,
-                frame.round_id,
+                frame.reports() if frame.kind == KIND_REPORTS else frame.histogram(),
+                frame.round_id or None,
                 frame.trace_id or trace_id,
             )
-        )
-    if pipeline.tracer is not None and trace_id:
-        pipeline.tracer.record(
-            "decode",
-            time.perf_counter() - started,
-            trace_id=trace_id,
-            parent="ingest",
-            transport="binary",
-            frames=len(validated),
-        )
-    per_campaign: dict[str, int] = {}
-    for campaign, kind, array, round_id, trace in validated:
-        if kind == KIND_REPORTS:
-            count = await pipeline.submit_reports(
-                campaign, array, round_id, trace_id=trace
-            )
-        else:
-            count = await pipeline.submit_histogram(
-                campaign, array, round_id, trace_id=trace
-            )
-        per_campaign[campaign] = per_campaign.get(campaign, 0) + count
-    return per_campaign
+            for frame in decode_frames(payload)
+        ]
+    pipeline._span(
+        "decode",
+        time.perf_counter() - started,
+        trace_id,
+        transport="binary",
+        frames=len(batches),
+    )
+    return pipeline._fold(batches)

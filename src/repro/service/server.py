@@ -1,10 +1,11 @@
 """Always-on collection server: asyncio JSON-over-HTTP, stdlib only.
 
 The server turns the batch protocol engine into a standing deployment:
-campaigns are created over HTTP, privatized reports stream in through the
-micro-batching ingest pipeline, estimates are queryable while collection is
-in flight, and periodic atomic checkpoints make a crash lose at most the
-reports since the last checkpoint (a graceful shutdown loses nothing).
+campaigns are created over HTTP, privatized reports fold into the live
+accumulators as they are acknowledged, estimates are queryable while
+collection is in flight, and periodic atomic checkpoints make a crash lose
+at most the reports since the last checkpoint (a graceful shutdown loses
+nothing; with a WAL, a crash loses nothing either).
 
 Endpoints (all JSON):
 
@@ -19,16 +20,17 @@ GET    ``/v1/campaigns/<name>/strategy`` the public strategy matrix (clients
                                         randomize locally against it; carries
                                         the live round for adaptive campaigns)
 POST   ``/v1/campaigns/<name>/advance`` close the live round of an adaptive
-                                        campaign: drain + checkpoint, select
-                                        the worst-approximated sub-workload,
+                                        campaign: checkpoint, select the
+                                        worst-approximated sub-workload,
                                         re-optimize, open the next round
 POST   ``/v1/report``                   one privatized report
 POST   ``/v1/reports``                  a batch of reports, or a
                                         pre-aggregated histogram
 GET    ``/v1/query``                    current estimates + confidence
                                         intervals (``?campaign=&confidence=``;
-                                        ``&sync=1`` drains the ingest queue
-                                        first)
+                                        every acked report is counted, so
+                                        the legacy ``&sync=1`` changes
+                                        nothing)
 POST   ``/v1/checkpoint``               force a checkpoint now
 GET    ``/v1/metrics``                  ingest/checkpoint/uptime counters,
                                         latency percentiles, ledger balances
@@ -71,6 +73,7 @@ from repro.service.faults import FaultPlan
 from repro.service.framing import FRAME_CONTENT_TYPE
 from repro.service.ingest import (
     IngestPipeline,
+    IngestStats,
     fold_frame_body,
     fold_json_body,
 )
@@ -174,15 +177,33 @@ def _route_label(path: str) -> str:
     return path
 
 
+async def _fold_here(
+    pipeline: IngestPipeline, kind: int, raw: bytes, trace_id: str = ""
+) -> dict[str, int]:
+    """Fold one ingest body (a WAL body kind) in this process."""
+    if kind == KIND_FRAMES:
+        return await fold_frame_body(pipeline, raw, trace_id)
+    return await fold_json_body(pipeline, raw, kind == KIND_JSON_SINGLE, trace_id)
+
+
 class HttpTier:
-    """Shared HTTP/1.1 plumbing for the service tiers.
+    """Shared HTTP/1.1 plumbing and ingest endpoints for the service tiers.
 
     Both the root :class:`CollectionService` and the
     :class:`~repro.service.edge.EdgeAggregator` speak the same minimal
     keep-alive HTTP dialect; this base owns the listener, the
-    per-connection read/parse/respond loop, and the per-route
-    request/latency metrics.  Subclasses implement :meth:`_dispatch`.
+    per-connection read/parse/respond loop, the per-route request/latency
+    metrics, and the endpoints every tier serves the same way:
+    ``/v1/report``, ``/v1/reports`` (folded by :attr:`pipeline`; the root
+    adds its own steps by overriding :meth:`_fold_body`) and
+    ``/v1/metrics``.  Subclasses implement :meth:`_route` for the rest,
+    :meth:`_metrics` for the JSON metrics document, and ``start``,
+    ``stop`` and ``_banner`` for :func:`run_service`.
     """
+
+    #: Folds ingest bodies in this process (``None`` on a root that
+    #: dispatches them to cluster workers instead).
+    pipeline: IngestPipeline | None = None
 
     def __init__(
         self,
@@ -195,6 +216,8 @@ class HttpTier:
         self.tracer = Tracer(registry, enabled=tracing)
         self.slow_request_seconds = slow_request_seconds
         self.requests_served = 0
+        self.started_at: float | None = None
+        self._started_monotonic: float | None = None
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
         self._m_requests = registry.counter(
@@ -207,9 +230,23 @@ class HttpTier:
             "HTTP request handling latency, by route.",
             labelnames=("path",),
         )
+        self._m_ingest_latency = registry.histogram(
+            "repro_ingest_latency_seconds",
+            "End-to-end latency of ingest requests (decode + validate + "
+            "fold; on the root also the WAL append and cluster dispatch).",
+        )
+        uptime = registry.gauge(
+            "repro_uptime_seconds",
+            "Seconds since the listener started (monotonic clock).",
+        )
+        assert isinstance(uptime, Gauge)
+        uptime.set_function(self._uptime)
 
-    async def _dispatch(self, request: _Request) -> tuple[int, dict]:
-        raise NotImplementedError  # pragma: no cover - abstract
+    def _uptime(self) -> float:
+        """Monotonic uptime: immune to NTP steps and wall-clock changes."""
+        if self._started_monotonic is None:
+            return 0.0
+        return time.monotonic() - self._started_monotonic
 
     async def _start_listener(self, host: str, port: int) -> tuple[str, int]:
         if self._server is not None:
@@ -217,8 +254,87 @@ class HttpTier:
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
+        self.started_at = time.time()
+        self._started_monotonic = time.monotonic()
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
+
+    # -- shared routes -----------------------------------------------------
+
+    async def _dispatch(self, request: _Request) -> tuple[int, dict]:
+        method, path = request.method, request.path.rstrip("/") or "/"
+        if path == "/v1/metrics" and method == "GET":
+            return await self._metrics_response(request.params.get("format", "json"))
+        if path == "/v1/report" and method == "POST":
+            if request.is_frame:
+                raise _HttpError(400, "binary ingest frames go to /v1/reports")
+            return await self._ingest(request, KIND_JSON_SINGLE)
+        if path == "/v1/reports" and method == "POST":
+            kind = KIND_FRAMES if request.is_frame else KIND_JSON_BATCH
+            return await self._ingest(request, kind)
+        return await self._route(request, method, path)
+
+    async def _route(
+        self, request: _Request, method: str, path: str
+    ) -> tuple[int, dict]:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    async def _ingest(self, request: _Request, kind: int) -> tuple[int, dict]:
+        """``/v1/report(s)``: fold one body (``kind`` is its WAL body kind)
+        inside an ``ingest`` span, then acknowledge it.  The fold has
+        happened by the time the 200 is sent."""
+        trace_id = self._mint_trace(request)
+        started = time.perf_counter()
+        with self.tracer.span("ingest", trace_id=trace_id) as span:
+            span.set_attribute("transport", "binary" if kind == KIND_FRAMES else "json")
+            per_campaign = await self._fold_body(kind, request.raw, trace_id, span)
+        self._m_ingest_latency.observe(time.perf_counter() - started)
+        payload = {"accepted": sum(per_campaign.values()), "campaigns": per_campaign}
+        if trace_id:
+            payload["trace"] = trace_id
+        if len(per_campaign) == 1:
+            payload["campaign"] = next(iter(per_campaign))
+        return 200, payload
+
+    async def _fold_body(
+        self, kind: int, raw: bytes, trace_id: str, span
+    ) -> dict[str, int]:
+        """Fold one ingest body with :attr:`pipeline`; returns
+        per-campaign accepted counts."""
+        with span.child("dispatch"):
+            return await _fold_here(self.pipeline, kind, raw, trace_id)
+
+    async def _metrics_response(self, fmt: str) -> tuple[int, dict]:
+        if fmt == "prometheus":
+            sections = [self.registry, *await self._scrape_registries()]
+            global_registry = get_registry()
+            if global_registry is not self.registry:
+                sections.append(global_registry)
+            return 200, _RawResponse(
+                render_prometheus(*sections).encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        if fmt != "json":
+            raise _HttpError(
+                400, f"unknown metrics format {fmt!r}; use json or prometheus"
+            )
+        return 200, await self._metrics()
+
+    async def _scrape_registries(self) -> list[MetricsRegistry]:
+        """Point-in-time registries built per Prometheus scrape, rendered
+        between the tier's own registry and the process-global one (whose
+        families the optimizer drivers and campaign manager record)."""
+        return []
+
+    async def _metrics(self) -> dict:
+        """The ``/v1/metrics`` JSON fields every tier reports; tiers add
+        their own."""
+        return {
+            "uptime_seconds": self._uptime(),
+            "requests_served": self.requests_served,
+            "ingest": self.pipeline.stats.to_json() if self.pipeline else {},
+            "telemetry": self.registry.to_json(),
+        }
 
     async def _close_listener(self) -> None:
         """Stop accepting and reap every open connection (idle keep-alive
@@ -412,7 +528,8 @@ class CollectionService(HttpTier):
         (:class:`~repro.service.cluster.WorkerPool`), each folding into
         its own shard accumulators; queries and checkpoints merge the
         worker shards (bit-identical to the in-process fold).  ``0`` (the
-        default) keeps the single-process in-loop pipeline.
+        default) folds in this process.  Adaptive campaigns are refused in
+        cluster mode, including ones recovered from a checkpoint.
     transport:
         Which ingest wire formats to accept on ``/v1/report(s)``:
         ``"json"``, ``"binary"`` (the framed format of
@@ -453,9 +570,6 @@ class CollectionService(HttpTier):
         --fault-plan`` and ``scripts/chaos_drill.py``.
     worker_restart_limit:
         Respawns allowed per worker before a supervised pool degrades.
-    ingest options:
-        Forwarded to :class:`~repro.service.ingest.IngestPipeline` (and,
-        for the flush knobs, to each cluster worker's pipeline).
     """
 
     def __init__(
@@ -465,10 +579,6 @@ class CollectionService(HttpTier):
         checkpoint_dir=None,
         checkpoint_interval: float = 30.0,
         store=None,
-        num_workers: int = 2,
-        max_pending: int = 256,
-        flush_reports: int = 8_192,
-        flush_interval: float = 0.2,
         cluster_workers: int = 0,
         transport: str = "both",
         cluster_start_method: str = DEFAULT_START_METHOD,
@@ -530,16 +640,22 @@ class CollectionService(HttpTier):
                 self.recovered = True
             else:
                 manager = CampaignManager()
+        if cluster_workers > 0:
+            adaptive = [c.name for c in manager.campaigns() if c.adaptive]
+            if adaptive:
+                # Checked before any worker spawns: a round advance would
+                # swap the strategy under the worker shards.
+                raise ServiceError(
+                    f"adaptive campaign(s) {adaptive} cannot be served in "
+                    "cluster mode; run without --workers"
+                )
         self.manager = manager
         self.store = store
         self.checkpoint_interval = checkpoint_interval
         self.transport = transport
         if cluster_workers > 0:
-            self.pipeline = None
             self.pool: WorkerPool | None = WorkerPool(
                 cluster_workers,
-                flush_reports=flush_reports,
-                flush_interval=flush_interval,
                 start_method=cluster_start_method,
                 wal=self.wal,
                 faults=self.faults,
@@ -547,17 +663,9 @@ class CollectionService(HttpTier):
             )
         else:
             self.pipeline = IngestPipeline(
-                manager,
-                num_workers=num_workers,
-                max_pending=max_pending,
-                flush_reports=flush_reports,
-                flush_interval=flush_interval,
-                registry=self.registry,
-                tracer=self.tracer,
+                manager, registry=self.registry, tracer=self.tracer
             )
             self.pool = None
-        self.started_at: float | None = None
-        self._started_monotonic: float | None = None
         self.checkpoints_written = 0
         self.checkpoint_failures = 0
         self.last_checkpoint_at: float | None = None
@@ -578,11 +686,6 @@ class CollectionService(HttpTier):
 
     def _register_service_metrics(self) -> None:
         registry = self.registry
-        self._m_ingest_latency = registry.histogram(
-            "repro_ingest_latency_seconds",
-            "End-to-end latency of ingest requests "
-            "(dispatch + decode + queue admission).",
-        )
         self._m_partials = registry.counter(
             "repro_partials_total",
             "Edge partial forwards received, by outcome "
@@ -599,12 +702,6 @@ class CollectionService(HttpTier):
         self._m_checkpoint_failures = registry.counter(
             "repro_checkpoint_failures_total", "Checkpoint attempts that failed."
         )
-        uptime = registry.gauge(
-            "repro_uptime_seconds",
-            "Seconds since the service started (monotonic clock).",
-        )
-        assert isinstance(uptime, Gauge)
-        uptime.set_function(self._uptime)
         if self.pool is not None:
             alive = registry.gauge(
                 "repro_cluster_workers_alive",
@@ -664,17 +761,12 @@ class CollectionService(HttpTier):
                 assert isinstance(gauge, Gauge)
                 gauge.set_function(getter)
 
-    def _uptime(self) -> float:
-        """Monotonic uptime: immune to NTP steps and wall-clock changes."""
-        if self._started_monotonic is None:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
-
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Start ingest workers and the HTTP listener; returns the bound
-        ``(host, port)`` (pass ``port=0`` for an ephemeral port)."""
+        """Start the cluster workers (if any) and the HTTP listener;
+        returns the bound ``(host, port)`` (pass ``port=0`` for an
+        ephemeral port)."""
         if self._server is not None:
             raise ServiceError("service already started")
         if self.pool is not None:
@@ -685,8 +777,6 @@ class CollectionService(HttpTier):
                 await self.pool.open_campaign(
                     campaign.name, campaign.session.num_outputs
                 )
-        else:
-            await self.pipeline.start()
         if self.wal is not None:
             # Replay before the listener binds: no request can observe (or
             # interleave with) a half-recovered state.
@@ -696,8 +786,6 @@ class CollectionService(HttpTier):
             self._checkpoint_task = asyncio.create_task(
                 self._checkpoint_timer(), name="service-checkpointer"
             )
-        self.started_at = time.time()
-        self._started_monotonic = time.monotonic()
         _LOG.info(
             "service started",
             extra={
@@ -714,46 +802,35 @@ class CollectionService(HttpTier):
         return bound[0], bound[1]
 
     async def stop(self, *, final_checkpoint: bool = True) -> None:
-        """Graceful shutdown: stop accepting, drain ingest, checkpoint.
+        """Graceful shutdown: stop accepting, then checkpoint.
 
         The listener and every open connection are torn down *before* the
-        drain, so no report can be acknowledged after the final flush — an
+        final checkpoint, so no report can be acknowledged after it — an
         accepted 200 always means the report is in the final checkpoint.
         (A handler cancelled mid-request surfaces as a dropped connection,
         never a false ack.)
 
-        ``final_checkpoint=False`` skips the drain+checkpoint — the
-        "crash" path used by tests to prove recovery from the last periodic
-        checkpoint alone.
+        ``final_checkpoint=False`` skips the checkpoint — the "crash" path
+        used by tests to prove recovery from the last periodic checkpoint
+        alone.
         """
         if self._checkpoint_task is not None:
             self._checkpoint_task.cancel()
             await asyncio.gather(self._checkpoint_task, return_exceptions=True)
             self._checkpoint_task = None
-        # Tear down the listener and every open connection *before* the
-        # drain, so nothing new can be submitted (or falsely acknowledged)
-        # once the drain starts.
         await self._close_listener()
+        if final_checkpoint:
+            try:
+                await self.checkpoint()
+            except ServiceError as error:
+                if self.pool is None:
+                    raise
+                # A dead worker makes a complete final checkpoint
+                # impossible; keep the last good one rather than writing
+                # a checkpoint with a silent gap.
+                _LOG.warning("final checkpoint skipped: %s", error)
         if self.pool is not None:
-            if final_checkpoint:
-                try:
-                    await self.pool.drain()
-                    await self.checkpoint()
-                except ServiceError as error:
-                    # A dead worker makes a complete final checkpoint
-                    # impossible; keep the last good one rather than
-                    # writing a checkpoint with a silent gap.
-                    _LOG.warning(
-                        "final checkpoint skipped: %s", error
-                    )
-                await self.pool.stop()
-            else:
-                await self.pool.stop(graceful=False)
-        elif final_checkpoint:
-            await self.pipeline.stop()
-            await self.checkpoint()
-        else:
-            await self.pipeline.abort()
+            await self.pool.stop(graceful=final_checkpoint)
         if self.wal is not None:
             await self.wal.stop()
 
@@ -761,8 +838,8 @@ class CollectionService(HttpTier):
         """Write a checkpoint now (no-op without a checkpoint directory).
 
         Accumulator snapshots are captured here, on the event loop — where
-        every flush also runs — before the file I/O moves to a worker
-        thread, so a concurrent flush can neither tear a snapshot nor
+        every fold also runs — before the file I/O moves to a worker
+        thread, so a concurrent fold can neither tear a snapshot nor
         desynchronize the manifest's report counts from the payloads.
         """
         if self.checkpoints is None:
@@ -843,32 +920,32 @@ class CollectionService(HttpTier):
 
         Order of operations (each step durable before the next):
 
-        1. close the admission gate and wait out in-flight appends — no
-           record can land between the cut sequence and the gate reopening;
-        2. drain — every appended record is folded somewhere;
-        3. capture ``S = wal.last_sequence``;
-        4. cluster mode: *cut* every worker (serialize + reset its
+        1. close the admission gate and wait out in-flight requests —
+           :meth:`_wal_guarded` holds a request's seat across append *and*
+           fold, so once the gate is idle every appended record is folded
+           and no record can land before the gate reopens;
+        2. capture ``S = wal.last_sequence``;
+        3. cluster mode: *cut* every worker (serialize + reset its
            accumulators into the campaign recovery base, clearing its
            routed set) — retried transparently over worker deaths;
-        5. snapshot the campaigns into the frozen checkpoint, reopen the
+        4. snapshot the campaigns into the frozen checkpoint, reopen the
            gate (ingest proceeds while the file I/O runs off-loop);
-        6. ``save_frozen(..., wal_sequence=S)`` — the manifest records the
+        5. ``save_frozen(..., wal_sequence=S)`` — the manifest records the
            coverage point;
-        7. truncate segments ``<= S``.
+        6. truncate segments ``<= S``.
 
-        A crash before 6 recovers from the *previous* checkpoint and
+        A crash before 5 recovers from the *previous* checkpoint and
         replays the whole log (worker cuts folded into the recovery base
         are rebuilt by replay — the records are still on disk).  A crash
-        after 6 replays only the suffix past ``S``.  Either way: zero
+        after 5 replays only the suffix past ``S``.  Either way: zero
         acked reports lost.
         """
         self._wal_gate_open.clear()
         try:
             if self._wal_inflight:
                 await self._wal_idle.wait()
+            cut_sequence = self.wal.last_sequence
             if self.pool is not None and self.pool.started:
-                await self.pool.drain()
-                cut_sequence = self.wal.last_sequence
 
                 def fold_cut(payloads: dict[str, bytes]) -> None:
                     # Runs per acked worker (on the loop): fold its reset
@@ -886,9 +963,6 @@ class CollectionService(HttpTier):
                         )
 
                 await self.pool.cut(fold_cut)
-            else:
-                await self.pipeline.drain()
-                cut_sequence = self.wal.last_sequence
             frozen = [
                 (
                     campaign,
@@ -946,8 +1020,8 @@ class CollectionService(HttpTier):
     async def _recover_wal(self) -> None:
         """Scan the log, cut any torn tail, and replay every record past
         the last checkpoint's coverage point (skipping abort-tombstoned
-        sequences).  Runs after the pool/pipeline is up and before the
-        listener binds."""
+        sequences).  Runs after the pool is up and before the listener
+        binds."""
         records = await asyncio.to_thread(self.wal.scan)
         base_sequence = 0
         if self.checkpoints.exists():
@@ -985,10 +1059,6 @@ class CollectionService(HttpTier):
                 )
         self.wal.replayed_records_total += len(replay)
         if replay:
-            if self.pool is not None:
-                await self.pool.drain()
-            else:
-                await self.pipeline.drain()
             _LOG.info(
                 "WAL recovery complete",
                 extra={
@@ -1016,24 +1086,48 @@ class CollectionService(HttpTier):
                 ),
             )
             return
-        if self.pool is not None:
-            if record.kind == KIND_FRAMES:
-                await self.pool.submit_frames(
-                    record.body, wal_seq=record.sequence
-                )
-            else:
-                await self.pool.submit_json(
-                    record.body,
-                    single=record.kind == KIND_JSON_SINGLE,
-                    wal_seq=record.sequence,
-                )
-            return
-        if record.kind == KIND_FRAMES:
-            await fold_frame_body(self.pipeline, record.body)
-        else:
-            await fold_json_body(
-                self.pipeline, record.body, record.kind == KIND_JSON_SINGLE
+        await self._fold(record.kind, record.body, wal_seq=record.sequence)
+
+    async def _fold(
+        self, kind: int, raw: bytes, trace_id: str = "", wal_seq: int | None = None
+    ) -> dict[str, int]:
+        """Fold one ingest body in this process, or dispatch it to a
+        cluster worker (which parses, validates, and folds it — the
+        coordinator never touches the report list) tagged with its WAL
+        sequence.  Returns per-campaign accepted counts."""
+        if self.pool is None:
+            return await _fold_here(self.pipeline, kind, raw, trace_id)
+        if kind == KIND_FRAMES:
+            reply = await self.pool.submit_frames(
+                raw, trace_id=trace_id, wal_seq=wal_seq
             )
+        else:
+            reply = await self.pool.submit_json(
+                raw,
+                single=kind == KIND_JSON_SINGLE,
+                trace_id=trace_id,
+                wal_seq=wal_seq,
+            )
+        return reply["campaigns"]
+
+    async def _fold_body(
+        self, kind: int, raw: bytes, trace_id: str, span
+    ) -> dict[str, int]:
+        """The root's ingest steps around the fold: the transport check,
+        then WAL append + fsync (when durable), the fold or cluster
+        dispatch, and the ``delay_ack`` drill fault."""
+        self._require_transport("binary" if kind == KIND_FRAMES else "json")
+
+        async def fold(wal_seq: int | None):
+            with span.child("dispatch"):
+                return await self._fold(kind, raw, trace_id, wal_seq)
+
+        if self.wal is not None:
+            per_campaign = await self._wal_guarded(kind, raw, fold)
+        else:
+            per_campaign = await fold(None)
+        await self._maybe_delay_ack()
+        return per_campaign
 
     async def _maybe_delay_ack(self) -> None:
         """The ``delay_ack`` drill fault: stall this ack."""
@@ -1045,22 +1139,11 @@ class CollectionService(HttpTier):
 
     # -- routing -----------------------------------------------------------
 
-    async def _dispatch(self, request: _Request) -> tuple[int, dict]:
-        method, path = request.method, request.path.rstrip("/") or "/"
+    async def _route(
+        self, request: _Request, method: str, path: str
+    ) -> tuple[int, dict]:
         if path == "/v1/healthz" and method == "GET":
             return self._healthz()
-        if path == "/v1/metrics" and method == "GET":
-            fmt = request.params.get("format", "json")
-            if fmt == "prometheus":
-                return 200, _RawResponse(
-                    (await self._prometheus_text()).encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            if fmt != "json":
-                raise _HttpError(
-                    400, f"unknown metrics format {fmt!r}; use json or prometheus"
-                )
-            return 200, await self._metrics()
         if path == "/v1/campaigns":
             if method == "POST":
                 return await self._create_campaign(request.json())
@@ -1079,14 +1162,6 @@ class CollectionService(HttpTier):
             if method == "POST" and len(parts) == 2 and parts[1] == "partials":
                 return await self._apply_partial(parts[0], request)
             return self._campaign_subresource(method, path)
-        if path == "/v1/report" and method == "POST":
-            if request.is_frame:
-                raise _HttpError(400, "binary ingest frames go to /v1/reports")
-            return await self._ingest_json(request, single=True)
-        if path == "/v1/reports" and method == "POST":
-            if request.is_frame:
-                return await self._ingest_frames(request)
-            return await self._ingest_json(request)
         if path == "/v1/query" and method == "GET":
             return await self._query(request.params)
         if path == "/v1/checkpoint" and method == "POST":
@@ -1158,7 +1233,7 @@ class CollectionService(HttpTier):
                     400,
                     "adaptive campaigns are not supported in cluster mode: "
                     "round advances swap the strategy under the worker "
-                    "shards; run without --cluster-workers",
+                    "shards; run without --workers",
                 )
             adaptive = AdaptivePlan.from_json(body["adaptive"])
         if name in self.manager:
@@ -1192,17 +1267,17 @@ class CollectionService(HttpTier):
     async def _advance_campaign(self, name: str, body: dict) -> tuple[int, dict]:
         """Close the live round of an adaptive campaign and open the next.
 
-        Order matters for crash safety:
+        Order matters for crash safety (every acknowledged report is
+        already in the live accumulator, so nothing needs draining):
 
-        1. drain ingest — every acknowledged round-``r`` report is in the
-           live accumulator;
-        2. *round checkpoint* — the completed round is durable before any
+        1. *round checkpoint* — the completed round is durable before any
            state moves;
-        3. plan (fast, on-loop) then optimize (slow, off-loop while ingest
-           keeps running);
-        4. drain again — reports accepted during the optimization fold in;
-        5. commit on-loop (ledger debits, session swap, round bump);
-        6. checkpoint the new round, unless the body says
+        2. plan (fast, on-loop) then optimize (slow, off-loop while ingest
+           keeps running into round ``r``);
+        3. commit on-loop (ledger debits, session swap, round bump) — the
+           round-``r`` accumulator, reports accepted during the
+           optimization included, becomes the round record;
+        4. checkpoint the new round, unless the body says
            ``{"checkpoint": false}`` — the fault-injection hook that leaves
            a SIGKILL landing between the round checkpoint and the durable
            strategy swap, which recovery must replay deterministically.
@@ -1220,13 +1295,11 @@ class CollectionService(HttpTier):
             raise _HttpError(
                 400, f"campaign {name!r} is not adaptive; nothing to advance"
             )
-        await self.pipeline.drain()
         await self.checkpoint()
         advance = self.manager.plan_advance(name)
         session = await asyncio.to_thread(
             self.manager.optimize_round_strategy, advance, store=self.store
         )
-        await self.pipeline.drain()
         report = self.manager.commit_advance(advance, session)
         if body.get("checkpoint", True):
             await self.checkpoint()
@@ -1239,94 +1312,6 @@ class CollectionService(HttpTier):
                 f"this service accepts only {self.transport} ingest "
                 f"(got {wire}; see `repro serve --transport`)",
             )
-
-    async def _ingest_json(
-        self, request: _Request, single: bool = False
-    ) -> tuple[int, dict]:
-        """JSON ingest: in cluster mode the raw body goes to a worker
-        (which parses, validates, and folds it — the coordinator never
-        touches the report list); single-process folds in-loop.  Both
-        paths share :func:`~repro.service.ingest.fold_json_body`, so
-        validation 400s are identical."""
-        self._require_transport("json")
-        trace_id = self._mint_trace(request)
-        started = time.perf_counter()
-        with self.tracer.span("ingest", trace_id=trace_id) as span:
-            span.set_attribute("transport", "json")
-
-            async def fold(wal_seq: int | None):
-                if self.pool is not None:
-                    with span.child("dispatch"):
-                        reply = await self.pool.submit_json(
-                            request.raw,
-                            single=single,
-                            trace_id=trace_id,
-                            wal_seq=wal_seq,
-                        )
-                    return reply["campaigns"]
-                with span.child("dispatch"):
-                    return await fold_json_body(
-                        self.pipeline, request.raw, single, trace_id=trace_id
-                    )
-
-            if self.wal is not None:
-                kind = KIND_JSON_SINGLE if single else KIND_JSON_BATCH
-                per_campaign = await self._wal_guarded(kind, request.raw, fold)
-            else:
-                per_campaign = await fold(None)
-        await self._maybe_delay_ack()
-        self._m_ingest_latency.observe(time.perf_counter() - started)
-        return 200, self._ingest_reply(per_campaign, trace_id)
-
-    async def _ingest_frames(self, request: _Request) -> tuple[int, dict]:
-        """Binary-transport ingest: one or more packed frames per body,
-        decoded and folded by a cluster worker or the in-loop pipeline
-        (both via :func:`~repro.service.ingest.fold_frame_body`)."""
-        self._require_transport("binary")
-        trace_id = self._mint_trace(request)
-        started = time.perf_counter()
-        with self.tracer.span("ingest", trace_id=trace_id) as span:
-            span.set_attribute("transport", "binary")
-
-            async def fold(wal_seq: int | None):
-                if self.pool is not None:
-                    with span.child("dispatch"):
-                        reply = await self.pool.submit_frames(
-                            request.raw, trace_id=trace_id, wal_seq=wal_seq
-                        )
-                    return reply["campaigns"]
-                with span.child("dispatch"):
-                    return await fold_frame_body(
-                        self.pipeline, request.raw, trace_id=trace_id
-                    )
-
-            if self.wal is not None:
-                per_campaign = await self._wal_guarded(
-                    KIND_FRAMES, request.raw, fold
-                )
-            else:
-                per_campaign = await fold(None)
-        await self._maybe_delay_ack()
-        self._m_ingest_latency.observe(time.perf_counter() - started)
-        return 200, self._ingest_reply(per_campaign, trace_id)
-
-    def _ingest_reply(self, per_campaign: dict[str, int], trace_id: str) -> dict:
-        payload = {
-            "accepted": sum(per_campaign.values()),
-            "campaigns": per_campaign,
-            "queue_depth": self.queue_depth,
-        }
-        if trace_id:
-            payload["trace"] = trace_id
-        if len(per_campaign) == 1:
-            payload["campaign"] = next(iter(per_campaign))
-        return payload
-
-    @property
-    def queue_depth(self) -> int:
-        """In-process ingest queue depth (0 in cluster mode, where the
-        backpressure point is the per-worker dispatch round trip)."""
-        return self.pipeline.queue_depth if self.pipeline is not None else 0
 
     async def _apply_partial(self, name: str, request: _Request) -> tuple[int, dict]:
         """Fold an edge aggregator's forwarded partial accumulator.
@@ -1398,19 +1383,14 @@ class CollectionService(HttpTier):
             confidence = float(params.get("confidence", "0.95"))
         except ValueError:
             raise _HttpError(400, "confidence must be a float in (0, 1)")
-        sync = params.get("sync", "0") not in ("0", "", "false")
+        # ``sync`` is still accepted and always satisfied: an acked report
+        # is already folded (a worker replies only after folding, and its
+        # pipe is FIFO, so the snapshot below includes every acked batch).
+        pending = []
         if self.pool is not None:
-            if sync:
-                await self.pool.drain()
             worker_states = await self.pool.snapshots(name)
-            pending = (
-                [worker_states[name]] if name in worker_states else []
-            )
-        elif sync:
-            await self.pipeline.drain()
-            pending = []
-        else:
-            pending = self.pipeline.pending_accumulators(name)
+            if name in worker_states:
+                pending.append(worker_states[name])
         try:
             answer = self.manager.query(name, confidence, pending=pending)
         except ServiceError as error:
@@ -1457,25 +1437,16 @@ class CollectionService(HttpTier):
             )
         return (503 if health == "degraded" else 200), payload
 
-    async def _cluster_ingest_stats(self) -> tuple[dict, dict, int]:
-        """Summed per-worker ingest counters, the raw per-worker rows, and
-        the summed queue depth.  The sum is plain addition of commutative
-        counters, so it is independent of worker report order."""
+    async def _cluster_ingest_stats(self) -> tuple[dict, dict]:
+        """The raw per-worker rows, and their summed ingest counters.  The
+        sum is plain addition of commutative counters, so it is
+        independent of worker report order."""
         cluster = await self.pool.stats()
-        ingest = {
-            "submitted": 0,
-            "ingested": 0,
-            "rejected_batches": 0,
-            "flushes": 0,
-            "queue_high_water": 0,
-            "reports_dropped": 0,
-        }
-        queue_depth = 0
+        ingest = IngestStats().to_json()
         for row in cluster["workers"]:
             for key, value in row.get("ingest", {}).items():
                 ingest[key] = ingest.get(key, 0) + value
-            queue_depth += row.get("queue_depth", 0)
-        return cluster, ingest, queue_depth
+        return cluster, ingest
 
     def _campaign_metrics(self, campaign) -> dict:
         row = {
@@ -1485,7 +1456,6 @@ class CollectionService(HttpTier):
                 if self.pool is not None
                 else 0
             ),
-            "flushes": campaign.flushes,
             "round": campaign.current_round,
         }
         if campaign.adaptive is not None:
@@ -1504,36 +1474,29 @@ class CollectionService(HttpTier):
         return row
 
     async def _metrics(self) -> dict:
+        metrics = await super()._metrics()
         if self.pool is not None:
-            cluster, ingest, queue_depth = await self._cluster_ingest_stats()
-        else:
-            cluster = None
-            ingest = self.pipeline.stats.to_json()
-            queue_depth = self.pipeline.queue_depth
-        metrics = {
-            "uptime_seconds": self._uptime(),
-            "requests_served": self.requests_served,
-            # In cluster mode the campaign objects hold only the recovery
-            # base; live counts are base + reports dispatched to workers.
-            "campaigns": {
-                campaign.name: self._campaign_metrics(campaign)
-                for campaign in self.manager.campaigns()
-            },
-            "total_reports": self.manager.total_reports()
-            + (
-                sum(self.pool.accepted_reports.values())
-                if self.pool is not None
-                else 0
-            ),
-            "ingest": ingest,
-            "queue_depth": queue_depth,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_failures": self.checkpoint_failures,
-            "last_checkpoint_at": self.last_checkpoint_at,
-            "telemetry": self.registry.to_json(),
-        }
-        if cluster is not None:
-            metrics["cluster"] = cluster
+            metrics["cluster"], metrics["ingest"] = await self._cluster_ingest_stats()
+        metrics.update(
+            {
+                # In cluster mode the campaign objects hold only the
+                # recovery base; live counts are base + reports dispatched
+                # to workers.
+                "campaigns": {
+                    campaign.name: self._campaign_metrics(campaign)
+                    for campaign in self.manager.campaigns()
+                },
+                "total_reports": self.manager.total_reports()
+                + (
+                    sum(self.pool.accepted_reports.values())
+                    if self.pool is not None
+                    else 0
+                ),
+                "checkpoints_written": self.checkpoints_written,
+                "checkpoint_failures": self.checkpoint_failures,
+                "last_checkpoint_at": self.last_checkpoint_at,
+            }
+        )
         if self.wal is not None:
             metrics["wal"] = {
                 **self.wal.stats(),
@@ -1542,17 +1505,10 @@ class CollectionService(HttpTier):
             }
         return metrics
 
-    async def _prometheus_text(self) -> str:
-        """Assemble the Prometheus text exposition for this scrape.
-
-        Three sources concatenate (family names are disjoint by
-        construction, deduplicated defensively): the service's own
-        registry, a per-scrape registry holding point-in-time campaign /
-        ledger gauges (and, in cluster mode, the order-independent merge
-        of the workers' counters and fold histograms), and the
-        process-global registry the optimizer drivers and campaign
-        manager record into.
-        """
+    async def _scrape_registries(self) -> list[MetricsRegistry]:
+        """One per-scrape registry holding point-in-time campaign / ledger
+        gauges and, in cluster mode, the order-independent merge of the
+        workers' counters and fold histograms."""
         scrape = MetricsRegistry()
         reports = scrape.gauge(
             "repro_campaign_reports",
@@ -1595,31 +1551,19 @@ class CollectionService(HttpTier):
                     str(ledger.remaining),
                 ).set(1)
         if self.pool is not None:
-            cluster, ingest, queue_depth = await self._cluster_ingest_stats()
-            scrape.counter(
-                "repro_ingest_reports_submitted_total",
-                "Reports accepted into worker ingest queues (all workers).",
-            ).inc(ingest["submitted"])
+            cluster, ingest = await self._cluster_ingest_stats()
             scrape.counter(
                 "repro_ingest_reports_total",
-                "Reports folded into partial accumulators (all workers).",
+                "Reports folded into worker shard accumulators (all workers).",
             ).inc(ingest["ingested"])
             scrape.counter(
                 "repro_ingest_rejected_batches_total",
-                "Report batches rejected (all workers).",
+                "Ingest bodies refused (all workers).",
             ).inc(ingest["rejected_batches"])
             scrape.counter(
                 "repro_reports_dropped_total",
                 "Stale-cohort reports dropped (all workers).",
             ).inc(ingest["reports_dropped"])
-            scrape.counter(
-                "repro_ingest_flushes_total",
-                "Partial-accumulator flushes (all workers).",
-            ).inc(ingest["flushes"])
-            scrape.gauge(
-                "repro_ingest_queue_depth",
-                "Batches queued across all workers.",
-            ).set(queue_depth)
             fold = scrape.histogram(
                 "repro_ingest_fold_seconds",
                 "Per-batch accumulator fold duration (merged across workers).",
@@ -1628,14 +1572,25 @@ class CollectionService(HttpTier):
                 snapshot = row.get("fold_seconds")
                 if snapshot:
                     fold.merge_snapshot(snapshot)
-        sections = [self.registry, scrape]
-        global_registry = get_registry()
-        if global_registry is not self.registry:
-            sections.append(global_registry)
-        return render_prometheus(*sections)
+        return [scrape]
+
+    def _banner(self, host: str, port: int) -> tuple[str, str]:
+        """The startup and shutdown lines ``repro serve`` prints."""
+        cluster = (
+            f", {self.pool.num_workers} worker process(es)"
+            if self.pool is not None
+            else ""
+        )
+        return (
+            f"repro service listening on http://{host}:{port} "
+            f"({len(self.manager)} campaign(s)"
+            f"{cluster}, transport {self.transport}"
+            f"{', recovered from checkpoint' if self.recovered else ''})",
+            "repro service shutting down (final checkpoint)",
+        )
 
 
-async def _serve_forever(service: CollectionService, host: str, port: int) -> None:
+async def _serve_forever(tier: HttpTier, host: str, port: int) -> None:
     import signal
 
     loop = asyncio.get_running_loop()
@@ -1645,30 +1600,18 @@ async def _serve_forever(service: CollectionService, host: str, port: int) -> No
             loop.add_signal_handler(signum, stopping.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
-    bound_host, bound_port = await service.start(host, port)
-    cluster = (
-        f", {service.pool.num_workers} worker process(es)"
-        if service.pool is not None
-        else ""
-    )
-    print(
-        f"repro service listening on http://{bound_host}:{bound_port} "
-        f"({len(service.manager)} campaign(s)"
-        f"{cluster}, transport {service.transport}"
-        f"{', recovered from checkpoint' if service.recovered else ''})",
-        flush=True,
-    )
+    started, stopped = tier._banner(*await tier.start(host, port))
+    print(started, flush=True)
     await stopping.wait()
-    print("repro service shutting down (draining + final checkpoint)", flush=True)
-    await service.stop()
+    print(stopped, flush=True)
+    await tier.stop()
 
 
-def run_service(
-    service: CollectionService, host: str = "127.0.0.1", port: int = 8320
-) -> None:
-    """Blocking entry point used by ``repro serve``: runs until SIGINT or
-    SIGTERM, then drains, checkpoints, and exits."""
-    asyncio.run(_serve_forever(service, host, port))
+def run_service(tier: HttpTier, host: str = "127.0.0.1", port: int = 8320) -> None:
+    """Blocking entry point used by ``repro serve`` and ``repro edge``:
+    runs the tier until SIGINT or SIGTERM, then stops it gracefully (the
+    root checkpoints; an edge forwards its final partials)."""
+    asyncio.run(_serve_forever(tier, host, port))
 
 
 class ServiceThread:

@@ -12,7 +12,7 @@ from repro.service import CollectionService, ServiceThread
 
 @pytest.fixture
 def live_server():
-    service = CollectionService(flush_interval=0.02)
+    service = CollectionService()
     service.manager.create(
         "cli-demo",
         workload="Histogram",
@@ -149,7 +149,9 @@ class TestServeFlags:
         assert arguments.adaptive_groups == 2
         assert arguments.adaptive_seed == 7
 
-    def test_serve_refuses_adaptive_with_cluster_workers(self, capsys):
+    def test_serve_refuses_adaptive_with_cluster_workers(self, capsys, monkeypatch):
+        # Keep the CLI from pointing the process-wide logger at capsys.
+        monkeypatch.setattr("repro.telemetry.configure_logging", lambda _: None)
         code = main(["serve", "--adaptive", "2", "--workers", "2", "--port", "0"])
         assert code == 2
         assert "cluster mode" in capsys.readouterr().err
@@ -160,7 +162,7 @@ class TestCampaignAdvanceCli:
     def adaptive_server(self):
         from repro.service import AdaptivePlan
 
-        service = CollectionService(flush_interval=0.02)
+        service = CollectionService()
         service.manager.create(
             "cli-adaptive",
             workload="Prefix",

@@ -310,8 +310,6 @@ def adaptive_live(tmp_path):
     service = CollectionService(
         checkpoint_dir=tmp_path,
         checkpoint_interval=3600.0,
-        flush_interval=0.02,
-        flush_reports=512,
     )
     thread = ServiceThread(service)
     host, port = thread.start()
@@ -385,7 +383,7 @@ class TestServiceAdvance:
             binary.close()
 
     def test_adaptive_campaigns_rejected_in_cluster_mode(self):
-        service = CollectionService(cluster_workers=1, flush_interval=0.02)
+        service = CollectionService(cluster_workers=1)
         thread = ServiceThread(service)
         host, port = thread.start()
         client = ServiceClient(host, port)
@@ -402,6 +400,25 @@ class TestServiceAdvance:
         finally:
             client.close()
             thread.stop()
+
+    def test_recovered_adaptive_campaign_refused_in_cluster_mode(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A checkpoint that already holds an adaptive campaign cannot be
+        restarted as a cluster: refused before any worker spawns, both by
+        the constructor and by ``repro serve`` (exit 2)."""
+        from repro.cli import main
+
+        # Keep the CLI from pointing the process-wide logger at capsys.
+        monkeypatch.setattr("repro.telemetry.configure_logging", lambda _: None)
+        CheckpointStore(tmp_path).save(make_adaptive_manager())
+        with pytest.raises(ServiceError, match="without --workers"):
+            CollectionService(checkpoint_dir=tmp_path, cluster_workers=1)
+        arguments = ["serve", "--port", "0", "--checkpoint-dir", str(tmp_path)]
+        assert main([*arguments, "--workers", "1"]) == 2
+        assert "cluster mode" in capsys.readouterr().err
+        # The same checkpoint still serves single-process.
+        assert CollectionService(checkpoint_dir=tmp_path).recovered
 
     def test_round_tags_on_non_adaptive_campaigns_rejected(self, adaptive_live):
         _, client, _ = adaptive_live
@@ -480,7 +497,6 @@ class TestServiceAdvance:
         service = CollectionService(
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=3600.0,
-            flush_interval=0.02,
         )
         thread = ServiceThread(service)
         host, port = thread.start()

@@ -80,7 +80,7 @@ class TestWorkerPool:
         )
 
         async def run(num_workers):
-            pool = WorkerPool(num_workers, flush_interval=0.02)
+            pool = WorkerPool(num_workers)
             await pool.start()
             try:
                 await pool.open_campaign("demo", NUM_OUTPUTS)
@@ -97,7 +97,6 @@ class TestWorkerPool:
                 assert await pool.submit_histogram(
                     "demo", histogram_extra
                 ) == int(histogram_extra.sum())
-                await pool.drain()
                 merged = await pool.snapshots()
                 stats = await pool.stats()
                 assert stats["workers_alive"] == num_workers
@@ -113,7 +112,7 @@ class TestWorkerPool:
 
     def test_worker_validation_errors_travel_back(self):
         async def run():
-            pool = WorkerPool(2, flush_interval=0.02)
+            pool = WorkerPool(2)
             await pool.start()
             try:
                 await pool.open_campaign("demo", NUM_OUTPUTS)
@@ -136,7 +135,7 @@ class TestWorkerPool:
 
     def test_sigkilled_worker_degrades_the_pool_loudly(self):
         async def run():
-            pool = WorkerPool(2, flush_interval=0.02)
+            pool = WorkerPool(2)
             await pool.start()
             try:
                 await pool.open_campaign("demo", NUM_OUTPUTS)
@@ -189,7 +188,6 @@ def cluster_service(tmp_path):
     """A running 2-worker cluster service with one campaign + client."""
     service = CollectionService(
         cluster_workers=2,
-        flush_interval=0.02,
         checkpoint_dir=tmp_path / "ckpt",
         checkpoint_interval=3600.0,
     )
@@ -227,7 +225,7 @@ class TestClusterService:
         binary.close()
 
         # The same reports through a single-process service.
-        single = CollectionService(flush_interval=0.02)
+        single = CollectionService()
         with ServiceThread(single) as (host, port):
             reference_client = ServiceClient(host, port)
             reference_client.create_campaign(
@@ -267,9 +265,7 @@ class TestClusterService:
         client.close()
         thread.stop()  # drain + coordinated final checkpoint
 
-        recovered = CollectionService(
-            checkpoint_dir=checkpoint_dir, flush_interval=0.02
-        )
+        recovered = CollectionService(checkpoint_dir=checkpoint_dir)
         assert recovered.recovered
         with ServiceThread(recovered) as (host, port):
             after = ServiceClient(host, port)
@@ -310,7 +306,6 @@ class TestClusterService:
         recovered = CollectionService(
             checkpoint_dir=checkpoint_dir,
             cluster_workers=2,
-            flush_interval=0.02,
         )
         assert recovered.recovered
         with ServiceThread(recovered) as (host, port):

@@ -30,8 +30,8 @@ from repro.service import (
 
 @pytest.fixture
 def root():
-    """A running root service + connected client (fast flush)."""
-    service = CollectionService(flush_interval=0.02, flush_reports=512)
+    """A running root service + connected client."""
+    service = CollectionService()
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)
@@ -239,9 +239,7 @@ class TestEdgeAggregator:
     def test_two_tier_matches_serial_fold_bit_identically(self, root):
         service, root_thread, client = root
         make_campaign(client)
-        edge, edge_thread, host, port = start_edge(
-            root_thread, flush_interval=0.02, forward_interval=0.05
-        )
+        edge, edge_thread, host, port = start_edge(root_thread, forward_interval=0.05)
         rng = np.random.default_rng(7)
         reports = rng.integers(0, 8, size=5000)
         edge_client = ServiceClient(host, port, transport="binary")
@@ -305,7 +303,6 @@ class TestEdgeAggregator:
 
         edge, edge_thread, host, port = start_edge(
             root_thread,
-            flush_interval=0.02,
             forward_interval=0.05,
             retry_base=0.02,
             retry_cap=0.1,
@@ -350,7 +347,6 @@ class TestEdgeAggregator:
 
         edge, edge_thread, host, port = start_edge(
             root_thread,
-            flush_interval=0.02,
             forward_interval=0.05,
             retry_base=0.02,
             upstream_factory=lambda: LostReplyClient(real_host, real_port),
@@ -375,13 +371,11 @@ class TestEdgeAggregator:
         make_campaign(client)
         # Forward triggers that never fire during the test: only the
         # graceful stop can ship the partial.
-        edge, edge_thread, host, port = start_edge(
-            root_thread, flush_interval=0.02, forward_interval=600.0
-        )
+        edge, edge_thread, host, port = start_edge(root_thread, forward_interval=600.0)
         edge_client = ServiceClient(host, port)
         try:
             edge_client.send_reports("demo", [7] * 40)
-            wait_until(lambda: edge.pipeline.stats.ingested == 40)
+            assert edge.pipeline.stats.ingested == 40
             assert client.query("demo", sync=True)["num_reports"] == 0
         finally:
             edge_client.close()
@@ -414,8 +408,6 @@ class TestEdgeAggregator:
                 "edge-sigterm",
                 "--forward-interval",
                 "600",
-                "--flush-interval",
-                "0.02",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -437,10 +429,7 @@ class TestEdgeAggregator:
             edge_client = ServiceClient(match.group(1), int(match.group(2)))
             try:
                 edge_client.send_reports("demo", [5] * 25)
-                assert wait_until(
-                    lambda: edge_client.metrics()["ingest"]["ingested"]
-                    == 25
-                )
+                assert edge_client.metrics()["ingest"]["ingested"] == 25
             finally:
                 edge_client.close()
             assert client.query("demo", sync=True)["num_reports"] == 0
@@ -462,7 +451,6 @@ class TestEdgeAggregator:
         edge1, thread1, host1, port1 = start_edge(
             root_thread,
             edge_id="edge-stable",
-            flush_interval=0.02,
             forward_interval=0.05,
         )
         edge_client = ServiceClient(host1, port1)
@@ -477,7 +465,6 @@ class TestEdgeAggregator:
         edge2, thread2, host2, port2 = start_edge(
             root_thread,
             edge_id="edge-stable",
-            flush_interval=0.02,
             forward_interval=0.05,
             retry_base=0.02,
         )
@@ -502,16 +489,13 @@ class TestEdgeAggregator:
         make_campaign(client, name="adapt", adaptive={"rounds": 2})
         edge, edge_thread, host, port = start_edge(
             root_thread,
-            flush_interval=0.02,
             forward_interval=600.0,
             retry_base=0.02,
         )
         edge_client = ServiceClient(host, port)
         try:
             edge_client.send_reports("adapt", [1, 1, 1], round_id=1)
-            assert wait_until(
-                lambda: edge.pipeline.stats.ingested == 3
-            )
+            assert edge.pipeline.stats.ingested == 3
             client.advance_campaign("adapt")
             # Force the stranded partial out now (the interval trigger is
             # parked at 10 minutes).
@@ -525,6 +509,27 @@ class TestEdgeAggregator:
             edge_client.send_reports("adapt", [4, 4], round_id=2)
             edge_thread.run_coroutine(_drain_now(edge))
             assert client.query("adapt", sync=True)["num_reports"] == 2
+        finally:
+            edge_client.close()
+            edge_thread.stop()
+
+    def test_acked_batch_is_in_the_next_cut(self, root):
+        """The edge folds at ack time: a cut right after the 200 seals the
+        batch, with no flush in between."""
+        _, root_thread, client = root
+        make_campaign(client)
+        edge, edge_thread, host, port = start_edge(root_thread, forward_interval=600.0)
+        edge_client = ServiceClient(host, port)
+        try:
+            for batch in ([1, 2, 2], [0]):
+                edge_client.send_reports("demo", batch)
+                mirror = edge.manager.peek("demo")
+                sealed = edge_thread.run_coroutine(_cut_now(edge, mirror))
+                partial = ShardAccumulator.from_bytes(sealed.payload)
+                assert partial.num_reports == len(batch)
+                assert np.array_equal(
+                    partial.histogram, np.bincount(batch, minlength=8)
+                )
         finally:
             edge_client.close()
             edge_thread.stop()
@@ -547,13 +552,13 @@ class TestEdgeAggregator:
 
 
 async def _cut_now(edge, mirror):
-    await edge.pipeline.drain()
+    """Cut one mirror on the edge's loop; returns the sealed forward."""
     edge._cut(mirror)
+    return edge._outbox[-1]
 
 
 async def _drain_now(edge):
-    """Flush the ingest pipeline, cut, and forward synchronously."""
-    await edge.pipeline.drain()
+    """Cut every mirror and forward synchronously."""
     for mirror in edge.manager.campaigns():
         edge._cut(mirror)
     await edge._drain_outbox(10.0)

@@ -1,12 +1,23 @@
-"""Tests for the async micro-batching ingest pipeline."""
+"""Tests for the ingest path: validation, ack-time folding, refusals."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ServiceError
-from repro.service import CampaignManager, IngestPipeline
+from repro.exceptions import ReproError, ServiceError, StaleRoundError
+from repro.service import (
+    CampaignManager,
+    IngestPipeline,
+    encode_histogram,
+    encode_reports,
+)
+from repro.service.edge import _EdgeManager, _MirroredCampaign
+from repro.service.ingest import fold_frame_body, fold_json_body
+from repro.telemetry import MetricsRegistry
 
 
 def make_manager(domain_size: int = 8) -> CampaignManager:
@@ -25,16 +36,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def json_body(campaign="demo", reports=(0, 1, 7), round_id=None) -> bytes:
+    document = {"campaign": campaign, "reports": list(reports)}
+    if round_id is not None:
+        document["round"] = round_id
+    return json.dumps(document).encode("utf-8")
+
+
 class TestValidation:
-    def test_rejects_before_start(self):
-        pipeline = IngestPipeline(make_manager())
-
-        async def submit():
-            await pipeline.submit_reports("demo", [0])
-
-        with pytest.raises(ServiceError, match="not running"):
-            run(submit())
-
     @pytest.mark.parametrize(
         "reports",
         [[], [[0, 1]], [0, 8], [-1], [0.5], ["a"], [None], [0, "x"],
@@ -46,16 +55,8 @@ class TestValidation:
         # raw ValueError/TypeError (HTTP 500).
         manager = make_manager()
         pipeline = IngestPipeline(manager)
-
-        async def submit():
-            await pipeline.start()
-            try:
-                with pytest.raises(ServiceError):
-                    await pipeline.submit_reports("demo", reports)
-            finally:
-                await pipeline.stop()
-
-        run(submit())
+        with pytest.raises(ServiceError):
+            run(pipeline.submit_reports("demo", reports))
         assert manager.get("demo").num_reports == 0
 
     @pytest.mark.parametrize(
@@ -64,28 +65,14 @@ class TestValidation:
     )
     def test_rejects_non_finite_or_non_numeric_histogram(self, histogram):
         pipeline = IngestPipeline(make_manager())
-
-        async def submit():
-            await pipeline.start()
-            try:
-                with pytest.raises(ServiceError):
-                    await pipeline.submit_histogram("demo", histogram)
-            finally:
-                await pipeline.stop()
-
-        run(submit())
+        with pytest.raises(ServiceError):
+            run(pipeline.submit_histogram("demo", histogram))
 
     def test_rejected_batch_is_all_or_nothing(self):
         manager = make_manager()
         pipeline = IngestPipeline(manager)
-
-        async def submit():
-            await pipeline.start()
-            with pytest.raises(ServiceError):
-                await pipeline.submit_reports("demo", [0, 1, 2, 99])
-            await pipeline.stop()
-
-        run(submit())
+        with pytest.raises(ServiceError):
+            run(pipeline.submit_reports("demo", [0, 1, 2, 99]))
         assert manager.get("demo").num_reports == 0
         assert pipeline.stats.rejected_batches == 1
 
@@ -93,59 +80,30 @@ class TestValidation:
         # JSON has no int/float distinction; 3.0 must count as 3.
         manager = make_manager()
         pipeline = IngestPipeline(manager)
-
-        async def submit():
-            await pipeline.start()
-            await pipeline.submit_reports("demo", [0.0, 3.0, 3.0])
-            await pipeline.stop()
-
-        run(submit())
+        run(pipeline.submit_reports("demo", [0.0, 3.0, 3.0]))
         accumulator = manager.get("demo").accumulator
         assert accumulator.num_reports == 3
         assert accumulator.histogram[3] == 2
 
     def test_histogram_shape_checked(self):
         pipeline = IngestPipeline(make_manager())
-
-        async def submit():
-            await pipeline.start()
-            try:
-                with pytest.raises(ServiceError, match="shape"):
-                    await pipeline.submit_histogram("demo", [1.0, 2.0])
-            finally:
-                await pipeline.stop()
-
-        run(submit())
+        with pytest.raises(ServiceError, match="shape"):
+            run(pipeline.submit_histogram("demo", [1.0, 2.0]))
 
     def test_unknown_campaign(self):
         pipeline = IngestPipeline(make_manager())
-
-        async def submit():
-            await pipeline.start()
-            try:
-                with pytest.raises(ServiceError, match="unknown campaign"):
-                    await pipeline.submit_reports("ghost", [0])
-            finally:
-                await pipeline.stop()
-
-        run(submit())
+        with pytest.raises(ServiceError, match="unknown campaign"):
+            run(pipeline.submit_reports("ghost", [0]))
 
 
 class TestFolding:
     def test_reports_and_histograms_fold_together(self):
         manager = make_manager()
         pipeline = IngestPipeline(manager)
-
-        async def feed():
-            await pipeline.start()
-            await pipeline.submit_reports("demo", [0, 1, 1])
-            await pipeline.submit_histogram(
-                "demo", [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-            )
-            await pipeline.drain()
-            await pipeline.stop()
-
-        run(feed())
+        run(pipeline.submit_reports("demo", [0, 1, 1]))
+        # Folded by the time the submit returns: no drain, no flush.
+        assert manager.get("demo").num_reports == 3
+        run(pipeline.submit_histogram("demo", [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
         accumulator = manager.get("demo").accumulator
         assert accumulator.num_reports == 8
         assert np.array_equal(
@@ -153,21 +111,16 @@ class TestFolding:
         )
 
     def test_concurrent_ingest_matches_serial_fold(self):
-        """Satellite: any interleaving across workers == a serial fold."""
+        """Any interleaving of submissions == a serial fold."""
         rng = np.random.default_rng(7)
         batches = [rng.integers(0, 8, size=size) for size in rng.integers(1, 200, 64)]
         manager = make_manager()
-        pipeline = IngestPipeline(
-            manager, num_workers=4, flush_reports=97, flush_interval=0.01
-        )
+        pipeline = IngestPipeline(manager)
 
         async def feed():
-            await pipeline.start()
             await asyncio.gather(
                 *(pipeline.submit_reports("demo", batch) for batch in batches)
             )
-            await pipeline.drain()
-            await pipeline.stop()
 
         run(feed())
         serial = manager.get("demo").session.new_accumulator()
@@ -177,115 +130,133 @@ class TestFolding:
         assert live == serial  # bit-identical histogram + count
         assert pipeline.stats.ingested == sum(len(b) for b in batches)
 
-    def test_threshold_flush_and_timer_flush(self):
-        manager = make_manager()
-        pipeline = IngestPipeline(
-            manager, num_workers=1, flush_reports=10, flush_interval=0.02
-        )
-
-        async def feed():
-            await pipeline.start()
-            # Over the threshold: flushes without waiting for the timer.
-            await pipeline.submit_reports("demo", list(np.zeros(25, dtype=int)))
-            await pipeline._queue.join()
-            threshold_flushed = manager.get("demo").num_reports
-            # Under the threshold: becomes visible via the timer flush.
-            await pipeline.submit_reports("demo", [1, 1])
-            await pipeline._queue.join()
-            deadline = asyncio.get_event_loop().time() + 2.0
-            while manager.get("demo").num_reports < 27:
-                if asyncio.get_event_loop().time() > deadline:
-                    break
-                await asyncio.sleep(0.01)
-            await pipeline.stop()
-            return threshold_flushed
-
-        threshold_flushed = run(feed())
-        assert threshold_flushed == 25
-        assert manager.get("demo").num_reports == 27
-        assert manager.get("demo").flushes >= 2
-
-    def test_pending_accumulators_cover_unflushed_reports(self):
-        manager = make_manager()
-        pipeline = IngestPipeline(
-            manager, num_workers=1, flush_reports=1_000_000, flush_interval=60.0
-        )
-
-        async def feed():
-            await pipeline.start()
-            await pipeline.submit_reports("demo", [0, 1, 2])
-            await pipeline._queue.join()
-            # nothing flushed yet — the live accumulator is empty...
-            assert manager.get("demo").num_reports == 0
-            # ...but a live query folds the pending partials in.
-            answer = manager.query(
-                "demo", pending=pipeline.pending_accumulators("demo")
-            )
-            assert answer.num_reports == 3
-            await pipeline.stop()
-
-        run(feed())
-        assert manager.get("demo").num_reports == 3  # stop() flushes
-
-    def test_drain_is_bounded_under_sustained_ingest(self):
-        """drain() waits only for batches submitted before the call — a
-        steady stream on one campaign must not starve it forever."""
-        manager = make_manager()
-        pipeline = IngestPipeline(manager, num_workers=1, flush_interval=10.0)
-
-        async def feed():
-            await pipeline.start()
-            stop_feeding = False
-
-            async def firehose():
-                while not stop_feeding:
-                    await pipeline.submit_reports("demo", [0, 1])
-                    await asyncio.sleep(0)
-
-            feeder = asyncio.create_task(firehose())
-            await asyncio.sleep(0.02)  # let the stream establish itself
-            await asyncio.wait_for(pipeline.drain(), timeout=5.0)
-            stop_feeding = True
-            await feeder
-            await pipeline.stop()
-
-        run(feed())
-
-    def test_backpressure_bounded_queue(self):
-        manager = make_manager()
-        pipeline = IngestPipeline(manager, num_workers=1, max_pending=2)
-
-        async def feed():
-            # Workers not started: the queue must fill and block at its bound.
-            pipeline._running = True
-            await pipeline.submit_reports("demo", [0])
-            await pipeline.submit_reports("demo", [1])
-            assert pipeline.queue_depth == 2
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    pipeline.submit_reports("demo", [2]), timeout=0.05
-                )
-
-        run(feed())
-
     def test_stats_json_round_trip(self):
-        import json
-
         pipeline = IngestPipeline(make_manager())
         payload = pipeline.stats.to_json()
         assert json.loads(json.dumps(payload)) == payload
 
 
-class TestConfigValidation:
+REFUSED_BODIES = {
+    "json-bad-id": (fold_json_body, json_body(reports=[0, 8])),
+    "json-unknown-campaign": (fold_json_body, json_body(campaign="ghost")),
+    "json-undecodable": (fold_json_body, b'{"campaign": "demo", "repo\xff'),
+    "binary-bad-id": (fold_frame_body, encode_reports("demo", [0, 8])),
+    "binary-unknown-campaign": (fold_frame_body, encode_reports("ghost", [0])),
+    "binary-undecodable": (fold_frame_body, b"not a frame body"),
+    "binary-bad-last-frame": (
+        fold_frame_body,
+        encode_reports("demo", [0, 1]) + encode_reports("demo", [9]),
+    ),
+}
+
+
+class TestRefusedBodies:
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"num_workers": 0},
-            {"max_pending": 0},
-            {"flush_reports": 0},
-            {"flush_interval": 0.0},
-        ],
+        ("fold", "body"), REFUSED_BODIES.values(), ids=REFUSED_BODIES.keys()
     )
-    def test_rejects_bad_config(self, kwargs):
+    def test_refused_body_counts_once_and_folds_nothing(self, fold, body):
+        """Every refusal — decode, campaign lookup, or validation — counts
+        as exactly one rejected batch, on both transports."""
+        manager = make_manager()
+        registry = MetricsRegistry()
+        pipeline = IngestPipeline(manager, registry=registry)
         with pytest.raises(ServiceError):
-            IngestPipeline(make_manager(), **kwargs)
+            run(fold(pipeline, body))
+        assert pipeline.stats.rejected_batches == 1
+        assert registry.to_json()["repro_ingest_rejected_batches_total"] == 1
+        assert pipeline.stats.ingested == 0
+        assert manager.get("demo").num_reports == 0
+
+    @pytest.mark.parametrize(
+        ("fold", "body"),
+        [
+            (fold_json_body, json_body(reports=[0, 1, 2], round_id=1)),
+            (fold_frame_body, encode_reports("demo", [0, 1, 2], round_id=1)),
+        ],
+        ids=["json", "binary"],
+    )
+    def test_stale_round_refusal_counts_batch_and_reports(self, fold, body):
+        manager = _EdgeManager()
+        manager.add(_MirroredCampaign("demo", 8, round_id=2, adaptive=True))
+        pipeline = IngestPipeline(manager)
+        with pytest.raises(StaleRoundError):
+            run(fold(pipeline, body))
+        assert pipeline.stats.rejected_batches == 1
+        assert pipeline.stats.reports_dropped == 3
+        assert manager.get("demo").accumulator.num_reports == 0
+
+
+# -- fuzzing the one fold path -----------------------------------------------
+
+FRAMES = [
+    encode_reports("demo", [0, 1, 7, 7]),
+    encode_reports("demo", np.arange(8), trace_id="ab" * 8),
+    encode_histogram("demo", [1.0] * 8),
+    encode_reports("demo", [8]),  # out of range: a bad frame
+]
+
+JSON_BODIES = [
+    json_body(),
+    json.dumps({"campaign": "demo", "histogram": [2.0] * 8}).encode("utf-8"),
+    json.dumps(
+        {"campaign": "demo", "reports": [2, 3], "round": 0, "trace": "cd" * 8}
+    ).encode("utf-8"),
+]
+
+JSON_BYTES = list(b'0123456789[]{},:"-.eE \\') + [0x80, 0xFF]
+
+
+@st.composite
+def frame_bodies(draw):
+    """Concatenated frames, then byte mutations, truncation, and junk."""
+    body = bytearray(
+        b"".join(draw(st.lists(st.sampled_from(FRAMES), min_size=1, max_size=3)))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        del body[draw(st.integers(0, len(body))) :]
+    body += draw(st.binary(max_size=12))
+    return bytes(body)
+
+
+@st.composite
+def json_bodies(draw):
+    body = bytearray(draw(st.sampled_from(JSON_BODIES)))
+    for _ in range(draw(st.integers(0, 4))):
+        body[draw(st.integers(0, len(body) - 1))] = draw(
+            st.one_of(st.sampled_from(JSON_BYTES), st.integers(0, 255))
+        )
+    if draw(st.booleans()):
+        del body[draw(st.integers(0, len(body))) :]
+    return bytes(body)
+
+
+def assert_folds_whole_or_refuses(fold, body):
+    manager = make_manager()
+    pipeline = IngestPipeline(manager)
+    campaign = manager.get("demo")
+    before = campaign.accumulator.snapshot()
+    try:
+        accepted = run(fold(pipeline, body))
+    except ReproError:
+        assert campaign.accumulator == before
+        assert campaign.num_reports == before.num_reports
+        assert pipeline.stats.ingested == 0
+        assert pipeline.stats.rejected_batches == 1
+        return
+    folded = campaign.num_reports - before.num_reports
+    assert folded == pipeline.stats.ingested == sum(accepted.values()) > 0
+    assert pipeline.stats.rejected_batches == 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(body=frame_bodies())
+def test_fuzz_frame_bodies_fold_whole_or_refuse(body):
+    assert_folds_whole_or_refuses(fold_frame_body, body)
+
+
+@settings(deadline=None, max_examples=300)
+@given(body=json_bodies())
+def test_fuzz_json_bodies_fold_whole_or_refuse(body):
+    assert_folds_whole_or_refuses(fold_json_body, body)

@@ -21,8 +21,8 @@ from repro.service import (
 
 @pytest.fixture
 def live():
-    """A running service + connected client (fast flush for tests)."""
-    service = CollectionService(flush_interval=0.02, flush_reports=512)
+    """A running service + connected client."""
+    service = CollectionService()
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)
@@ -228,9 +228,7 @@ class TestBinaryTransport:
 class TestTransportPolicy:
     @pytest.fixture
     def restricted(self, request):
-        service = CollectionService(
-            flush_interval=0.02, transport=request.param
-        )
+        service = CollectionService(transport=request.param)
         thread = ServiceThread(service)
         host, port = thread.start()
         client = ServiceClient(host, port)
@@ -309,7 +307,6 @@ class TestAcceptance:
         service = CollectionService(
             checkpoint_dir=tmp_path,
             checkpoint_interval=600.0,  # only explicit checkpoints
-            flush_interval=0.02,
         )
         thread = ServiceThread(service)
         host, port = thread.start()
@@ -369,22 +366,21 @@ class TestAcceptance:
             client2.close()
             thread2.stop()
 
-    def test_live_query_sees_unflushed_reports(self, live):
-        service, client = live
-        make_campaign(client)
-        # flush thresholds far away: reports sit in worker partials
-        service.pipeline.flush_reports = 1_000_000
-        service.pipeline.flush_interval = 60.0
-        client.send_reports("demo", [0, 1, 2, 3])
-        # async ingestion: poll briefly until the workers have folded
-        import time
-
-        deadline = time.time() + 2.0
-        while time.time() < deadline:
-            if client.query("demo")["num_reports"] == 4:
-                break
-            time.sleep(0.01)
-        assert client.query("demo")["num_reports"] == 4
+    @pytest.mark.parametrize(
+        ("cluster_workers", "transport"),
+        [(0, "json"), (0, "binary"), (1, "binary")],
+    )
+    def test_acked_batch_counted_by_next_query(self, cluster_workers, transport):
+        """Ingest folds at ack time: the very next query counts an acked
+        batch, without ``sync`` and without polling."""
+        service = CollectionService(cluster_workers=cluster_workers)
+        with ServiceThread(service) as (host, port):
+            client = ServiceClient(host, port, transport=transport)
+            make_campaign(client)
+            for expected in (4, 8):
+                client.send_reports("demo", [0, 1, 2, 3])
+                assert client.query("demo")["num_reports"] == expected
+            client.close()
 
     def test_multi_campaign_isolation(self, live):
         _, client = live

@@ -38,7 +38,6 @@ def batches(seed=0, count=10, size=40):
 
 def make_service(tmp_path, **kwargs):
     kwargs.setdefault("cluster_workers", 2)
-    kwargs.setdefault("flush_interval", 0.02)
     kwargs.setdefault("checkpoint_dir", tmp_path / "ckpt")
     kwargs.setdefault("checkpoint_interval", 3600.0)
     kwargs.setdefault("wal_dir", tmp_path / "wal")
@@ -57,7 +56,7 @@ def create_demo(client):
 
 def serial_reference(all_batches):
     """The same reports folded by a single-process service."""
-    single = CollectionService(flush_interval=0.02)
+    single = CollectionService()
     with ServiceThread(single) as (host, port):
         client = ServiceClient(host, port)
         create_demo(client)

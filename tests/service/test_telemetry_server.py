@@ -18,7 +18,7 @@ from tests.telemetry.test_metrics import assert_valid_exposition
 
 @pytest.fixture
 def live():
-    service = CollectionService(flush_interval=0.02, flush_reports=512)
+    service = CollectionService()
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)
@@ -118,10 +118,9 @@ class TestTracePropagation:
             response = traced.send_reports("demo", [1, 2])
             assert is_trace_id(traced.last_trace_id)
             assert response["trace"] == traced.last_trace_id
-            # The fold span lands when the flush worker drains the queue.
-            traced.query("demo", sync=True)
+            # The fold happens before the ack, so its span is already there.
             spans = service.tracer.trace(traced.last_trace_id)
-            assert {s.name for s in spans} >= {"ingest", "fold"}
+            assert {s.name for s in spans} >= {"ingest", "decode", "fold"}
         finally:
             traced.close()
 
@@ -146,9 +145,7 @@ class TestTracePropagation:
         assert client.last_trace_id == ""
 
     def test_tracing_can_be_disabled_without_changing_estimates(self):
-        service = CollectionService(
-            flush_interval=0.02, flush_reports=512, tracing=False
-        )
+        service = CollectionService(tracing=False)
         thread = ServiceThread(service)
         host, port = thread.start()
         client = ServiceClient(host, port)
@@ -173,7 +170,6 @@ class TestClusterAggregation:
     def cluster(self, tmp_path):
         service = CollectionService(
             cluster_workers=2,
-            flush_interval=0.02,
             checkpoint_dir=tmp_path / "ckpt",
             checkpoint_interval=3600.0,
         )
