@@ -258,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotate WAL segments at this size",
     )
     serve.add_argument(
-        "--no-wal-fsync",
-        action="store_true",
-        help="skip the per-batch WAL fsync (benchmarks only: a power "
-        "failure may then lose acked reports)",
-    )
-    serve.add_argument(
         "--fault-plan",
         default=None,
         metavar="FILE_OR_JSON",
@@ -677,98 +671,63 @@ def _factored_workload(name: str, sizes: tuple[int, ...], way: int):
     )
 
 
-def _run_strategy_build_factored(arguments) -> int:
+def _run_strategy_build(arguments) -> int:
     from repro.optimization import (
         FactoredOptimizerConfig,
         OptimizerConfig,
+        multi_restart_optimize,
         multi_restart_optimize_factored,
     )
-    from repro.store import key_for_factored
-
-    if not arguments.sizes:
-        raise SystemExit(
-            "--factored needs --sizes (comma-separated attribute sizes, "
-            "e.g. --sizes 64,64,16,16)"
-        )
-    if arguments.num_outputs is not None:
-        raise SystemExit(
-            "--num-outputs is ambiguous across factors; factored builds "
-            "size each factor as m_i = 4 d_i"
-        )
-    try:
-        sizes = tuple(int(part) for part in arguments.sizes.split(","))
-    except ValueError:
-        raise SystemExit(f"unparseable --sizes {arguments.sizes!r}")
-    store = _open_store(arguments.store)
-    workload = _factored_workload(arguments.workload, sizes, arguments.way)
-    config = FactoredOptimizerConfig(
-        base=OptimizerConfig(
-            num_iterations=arguments.iterations, seed=arguments.seed
-        ),
-        rounds=arguments.rounds,
-    )
-    start = time.perf_counter()
-    report = multi_restart_optimize_factored(
-        workload,
-        arguments.epsilon,
-        config,
-        restarts=arguments.restarts,
-        backend=arguments.backend,
-        num_workers=arguments.workers,
-        store=store,
-    )
-    elapsed = time.perf_counter() - start
-    key = key_for_factored(
-        workload, arguments.epsilon, config, restarts=arguments.restarts
-    )
-    strategy = report.result.strategy
-    print(
-        f"workload {workload.name!r}, n = {workload.domain_size} "
-        f"({' x '.join(str(size) for size in sizes)}), "
-        f"eps = {arguments.epsilon:g}, K = {arguments.restarts} restart(s) "
-        f"[{arguments.backend}, factored]"
-    )
-    if report.store_hit:
-        print(
-            f"store HIT  entry {key.entry_id} in {elapsed:.3f} s "
-            "(no PGD iterations run)"
-        )
-    else:
-        objectives = ", ".join(f"{value:.6g}" for value in report.objectives)
-        print(
-            f"store MISS — built entry {key.entry_id} in {elapsed:.3f} s "
-            f"({report.result.rounds_run} round(s)); "
-            f"restart objectives: [{objectives}]"
-        )
-    shapes = " x ".join(
-        f"{m}x{d}" for m, d in zip(strategy.output_sizes, strategy.domain_sizes)
-    )
-    print(
-        f"objective L(Q) = {report.objective:.6g}, factors {shapes}, "
-        f"store {store.root} now holds {len(store)} entr"
-        f"{'y' if len(store) == 1 else 'ies'}"
-    )
-    return 0
-
-
-def _run_strategy_build(arguments) -> int:
-    from repro.optimization import OptimizerConfig, multi_restart_optimize
+    from repro.store import key_for, key_for_factored
     from repro.workloads import by_name as workload_by_name
 
     if arguments.factored:
-        return _run_strategy_build_factored(arguments)
+        if not arguments.sizes:
+            raise SystemExit(
+                "--factored needs --sizes (comma-separated attribute sizes, "
+                "e.g. --sizes 64,64,16,16)"
+            )
+        if arguments.num_outputs is not None:
+            raise SystemExit(
+                "--num-outputs is ambiguous across factors; factored builds "
+                "size each factor as m_i = 4 d_i"
+            )
+        try:
+            sizes = tuple(int(part) for part in arguments.sizes.split(","))
+        except ValueError:
+            raise SystemExit(f"unparseable --sizes {arguments.sizes!r}")
+        workload = _factored_workload(arguments.workload, sizes, arguments.way)
+        config = FactoredOptimizerConfig(
+            base=OptimizerConfig(
+                num_iterations=arguments.iterations, seed=arguments.seed
+            ),
+            rounds=arguments.rounds,
+        )
+        optimize = multi_restart_optimize_factored
+        key = key_for_factored(
+            workload, arguments.epsilon, config, restarts=arguments.restarts
+        )
+        domain = f" ({' x '.join(str(size) for size in sizes)})"
+        mode = f"{arguments.backend}, factored"
+    else:
+        workload = workload_by_name(arguments.workload, arguments.domain)
+        config = OptimizerConfig(
+            num_iterations=arguments.iterations,
+            num_outputs=arguments.num_outputs,
+            seed=arguments.seed,
+            # The store persists the objective trajectory as provenance;
+            # recording it costs one float per iteration.
+            track_history=True,
+        )
+        optimize = multi_restart_optimize
+        key = key_for(
+            workload.gram(), arguments.epsilon, config, restarts=arguments.restarts
+        )
+        domain = ""
+        mode = arguments.backend
     store = _open_store(arguments.store)
-    workload = workload_by_name(arguments.workload, arguments.domain)
-    config = OptimizerConfig(
-        num_iterations=arguments.iterations,
-        num_outputs=arguments.num_outputs,
-        seed=arguments.seed,
-        # The store persists the objective trajectory as provenance;
-        # recording it costs one float per iteration.
-        track_history=True,
-    )
     start = time.perf_counter()
-    report = multi_restart_optimize(
+    report = optimize(
         workload,
         arguments.epsilon,
         config,
@@ -778,16 +737,19 @@ def _run_strategy_build(arguments) -> int:
         store=store,
     )
     elapsed = time.perf_counter() - start
-
-    from repro.store import key_for
-
-    key = key_for(
-        workload.gram(), arguments.epsilon, config, restarts=arguments.restarts
-    )
+    strategy = report.result.strategy
+    if arguments.factored:
+        detail = f" ({report.result.rounds_run} round(s))"
+        shape = "factors " + " x ".join(
+            f"{m}x{d}" for m, d in zip(strategy.output_sizes, strategy.domain_sizes)
+        )
+    else:
+        detail = " (+1 warm start)" if report.warm_started else ""
+        shape = f"m = {strategy.num_outputs} outputs"
     print(
-        f"workload {workload.name!r}, n = {workload.domain_size}, "
+        f"workload {workload.name!r}, n = {workload.domain_size}{domain}, "
         f"eps = {arguments.epsilon:g}, K = {arguments.restarts} restart(s) "
-        f"[{arguments.backend}]"
+        f"[{mode}]"
     )
     if report.store_hit:
         print(
@@ -796,14 +758,12 @@ def _run_strategy_build(arguments) -> int:
         )
     else:
         objectives = ", ".join(f"{value:.6g}" for value in report.objectives)
-        warm = " (+1 warm start)" if report.warm_started else ""
         print(
             f"store MISS — built entry {key.entry_id} in {elapsed:.3f} s"
-            f"{warm}; restart objectives: [{objectives}]"
+            f"{detail}; restart objectives: [{objectives}]"
         )
     print(
-        f"objective L(Q) = {report.objective:.6g}, "
-        f"m = {report.result.strategy.num_outputs} outputs, "
+        f"objective L(Q) = {report.objective:.6g}, {shape}, "
         f"store {store.root} now holds {len(store)} entr"
         f"{'y' if len(store) == 1 else 'ies'}"
     )
@@ -912,7 +872,6 @@ def _run_serve(arguments) -> int:
             tracing=not arguments.no_tracing,
             wal_dir=arguments.wal_dir,
             wal_segment_bytes=arguments.wal_segment_bytes,
-            wal_fsync=not arguments.no_wal_fsync,
             fault_plan=arguments.fault_plan,
             worker_restart_limit=arguments.worker_restart_limit,
         )

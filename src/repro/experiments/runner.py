@@ -88,17 +88,6 @@ def protocol_session(
     return ProtocolSession(strategy, workload, operator)
 
 
-def stored_protocol_session(
-    store, workload: Workload, epsilon: float
-) -> ProtocolSession:
-    """A collection session built from a persisted strategy (no PGD).
-
-    Thin alias for :meth:`ProtocolSession.from_store`, exposed here so
-    experiment code has one import site for both construction paths.
-    """
-    return ProtocolSession.from_store(store, workload, epsilon)
-
-
 def safe_sample_complexity(
     mechanism: Mechanism,
     workload: Workload,

@@ -8,7 +8,7 @@
   engine (workspace, Cholesky solves, batched candidate evaluation).
 * :mod:`repro.optimization.pgd` — Algorithm 2 (projected gradient descent).
 * :mod:`repro.optimization.optimized` — the "Optimized" mechanism wrapper.
-* :mod:`repro.optimization.search` — hyper-parameter sweeps (m, restarts).
+* :mod:`repro.optimization.search` — the strategy-rows sweep (m).
 * :mod:`repro.optimization.restarts` — the parallel multi-restart driver
   with strategy-store read-through and warm starts.
 * :mod:`repro.optimization.factored` — Kronecker-factorized optimization
@@ -19,7 +19,6 @@ from repro.optimization.factored import (
     FACTORED_WORKLOADS,
     FactoredOptimizationResult,
     FactoredOptimizerConfig,
-    FactoredRestartReport,
     factored_objective_value,
     multi_restart_optimize_factored,
     optimize_factored_strategy,
@@ -63,7 +62,6 @@ from repro.optimization.projection import (
 )
 from repro.optimization.search import (
     SweepPoint,
-    best_of_restarts,
     sample_complexity_of_result,
     search_num_outputs,
     worst_case_of_result,
@@ -75,7 +73,6 @@ __all__ = [
     "FACTORED_WORKLOADS",
     "FactoredOptimizationResult",
     "FactoredOptimizerConfig",
-    "FactoredRestartReport",
     "OBJECTIVE_ENGINES",
     "ObjectiveWorkspace",
     "OptimizationResult",
@@ -86,7 +83,6 @@ __all__ = [
     "RESTART_BACKENDS",
     "RestartReport",
     "SweepPoint",
-    "best_of_restarts",
     "factored_objective_value",
     "multi_restart_optimize",
     "multi_restart_optimize_factored",

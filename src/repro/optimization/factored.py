@@ -53,7 +53,12 @@ from repro.optimization.pgd import (
     OptimizerConfig,
     optimize_strategy,
 )
-from repro.optimization.restarts import restart_seeds
+from repro.optimization.restarts import (
+    RESTART_BACKENDS,
+    RestartReport,
+    _best_of,
+    restart_seeds,
+)
 from repro.workloads.kron import KronWorkload, ProductMarginalsWorkload
 
 #: Workload types the factored optimizer accepts.
@@ -358,37 +363,6 @@ def optimize_factored_strategy(
     )
 
 
-@dataclass(frozen=True)
-class FactoredRestartReport:
-    """Provenance of one multi-restart factored optimization (mirrors
-    :class:`~repro.optimization.restarts.RestartReport`).
-
-    Attributes
-    ----------
-    result:
-        The winning :class:`FactoredOptimizationResult`.
-    objectives:
-        Joint objective of every restart (``inf`` for a diverged one);
-        empty on a store hit.
-    seeds:
-        Root seed of each restart.
-    store_hit:
-        True when the result came straight from the store.
-    best_index:
-        Winning restart's index (-1 on a store hit).
-    """
-
-    result: FactoredOptimizationResult
-    objectives: list[float] = field(default_factory=list)
-    seeds: list = field(default_factory=list)
-    store_hit: bool = False
-    best_index: int = -1
-
-    @property
-    def objective(self) -> float:
-        return self.result.objective
-
-
 def _run_factored_restart(
     workload, epsilon: float, config: FactoredOptimizerConfig
 ) -> FactoredOptimizationResult | None:
@@ -410,16 +384,18 @@ def multi_restart_optimize_factored(
     store=None,
     write: bool = True,
     workload_name: str | None = None,
-) -> FactoredRestartReport:
+) -> RestartReport:
     """Best-of-K factored optimization with store read-through.
 
     The restart schedule reuses
     :func:`~repro.optimization.restarts.restart_seeds` (restart 0 runs the
-    caller's config verbatim), and a
+    caller's config verbatim), the winner is picked as in
+    :func:`~repro.optimization.restarts.multi_restart_optimize`, and a
     :class:`~repro.store.StrategyStore` — addressed by the *structural*
     factored fingerprint, never a materialized Gram — short-circuits exact
     hits and persists the winner.  Per-factor Grams are tiny, so the
-    process backend simply pickles the workload into each worker.
+    process backend simply pickles the workload into each worker; there is
+    no warm start.
 
     Examples
     --------
@@ -439,10 +415,10 @@ def multi_restart_optimize_factored(
     True
     """
     config = config or FactoredOptimizerConfig()
-    if backend not in ("serial", "process"):
+    if backend not in RESTART_BACKENDS:
         raise OptimizationError(
-            f"unknown restart backend {backend!r}; expected 'serial' or "
-            "'process'"
+            f"unknown restart backend {backend!r}; expected one of "
+            f"{RESTART_BACKENDS}"
         )
     if not isinstance(workload, FACTORED_WORKLOADS):
         raise OptimizationError(
@@ -457,9 +433,9 @@ def multi_restart_optimize_factored(
         from repro.store import key_for_factored
 
         key = key_for_factored(workload, epsilon, config, restarts=restarts)
-        cached = store.get_factored(key)
+        cached = store.get(key)
         if cached is not None:
-            return FactoredRestartReport(result=cached, store_hit=True)
+            return RestartReport(result=cached, store_hit=True)
 
     seeds = restart_seeds(config.base.seed, restarts)
     configs = [
@@ -478,25 +454,7 @@ def multi_restart_optimize_factored(
             for run_config in configs
         ]
 
-    objectives = [
-        float("inf") if result is None else float(result.objective)
-        for result in results
-    ]
-    best_index = int(np.argmin(objectives))
-    best = results[best_index]
-    if best is None:
-        raise OptimizationError(
-            f"all {len(configs)} factored restart(s) diverged for "
-            f"epsilon {epsilon}"
-        )
+    report = _best_of(results, seeds, epsilon)
     if store is not None and write:
-        store.put_factored(
-            key, best, workload=workload_name, config=config
-        )
-    return FactoredRestartReport(
-        result=best,
-        objectives=objectives,
-        seeds=seeds,
-        store_hit=False,
-        best_index=best_index,
-    )
+        store.put(key, report.result, workload=workload_name, config=config)
+    return report

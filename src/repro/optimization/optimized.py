@@ -4,18 +4,19 @@ Wraps the multi-restart driver (and through it
 :func:`repro.optimization.pgd.optimize_strategy`) behind the common
 comparison interface so the experiment harness treats it exactly like the
 fixed baselines.  Unlike those, its strategy depends on the workload, so
-results are cached per ``(workload name, domain size, Gram content hash,
-epsilon, config fingerprint)`` — and, when a
-:class:`~repro.store.StrategyStore` is attached, the in-memory dict becomes
-a read-through layer over the persistent store.  Strategy optimization
-consumes no privacy budget (it only uses the public workload), so all of
-this caching is purely a compute optimization.
+results are cached per :class:`~repro.store.StrategyKey` (Gram content
+hash, epsilon, and a fingerprint of the config plus this mechanism's own
+knobs) — the same key the persistent store uses, so when a
+:class:`~repro.store.StrategyStore` is attached the in-memory dict is a
+read-through layer over it.  Strategy optimization consumes no privacy
+budget (it only uses the public workload), so all of this caching is
+purely a compute optimization.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from repro.mechanisms.randomized_response import randomized_response
 from repro.optimization.pgd import OptimizationResult, OptimizerConfig
 from repro.optimization.restarts import multi_restart_optimize
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.store import StrategyKey
 
 
 class OptimizedMechanism(StrategyMechanism):
@@ -80,47 +84,13 @@ class OptimizedMechanism(StrategyMechanism):
         self.store = store
         self.restarts = restarts
         self.restart_backend = restart_backend
-        self._results: dict[tuple[str, int, str, float, str], OptimizationResult] = {}
-        self._operators: dict[tuple[str, int, str, float, str], np.ndarray] = {}
-        self._config_digest: str | None = None
+        self._results: dict[StrategyKey, OptimizationResult] = {}
+        self._operators: dict[StrategyKey, np.ndarray] = {}
 
-    def _config_fingerprint(self) -> str:
-        """Fingerprint of everything besides the workload that determines
-        the result: the optimizer config plus this mechanism's own knobs.
-
-        Folding it into the cache key keeps two instances with different
-        iteration counts or seeds from colliding once keys become
-        persistent (and already in memory, where only the config differs).
-        """
-        if self._config_digest is None:
-            from repro.store.keys import config_fingerprint
-
-            self._config_digest = config_fingerprint(
-                self.config,
-                floor_baselines=self.floor_baselines,
-                restarts=self.restarts,
-            )
-        return self._config_digest
-
-    def _key(
-        self, workload: Workload, epsilon: float
-    ) -> tuple[str, int, str, float, str]:
+    def _store_key(self, workload: Workload, epsilon: float) -> StrategyKey:
         # The Gram content hash keeps two distinct workloads that share a
-        # name and domain from silently reusing each other's strategy; the
-        # optimizer only ever sees the workload through its Gram matrix, so
-        # hashing it (plus the config fingerprint) captures everything the
-        # cached result depends on.
-        gram = np.ascontiguousarray(workload.gram(), dtype=float)
-        digest = hashlib.sha256(gram.tobytes()).hexdigest()[:16]
-        return (
-            workload.name,
-            workload.domain_size,
-            digest,
-            round(float(epsilon), 12),
-            self._config_fingerprint()[:16],
-        )
-
-    def _store_key(self, workload: Workload, epsilon: float):
+        # name and domain from silently reusing each other's strategy, and
+        # the extras keep instances with different knobs apart.
         from repro.store import key_for
 
         return key_for(
@@ -148,13 +118,11 @@ class OptimizedMechanism(StrategyMechanism):
         >>> result is mech.optimization_result(histogram(4), 1.0)  # cached
         True
         """
-        key = self._key(workload, epsilon)
+        key = self._store_key(workload, epsilon)
         if key in self._results:
             return self._results[key]
-        store_key = None
         if self.store is not None:
-            store_key = self._store_key(workload, epsilon)
-            stored = self.store.get(store_key)
+            stored = self.store.get(key)
             if stored is not None:
                 self._results[key] = stored
                 return stored
@@ -174,7 +142,7 @@ class OptimizedMechanism(StrategyMechanism):
             )
         if self.store is not None:
             self.store.put(
-                store_key, result, workload=workload.name, config=self.config
+                key, result, workload=workload.name, config=self.config
             )
         self._results[key] = result
         return result
@@ -233,7 +201,7 @@ class OptimizedMechanism(StrategyMechanism):
     def reconstruction_for(self, workload: Workload, epsilon: float) -> np.ndarray:
         """The Theorem 3.10 reconstruction operator for the optimized
         strategy (cached alongside it)."""
-        key = self._key(workload, epsilon)
+        key = self._store_key(workload, epsilon)
         if key not in self._operators:
             strategy = self.strategy_for(workload, epsilon)
             self._operators[key] = reconstruction_operator(strategy.probabilities)

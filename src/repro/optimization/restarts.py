@@ -55,7 +55,9 @@ class RestartReport:
     Attributes
     ----------
     result:
-        The winning :class:`~repro.optimization.pgd.OptimizationResult`.
+        The winning :class:`~repro.optimization.pgd.OptimizationResult`
+        (a :class:`~repro.optimization.factored.FactoredOptimizationResult`
+        from :func:`~repro.optimization.factored.multi_restart_optimize_factored`).
     objectives:
         Final objective of every restart, in schedule order (``inf`` for a
         restart that diverged).  Empty on a store hit.
@@ -65,7 +67,8 @@ class RestartReport:
     store_hit:
         True when the result came straight from the store (no PGD ran).
     warm_started:
-        True when a stored nearby-epsilon strategy seeded an extra restart.
+        True when a stored nearby-epsilon strategy seeded an extra restart
+        (dense builds only).
     best_index:
         Index into ``objectives`` of the winning restart (-1 on a store hit).
     """
@@ -144,16 +147,10 @@ def _attach_shared_gram(name: str, shape: tuple, dtype_str: str) -> None:
     global _SHARED_GRAM
     from multiprocessing import shared_memory
 
+    # Attaching registers the name again with the resource tracker the
+    # workers share with the parent; the tracker keeps a set, so the
+    # parent's one unlink() still removes it.
     segment = shared_memory.SharedMemory(name=name)
-    try:
-        # Attaching registers the segment with the resource tracker as if
-        # this process owned it; the parent alone unlinks, so deregister to
-        # avoid spurious "leaked shared_memory" warnings at shutdown.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
     gram = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=segment.buf)
     _SHARED_GRAM = (segment, gram)
 
@@ -209,6 +206,31 @@ def _run_process_backend(
     finally:
         segment.close()
         segment.unlink()
+
+
+def _best_of(
+    results: list, seeds: list, epsilon: float, *, warm_started: bool = False
+) -> RestartReport:
+    """The report of a finished restart schedule: the lowest objective wins
+    and a diverged restart (``None``) counts as ``inf``.  Shared by
+    :func:`multi_restart_optimize` and
+    :func:`~repro.optimization.factored.multi_restart_optimize_factored`."""
+    objectives = [
+        float("inf") if result is None else float(result.objective)
+        for result in results
+    ]
+    best_index = int(np.argmin(objectives))
+    if results[best_index] is None:
+        raise OptimizationError(
+            f"all {len(results)} restart(s) diverged for epsilon {epsilon}"
+        )
+    return RestartReport(
+        result=results[best_index],
+        objectives=objectives,
+        seeds=seeds,
+        warm_started=warm_started,
+        best_index=best_index,
+    )
 
 
 def _warm_start_config(
@@ -344,16 +366,7 @@ def multi_restart_optimize(
             _run_restart(gram, epsilon, run_config) for run_config in configs
         ]
 
-    objectives = [
-        float("inf") if result is None else float(result.objective)
-        for result in results
-    ]
-    best_index = int(np.argmin(objectives))
-    best = results[best_index]
-    if best is None:
-        raise OptimizationError(
-            f"all {len(configs)} restart(s) diverged for epsilon {epsilon}"
-        )
+    report = _best_of(results, seeds, epsilon, warm_started=warm_started)
     # Restart-level counters live in the coordinator process; per-iteration
     # counters from the process backend stay in the worker processes (each
     # restart is pure, so nothing is lost but their registry increments).
@@ -376,18 +389,13 @@ def multi_restart_optimize(
         # time, not on the key alone — record that in the entry's notes so
         # `repro strategy inspect` shows the true provenance.
         notes = None
-        if warm_started and best_index == len(configs) - 1:
+        if warm_started and report.best_index == len(configs) - 1:
             notes = {
                 "warm_start_won": True,
                 "warm_source_entry": warm_record.entry_id,
                 "warm_source_epsilon": warm_record.epsilon,
             }
-        store.put(key, best, workload=workload_name, config=config, notes=notes)
-    return RestartReport(
-        result=best,
-        objectives=objectives,
-        seeds=seeds,
-        store_hit=False,
-        warm_started=warm_started,
-        best_index=best_index,
-    )
+        store.put(
+            key, report.result, workload=workload_name, config=config, notes=notes
+        )
+    return report

@@ -1,12 +1,10 @@
 """Hyper-parameter searches around Algorithm 2 (Sections 4 and 6.5).
 
 Strategy quality can be evaluated analytically without touching any private
-data, so both searches below are free in privacy terms:
-
-* :func:`search_num_outputs` — sweep the number of strategy rows ``m``
-  (Figure 3b studies m between n and 16n).
-* :func:`best_of_restarts` — rerun the optimizer with different random
-  initializations and keep the best strategy.
+data, so the sweep below is free in privacy terms:
+:func:`search_num_outputs` sweeps the number of strategy rows ``m``
+(Figure 3b studies m between n and 16n).  Best-of-K random restarts live in
+:func:`repro.optimization.restarts.multi_restart_optimize`.
 """
 
 from __future__ import annotations
@@ -90,39 +88,6 @@ def search_num_outputs(
                 )
             )
     return points
-
-
-def best_of_restarts(
-    workload: Workload,
-    epsilon: float,
-    seeds: list[int],
-    config: OptimizerConfig | None = None,
-) -> OptimizationResult:
-    """Run the optimizer once per seed and keep the lowest-objective result.
-
-    This is the sweep-style sibling of
-    :func:`repro.optimization.restarts.multi_restart_optimize`, which adds
-    seed spawning, parallel backends, and store integration.
-
-    Examples
-    --------
-    >>> from repro.workloads import histogram
-    >>> config = OptimizerConfig(num_iterations=20)
-    >>> best = best_of_restarts(histogram(4), 1.0, [0, 1], config)
-    >>> singles = [
-    ...     optimize_strategy(histogram(4), 1.0, replace(config, seed=seed))
-    ...     for seed in (0, 1)
-    ... ]
-    >>> best.objective == min(run.objective for run in singles)
-    True
-    """
-    config = config or OptimizerConfig()
-    best: OptimizationResult | None = None
-    for seed in seeds:
-        result = optimize_strategy(workload, epsilon, replace(config, seed=seed))
-        if best is None or result.objective < best.objective:
-            best = result
-    return best
 
 
 def sample_complexity_of_result(

@@ -210,7 +210,6 @@ class EdgeAggregator(HttpTier):
         upstream_timeout: float = 30.0,
         registry: MetricsRegistry | None = None,
         tracing: bool = True,
-        slow_request_seconds: float = 1.0,
         upstream_factory=None,
     ) -> None:
         if forward_reports < 1:
@@ -229,7 +228,6 @@ class EdgeAggregator(HttpTier):
         super().__init__(
             registry if registry is not None else MetricsRegistry(),
             tracing=tracing,
-            slow_request_seconds=slow_request_seconds,
         )
         self.upstream_host = upstream_host
         self.upstream_port = int(upstream_port)

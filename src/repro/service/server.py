@@ -108,6 +108,10 @@ MAX_BODY_BYTES = 10 << 20
 #: Largest accepted request line + headers.
 MAX_HEADER_BYTES = 64 << 10
 
+#: Requests slower than this log a structured warning with their route,
+#: status, duration and trace id.
+SLOW_REQUEST_SECONDS = 1.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -210,11 +214,9 @@ class HttpTier:
         registry: MetricsRegistry,
         *,
         tracing: bool = True,
-        slow_request_seconds: float = 1.0,
     ) -> None:
         self.registry = registry
         self.tracer = Tracer(registry, enabled=tracing)
-        self.slow_request_seconds = slow_request_seconds
         self.requests_served = 0
         self.started_at: float | None = None
         self._started_monotonic: float | None = None
@@ -436,7 +438,7 @@ class HttpTier:
                 "malformed request rejected",
                 extra={"status": status, "error": str(malformed)},
             )
-        if duration > self.slow_request_seconds:
+        if duration > SLOW_REQUEST_SECONDS:
             _LOG.warning(
                 "slow request",
                 extra={
@@ -546,9 +548,6 @@ class CollectionService(HttpTier):
     tracing:
         When true (default), ingest requests mint a trace id at the edge
         and each stage (dispatch/decode/fold) records a child span.
-    slow_request_seconds:
-        Requests slower than this log a structured warning with their
-        route, status, duration, and trace id.
     wal_dir:
         Directory for the ingest write-ahead log (requires
         ``checkpoint_dir``).  When set, every accepted ingest body is
@@ -560,9 +559,8 @@ class CollectionService(HttpTier):
         shards rebuilt from checkpoint + WAL replay instead of degrading
         the pool (see :mod:`repro.service.wal` and
         :mod:`repro.service.cluster`).
-    wal_segment_bytes, wal_fsync:
-        Segment rotation size, and whether appends fsync (disable only
-        for benchmarks that measure the non-durable ceiling).
+    wal_segment_bytes:
+        Segment rotation size.
     fault_plan:
         Optional :class:`~repro.service.faults.FaultPlan` (or a path /
         inline-JSON string for :meth:`FaultPlan.load`): deterministic
@@ -584,10 +582,8 @@ class CollectionService(HttpTier):
         cluster_start_method: str = DEFAULT_START_METHOD,
         registry: MetricsRegistry | None = None,
         tracing: bool = True,
-        slow_request_seconds: float = 1.0,
         wal_dir=None,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        wal_fsync: bool = True,
         fault_plan: FaultPlan | str | None = None,
         worker_restart_limit: int = DEFAULT_RESTART_LIMIT,
     ) -> None:
@@ -611,17 +607,13 @@ class CollectionService(HttpTier):
         super().__init__(
             registry if registry is not None else MetricsRegistry(),
             tracing=tracing,
-            slow_request_seconds=slow_request_seconds,
         )
         if isinstance(fault_plan, str):
             fault_plan = FaultPlan.load(fault_plan)
         self.faults = fault_plan
         self.wal = (
             WriteAheadLog(
-                wal_dir,
-                segment_bytes=wal_segment_bytes,
-                fsync=wal_fsync,
-                faults=self.faults,
+                wal_dir, segment_bytes=wal_segment_bytes, faults=self.faults
             )
             if wal_dir is not None
             else None

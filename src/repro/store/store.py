@@ -13,6 +13,12 @@ Layout under the store root::
       index.json              one JSON record per entry (provenance + LRU)
       entries/<entry_id>.npz  strategy + trajectory, content-addressed
 
+One ``put``/``get``/``load`` serves both strategy kinds: a dense
+:class:`~repro.mechanisms.base.StrategyMatrix` build and a
+Kronecker-factored :class:`~repro.mechanisms.factored.FactoredStrategy`
+build differ only in their payload arrays, and the index row's ``kind``
+column says which one an entry holds.
+
 Guarantees:
 
 * **Atomic writes** — payloads and the index are written to a temp file and
@@ -30,6 +36,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -42,6 +49,11 @@ import numpy as np
 
 from repro.exceptions import StoreError
 from repro.mechanisms.base import StrategyMatrix
+from repro.mechanisms.factored import FactoredStrategy
+from repro.optimization.factored import (
+    FactoredOptimizationResult,
+    FactoredOptimizerConfig,
+)
 from repro.optimization.pgd import OptimizationResult, OptimizerConfig
 from repro.store.keys import (
     StrategyKey,
@@ -165,9 +177,84 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+def _encode_payload(
+    result: OptimizationResult | FactoredOptimizationResult,
+) -> tuple[str, dict[str, np.ndarray]]:
+    """The kind and the strategy-specific payload arrays of one result.
+
+    A dense payload keeps the strategy matrix, its corridor bounds, the
+    objective trajectory and the step size.  A factored payload keeps only
+    the per-factor matrices — ``O(sum_i m_i d_i)`` bytes however large the
+    flat domain — plus the per-factor objectives, the budget split and a
+    ``kind`` field.  Dense payloads have no ``kind`` field, as they had
+    none before factored builds existed.
+    """
+    strategy = result.strategy
+    if isinstance(strategy, FactoredStrategy):
+        arrays = {
+            "kind": np.asarray("factored"),
+            "num_factors": np.asarray(strategy.num_attributes, dtype=np.int64),
+            "factor_objectives": np.asarray(result.factor_objectives, dtype=float),
+            "epsilon_split": np.asarray(result.epsilon_split, dtype=float),
+            "rounds_run": np.asarray(result.rounds_run, dtype=np.int64),
+            "iterations_run": np.asarray(result.iterations_run, dtype=np.int64),
+        }
+        for index, factor in enumerate(strategy.factors):
+            arrays[f"factor_{index}_probabilities"] = factor.probabilities
+            arrays[f"factor_{index}_epsilon"] = np.asarray(factor.epsilon)
+            arrays[f"factor_{index}_name"] = np.asarray(factor.name)
+        return "factored", arrays
+    return "dense", {
+        "probabilities": strategy.probabilities,
+        "bounds": np.asarray(result.bounds, dtype=float),
+        "history": np.asarray(result.history, dtype=float),
+        "step_size": np.asarray(result.step_size),
+        "iterations_run": np.asarray(result.iterations_run),
+    }
+
+
+def _decode_payload(
+    archive, kind: str
+) -> OptimizationResult | FactoredOptimizationResult:
+    """Rebuild the result :func:`_encode_payload` wrote.  Every strategy
+    matrix goes back through :class:`StrategyMatrix`, which re-checks
+    column stochasticity and the epsilon-LDP ratio."""
+    if kind == "factored":
+        factors = tuple(
+            StrategyMatrix(
+                archive[f"factor_{index}_probabilities"],
+                float(archive[f"factor_{index}_epsilon"]),
+                name=str(archive[f"factor_{index}_name"]),
+            )
+            for index in range(int(archive["num_factors"]))
+        )
+        return FactoredOptimizationResult(
+            strategy=FactoredStrategy(factors, name=str(archive["strategy_name"])),
+            objective=float(archive["objective"]),
+            factor_objectives=[float(value) for value in archive["factor_objectives"]],
+            epsilon_split=tuple(float(value) for value in archive["epsilon_split"]),
+            rounds_run=int(archive["rounds_run"]),
+            iterations_run=int(archive["iterations_run"]),
+        )
+    return OptimizationResult(
+        strategy=StrategyMatrix(
+            archive["probabilities"],
+            float(archive["epsilon"]),
+            name=str(archive["strategy_name"]),
+        ),
+        bounds=np.asarray(archive["bounds"], dtype=float),
+        objective=float(archive["objective"]),
+        step_size=float(archive["step_size"]),
+        iterations_run=int(archive["iterations_run"]),
+        history=list(np.asarray(archive["history"], dtype=float)),
+    )
+
+
 class StrategyStore:
     """Persistent map from :class:`~repro.store.keys.StrategyKey` to
-    :class:`~repro.optimization.pgd.OptimizationResult`.
+    :class:`~repro.optimization.pgd.OptimizationResult` (dense entries) or
+    :class:`~repro.optimization.factored.FactoredOptimizationResult`
+    (factored entries).
 
     Parameters
     ----------
@@ -283,193 +370,22 @@ class StrategyStore:
     def put(
         self,
         key: StrategyKey,
-        result: OptimizationResult,
+        result: OptimizationResult | FactoredOptimizationResult,
         workload: str | Workload | None = None,
-        config: OptimizerConfig | None = None,
+        config: OptimizerConfig | FactoredOptimizerConfig | None = None,
         notes: dict | None = None,
     ) -> StoreRecord:
-        """Persist an optimization result under ``key`` (overwrites).
+        """Persist a dense or factored optimization result under ``key``
+        (overwrites).
 
-        The payload carries full provenance: the strategy and its corridor
-        bounds, the objective trajectory, the Gram hash, the canonicalized
-        config, the library version that produced it, and any caller
-        ``notes`` (e.g. whether a warm start from another entry produced
-        the winner — important because a warm-started winner depends on
-        what the store held at build time, not on the key alone).
-        """
-        if canonical_epsilon(result.strategy.epsilon) != key.epsilon:
-            raise StoreError(
-                f"result epsilon {result.strategy.epsilon!r} does not match "
-                f"key epsilon {key.epsilon!r}"
-            )
-        if result.strategy.domain_size != key.domain_size:
-            raise StoreError(
-                f"result domain {result.strategy.domain_size} does not match "
-                f"key domain {key.domain_size}"
-            )
-        if isinstance(workload, Workload):
-            workload = workload.name
-        config_provenance = None
-        if config is not None:
-            config_provenance = {
-                field.name: _canonical_value(getattr(config, field.name))
-                for field in fields(config)
-            }
-        import io
-
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            store_version=np.asarray(STORE_VERSION),
-            probabilities=result.strategy.probabilities,
-            bounds=np.asarray(result.bounds, dtype=float),
-            history=np.asarray(result.history, dtype=float),
-            objective=np.asarray(result.objective),
-            step_size=np.asarray(result.step_size),
-            iterations_run=np.asarray(result.iterations_run),
-            epsilon=np.asarray(key.epsilon),
-            gram_hash=np.asarray(key.gram_hash),
-            config_hash=np.asarray(key.config_hash),
-            strategy_name=np.asarray(result.strategy.name),
-            config_json=np.asarray(
-                json.dumps(config_provenance, sort_keys=True)
-            ),
-            notes_json=np.asarray(json.dumps(notes or {}, sort_keys=True)),
-            library_version=np.asarray(_library_version()),
-        )
-        payload = buffer.getvalue()
-        path = self.entry_path(key.entry_id)
-        _atomic_write_bytes(path, payload)
-
-        now = time.time()
-        record = StoreRecord(
-            entry_id=key.entry_id,
-            gram_hash=key.gram_hash,
-            domain_size=key.domain_size,
-            epsilon=key.epsilon,
-            config_hash=key.config_hash,
-            workload=workload,
-            num_outputs=result.strategy.num_outputs,
-            objective=float(result.objective),
-            iterations_run=int(result.iterations_run),
-            step_size=float(result.step_size),
-            payload_sha256=_sha256_bytes(payload),
-            size_bytes=len(payload),
-            created_at=now,
-            last_used_at=now,
-            library_version=_library_version(),
-        )
-        with self._index_lock():
-            entries = self._read_index()
-            entries[key.entry_id] = asdict(record)
-            self._write_index(entries)
-        return record
-
-    # -- read path ---------------------------------------------------------
-
-    def get(self, key: StrategyKey) -> OptimizationResult | None:
-        """Look up a result by exact key; ``None`` on miss.
-
-        A corrupt entry (truncated payload, checksum mismatch, invalid
-        strategy) is evicted and reported as a miss rather than raised, so a
-        damaged cache degrades to recomputation instead of failure.  The
-        LRU timestamp update is best-effort: reading from a store on a
-        read-only filesystem still works, it just loses recency tracking.
-        """
-        row = self._read_index().get(key.entry_id)
-        if row is None:
-            return None
-        if row.get("kind", "dense") != "dense":
-            # A factored build can share an id only through a hash-level
-            # accident; never decode it on the dense path (and never evict a
-            # healthy entry over a type mismatch).
-            return None
-        try:
-            result = self._load_validated(self._record_from_row(row))
-        except StoreError:
-            self.discard(key.entry_id)
-            return None
-        try:
-            with self._index_lock():
-                entries = self._read_index()
-                touched = entries.get(key.entry_id)
-                if touched is not None:
-                    touched["last_used_at"] = time.time()
-                    self._write_index(entries)
-        except (OSError, StoreError):
-            pass
-        return result
-
-    def load(self, entry_id: str) -> OptimizationResult:
-        """Load one entry by id, verifying integrity; raises on any damage.
-
-        Raises
-        ------
-        StoreError
-            If the entry is missing, its checksum does not match the index,
-            or the payload fails validation (including the strategy's
-            epsilon-LDP re-check).
-        """
-        return self._load_validated(self.record(entry_id))
-
-    def _load_validated(self, record: StoreRecord) -> OptimizationResult:
-        entry_id = record.entry_id
-        if record.kind != "dense":
-            raise StoreError(
-                f"store entry {entry_id!r} holds a {record.kind} strategy; "
-                "use load_factored()/get_factored() for factored entries"
-            )
-        path = self.entry_path(entry_id)
-        if not path.exists():
-            raise StoreError(f"store entry {entry_id!r} payload is missing")
-        if _sha256_file(path) != record.payload_sha256:
-            raise StoreError(
-                f"store entry {entry_id!r} failed its checksum "
-                "(truncated or tampered payload)"
-            )
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                if int(archive["store_version"]) != STORE_VERSION:
-                    raise StoreError(
-                        f"entry {entry_id!r} has store version "
-                        f"{int(archive['store_version'])}, expected {STORE_VERSION}"
-                    )
-                strategy = StrategyMatrix(
-                    archive["probabilities"],
-                    float(archive["epsilon"]),
-                    name=str(archive["strategy_name"]),
-                )
-                result = OptimizationResult(
-                    strategy=strategy,
-                    bounds=np.asarray(archive["bounds"], dtype=float),
-                    objective=float(archive["objective"]),
-                    step_size=float(archive["step_size"]),
-                    iterations_run=int(archive["iterations_run"]),
-                    history=list(np.asarray(archive["history"], dtype=float)),
-                )
-        except StoreError:
-            raise
-        except Exception as error:  # zip damage, missing fields, bad matrix
-            raise StoreError(f"store entry {entry_id!r} is corrupt: {error}")
-        return result
-
-    # -- factored write/read paths ------------------------------------------
-
-    def put_factored(
-        self,
-        key: StrategyKey,
-        result,
-        workload: str | Workload | None = None,
-        config=None,
-        notes: dict | None = None,
-    ) -> StoreRecord:
-        """Persist a factored optimization result under ``key`` (overwrites).
-
-        The payload stores only the per-factor matrices — ``O(sum_i m_i
-        d_i)`` bytes however large the flat domain — plus the joint
-        objective, the budget split, and the same provenance block as
-        :meth:`put`.  The index row carries ``kind="factored"`` so dense
-        lookups can never decode it.
+        The result's strategy type picks the payload format (see
+        :func:`_encode_payload`) and the index row's ``kind``.  Either way
+        the payload carries full provenance: the objective, the Gram hash,
+        the canonicalized config, the library version that produced it,
+        and any caller ``notes`` (e.g. whether a warm start from another
+        entry produced the winner — important because a warm-started winner
+        depends on what the store held at build time, not on the key
+        alone).
         """
         strategy = result.strategy
         if canonical_epsilon(strategy.epsilon) != key.epsilon:
@@ -490,34 +406,25 @@ class StrategyStore:
                 field.name: _canonical_value(getattr(config, field.name))
                 for field in fields(config)
             }
-        import io
-
-        arrays = {
-            "store_version": np.asarray(STORE_VERSION),
-            "kind": np.asarray("factored"),
-            "num_factors": np.asarray(strategy.num_attributes, dtype=np.int64),
-            "objective": np.asarray(result.objective),
-            "factor_objectives": np.asarray(result.factor_objectives, dtype=float),
-            "epsilon_split": np.asarray(result.epsilon_split, dtype=float),
-            "rounds_run": np.asarray(result.rounds_run, dtype=np.int64),
-            "iterations_run": np.asarray(result.iterations_run, dtype=np.int64),
-            "epsilon": np.asarray(key.epsilon),
-            "gram_hash": np.asarray(key.gram_hash),
-            "config_hash": np.asarray(key.config_hash),
-            "strategy_name": np.asarray(strategy.name),
-            "config_json": np.asarray(json.dumps(config_provenance, sort_keys=True)),
-            "notes_json": np.asarray(json.dumps(notes or {}, sort_keys=True)),
-            "library_version": np.asarray(_library_version()),
-        }
-        for index, factor in enumerate(strategy.factors):
-            arrays[f"factor_{index}_probabilities"] = factor.probabilities
-            arrays[f"factor_{index}_epsilon"] = np.asarray(factor.epsilon)
-            arrays[f"factor_{index}_name"] = np.asarray(factor.name)
+        kind, arrays = _encode_payload(result)
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
+        np.savez_compressed(
+            buffer,
+            store_version=np.asarray(STORE_VERSION),
+            objective=np.asarray(result.objective),
+            epsilon=np.asarray(key.epsilon),
+            gram_hash=np.asarray(key.gram_hash),
+            config_hash=np.asarray(key.config_hash),
+            strategy_name=np.asarray(strategy.name),
+            config_json=np.asarray(
+                json.dumps(config_provenance, sort_keys=True)
+            ),
+            notes_json=np.asarray(json.dumps(notes or {}, sort_keys=True)),
+            library_version=np.asarray(_library_version()),
+            **arrays,
+        )
         payload = buffer.getvalue()
-        path = self.entry_path(key.entry_id)
-        _atomic_write_bytes(path, payload)
+        _atomic_write_bytes(self.entry_path(key.entry_id), payload)
 
         now = time.time()
         record = StoreRecord(
@@ -530,13 +437,13 @@ class StrategyStore:
             num_outputs=strategy.num_outputs,
             objective=float(result.objective),
             iterations_run=int(result.iterations_run),
-            step_size=0.0,
+            step_size=float(arrays.get("step_size", 0.0)),
             payload_sha256=_sha256_bytes(payload),
             size_bytes=len(payload),
             created_at=now,
             last_used_at=now,
             library_version=_library_version(),
-            kind="factored",
+            kind=kind,
         )
         with self._index_lock():
             entries = self._read_index()
@@ -544,18 +451,25 @@ class StrategyStore:
             self._write_index(entries)
         return record
 
-    def get_factored(self, key: StrategyKey):
-        """Look up a factored result by exact key; ``None`` on miss.
+    # -- read path ---------------------------------------------------------
 
-        Same degradation contract as :meth:`get`: corrupt entries are
-        evicted and reported as misses, dense entries under the id are
-        misses (never evicted), LRU touch is best-effort.
+    def get(
+        self, key: StrategyKey
+    ) -> OptimizationResult | FactoredOptimizationResult | None:
+        """Look up a result by exact key; ``None`` on miss.
+
+        A corrupt entry (truncated payload, checksum mismatch, payload kind
+        disagreeing with the index, invalid strategy) is evicted and
+        reported as a miss rather than raised, so a damaged cache degrades
+        to recomputation instead of failure.  The LRU timestamp update is
+        best-effort: reading from a store on a read-only filesystem still
+        works, it just loses recency tracking.
         """
         row = self._read_index().get(key.entry_id)
-        if row is None or row.get("kind", "dense") != "factored":
+        if row is None:
             return None
         try:
-            result = self._load_factored_validated(self._record_from_row(row))
+            result = self._load_validated(self._record_from_row(row))
         except StoreError:
             self.discard(key.entry_id)
             return None
@@ -570,21 +484,29 @@ class StrategyStore:
             pass
         return result
 
-    def load_factored(self, entry_id: str):
-        """Load one factored entry by id, verifying integrity; raises on
-        damage or when the entry holds a dense strategy."""
-        record = self.record(entry_id)
-        if record.kind != "factored":
-            raise StoreError(
-                f"store entry {entry_id!r} holds a {record.kind} strategy; "
-                "use load() for dense entries"
-            )
-        return self._load_factored_validated(record)
+    def load(
+        self, entry_id: str
+    ) -> OptimizationResult | FactoredOptimizationResult:
+        """Load one entry by id, verifying integrity; raises on any damage.
 
-    def _load_factored_validated(self, record: StoreRecord):
-        from repro.mechanisms.factored import FactoredStrategy
-        from repro.optimization.factored import FactoredOptimizationResult
+        Returns an :class:`~repro.optimization.pgd.OptimizationResult` for
+        a dense entry and a
+        :class:`~repro.optimization.factored.FactoredOptimizationResult`
+        for a factored one.
 
+        Raises
+        ------
+        StoreError
+            If the entry is missing, its checksum does not match the index,
+            its payload kind disagrees with the index row's ``kind``, or the
+            payload fails validation (including the strategy's epsilon-LDP
+            re-check).
+        """
+        return self._load_validated(self.record(entry_id))
+
+    def _load_validated(
+        self, record: StoreRecord
+    ) -> OptimizationResult | FactoredOptimizationResult:
         entry_id = record.entry_id
         path = self.entry_path(entry_id)
         if not path.exists():
@@ -601,39 +523,18 @@ class StrategyStore:
                         f"entry {entry_id!r} has store version "
                         f"{int(archive['store_version'])}, expected {STORE_VERSION}"
                     )
-                if str(archive["kind"]) != "factored":
+                # Dense payloads carry no kind field (see _encode_payload).
+                kind = str(archive["kind"]) if "kind" in archive.files else "dense"
+                if kind != record.kind:
                     raise StoreError(
-                        f"entry {entry_id!r} payload kind "
-                        f"{str(archive['kind'])!r} != 'factored'"
+                        f"entry {entry_id!r} payload kind {kind!r} != "
+                        f"index kind {record.kind!r}"
                     )
-                factors = tuple(
-                    StrategyMatrix(
-                        archive[f"factor_{index}_probabilities"],
-                        float(archive[f"factor_{index}_epsilon"]),
-                        name=str(archive[f"factor_{index}_name"]),
-                    )
-                    for index in range(int(archive["num_factors"]))
-                )
-                strategy = FactoredStrategy(
-                    factors, name=str(archive["strategy_name"])
-                )
-                result = FactoredOptimizationResult(
-                    strategy=strategy,
-                    objective=float(archive["objective"]),
-                    factor_objectives=[
-                        float(value) for value in archive["factor_objectives"]
-                    ],
-                    epsilon_split=tuple(
-                        float(value) for value in archive["epsilon_split"]
-                    ),
-                    rounds_run=int(archive["rounds_run"]),
-                    iterations_run=int(archive["iterations_run"]),
-                )
+                return _decode_payload(archive, kind)
         except StoreError:
             raise
         except Exception as error:  # zip damage, missing fields, bad matrix
             raise StoreError(f"store entry {entry_id!r} is corrupt: {error}")
-        return result
 
     def provenance(self, entry_id: str) -> dict:
         """The provenance block of one entry (config, versions, hashes)."""
@@ -691,7 +592,8 @@ class StrategyStore:
         """The lowest-objective entry for a workload/budget, any config.
 
         This is the deployment-side query: "give me the best strategy anyone
-        has built for this workload at this epsilon".
+        has built for this workload at this epsilon".  It matches dense
+        rows only, so :meth:`load` of the answer is always a dense result.
         """
         target_hash = gram_fingerprint(gram)
         target_epsilon = canonical_epsilon(epsilon)
@@ -701,24 +603,6 @@ class StrategyStore:
             if record.gram_hash == target_hash
             and record.epsilon == target_epsilon
             and record.kind == "dense"
-        ]
-        if not matches:
-            return None
-        return min(matches, key=lambda record: record.objective)
-
-    def best_factored_for(self, workload, epsilon: float) -> StoreRecord | None:
-        """The lowest-objective *factored* entry for a factored workload and
-        budget, any configuration (the deployment-side factored query)."""
-        from repro.store.keys import factored_fingerprint
-
-        target_hash = factored_fingerprint(workload)
-        target_epsilon = canonical_epsilon(epsilon)
-        matches = [
-            record
-            for record in self.records()
-            if record.gram_hash == target_hash
-            and record.epsilon == target_epsilon
-            and record.kind == "factored"
         ]
         if not matches:
             return None
@@ -735,7 +619,7 @@ class StrategyStore:
 
         ``max_log_ratio`` bounds ``|log(stored_eps / target_eps)|``; beyond
         it a warm start is unlikely to beat a random init and ``None`` is
-        returned.
+        returned.  Like :meth:`best_for`, it matches dense rows only.
         """
         target_hash = gram_fingerprint(gram)
         target_epsilon = canonical_epsilon(epsilon)

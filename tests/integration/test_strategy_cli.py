@@ -55,6 +55,21 @@ class TestBuild:
         assert records[0].workload == "Prefix"
         assert records[0].domain_size == 8
 
+    def test_factored_build_then_store_hit(self, tmp_path, capsys):
+        store = tmp_path / "strategies"
+        argv = [
+            "strategy", "build", "--factored",
+            "--workload", "Marginals", "--sizes", "3,2,2",
+            "--iterations", "20", "--restarts", "1",
+            "--store", str(store),
+        ]
+        assert main(argv) == 0
+        assert "store MISS" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "store HIT" in capsys.readouterr().out
+        records = StrategyStore(store).records()
+        assert [record.kind for record in records] == ["factored"]
+
 
 class TestList:
     def test_empty_store(self, tmp_path, capsys):

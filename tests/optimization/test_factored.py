@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OptimizationError
-from repro.mechanisms import FactoredStrategy, randomized_response
+from repro.mechanisms import FactoredStrategy, StrategyMatrix, randomized_response
 from repro.optimization import (
     FactoredOptimizerConfig,
     OptimizerConfig,
     factored_objective_value,
+    multi_restart_optimize,
     multi_restart_optimize_factored,
     objective_value,
     optimize_factored_strategy,
@@ -327,7 +328,7 @@ class TestMultiRestart:
         assert factored_key.gram_hash != dense_key.gram_hash
         assert factored_key.entry_id != dense_key.entry_id
 
-    def test_dense_api_refuses_factored_entries(self):
+    def test_one_store_api_keeps_kinds_apart(self):
         from repro.exceptions import StoreError
 
         workload = k_way_product_marginals((3, 2, 2), 2)
@@ -335,18 +336,30 @@ class TestMultiRestart:
             base=OptimizerConfig(num_iterations=30, seed=0), rounds=1
         )
         store = StrategyStore(tempfile.mkdtemp())
+        multi_restart_optimize(workload, 1.0, config.base, restarts=1, store=store)
         multi_restart_optimize_factored(
             workload, 1.0, config, restarts=1, store=store
         )
-        key = key_for_factored(workload, 1.0, config, restarts=1)
-        record = store.records()[0]
-        assert record.kind == "factored"
-        assert store.get(key) is None  # dense miss, not an eviction
-        assert store.get_factored(key) is not None  # still present
-        with pytest.raises(StoreError):
-            store.load(record.entry_id)
-        assert store.best_for(workload.gram(), 1.0) is None
-        assert store.best_factored_for(workload, 1.0) is not None
+        dense_key = key_for(workload.gram(), 1.0, config.base, restarts=1)
+        factored_key = key_for_factored(workload, 1.0, config, restarts=1)
+        assert {record.kind for record in store.records()} == {"dense", "factored"}
+        # The Gram lookups answer with the dense row only.
+        assert store.best_for(workload.gram(), 1.0).entry_id == dense_key.entry_id
+        assert store.nearest(workload.gram(), 1.0).entry_id == dense_key.entry_id
+        # One load() decodes either kind.
+        dense = store.load(dense_key.entry_id)
+        factored = store.load(factored_key.entry_id)
+        assert isinstance(dense.strategy, StrategyMatrix)
+        assert isinstance(factored.strategy, FactoredStrategy)
+        # An index row whose kind disagrees with its payload is damage.
+        entries = store._read_index()
+        entries[factored_key.entry_id]["kind"] = "dense"
+        store._write_index(entries)
+        with pytest.raises(StoreError, match="kind"):
+            store.load(factored_key.entry_id)
+        assert store.get(factored_key) is None
+        assert factored_key not in store
+        assert store.get(dense_key) is not None
 
     def test_process_backend_matches_serial(self):
         workload = k_way_product_marginals((3, 2, 2), 2)

@@ -37,16 +37,15 @@ class TestCaching:
         impostor = ExplicitWorkload(prefix(6).matrix[::-1] * 2.0, name="Prefix")
         genuine = prefix(6)
         assert genuine.name == impostor.name
-        key_a = quick_mechanism._key(genuine, 1.0)
-        key_b = quick_mechanism._key(impostor, 1.0)
+        key_a = quick_mechanism._store_key(genuine, 1.0)
+        key_b = quick_mechanism._store_key(impostor, 1.0)
         assert key_a != key_b
 
     def test_equal_content_shares_cache_entry(self, quick_mechanism):
         first = quick_mechanism.strategy_for(prefix(6), 1.0)
         second = quick_mechanism.strategy_for(prefix(6), 1.0)
-        assert quick_mechanism._key(prefix(6), 1.0) == quick_mechanism._key(
-            prefix(6), 1.0
-        )
+        key = quick_mechanism._store_key(prefix(6), 1.0)
+        assert key == quick_mechanism._store_key(prefix(6), 1.0)
         assert first is second
 
 

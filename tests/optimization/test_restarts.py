@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +68,44 @@ class TestDeterminism:
             serial.result.strategy.probabilities,
             process.result.strategy.probabilities,
         )
+
+    def test_process_backend_writes_nothing_to_stderr(self, tmp_path):
+        # The pool workers share the parent's resource tracker: a worker
+        # that unregisters the shared Gram makes the parent's unlink()
+        # trip a KeyError traceback inside the tracker.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "strategy",
+                "build",
+                "--workload",
+                "Prefix",
+                "--domain",
+                "6",
+                "--iterations",
+                "10",
+                "--restarts",
+                "2",
+                "--backend",
+                "process",
+                "--store",
+                str(tmp_path / "strategies"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "store MISS" in completed.stdout
+        assert "Traceback" not in completed.stderr
+        assert "leaked shared_memory" not in completed.stderr
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(OptimizationError, match="backend"):
@@ -199,10 +241,10 @@ class TestMechanismReadThrough:
         # but different iteration budgets must not share a cache slot.
         a = OptimizedMechanism(OptimizerConfig(num_iterations=30, seed=0))
         b = OptimizedMechanism(OptimizerConfig(num_iterations=60, seed=0))
-        assert a._key(prefix(8), 1.0) != b._key(prefix(8), 1.0)
+        assert a._store_key(prefix(8), 1.0) != b._store_key(prefix(8), 1.0)
         # Same config in two instances: keys agree.
         c = OptimizedMechanism(OptimizerConfig(num_iterations=30, seed=0))
-        assert a._key(prefix(8), 1.0) == c._key(prefix(8), 1.0)
+        assert a._store_key(prefix(8), 1.0) == c._store_key(prefix(8), 1.0)
 
     def test_floor_flag_separates_store_entries(self, store):
         floored = OptimizedMechanism(CONFIG, floor_baselines=True, store=store)

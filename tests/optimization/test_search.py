@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.optimization import (
     OptimizerConfig,
-    best_of_restarts,
     optimize_strategy,
     sample_complexity_of_result,
     search_num_outputs,
@@ -36,18 +35,6 @@ class TestSearchNumOutputs:
         )
         assert points[0].objective > 0
         assert points[0].worst_case_variance > 0
-
-
-class TestBestOfRestarts:
-    def test_returns_lowest_objective(self):
-        config = OptimizerConfig(num_iterations=60)
-        seeds = [0, 1, 2]
-        best = best_of_restarts(prefix(5), 1.0, seeds, config)
-        for seed in seeds:
-            from dataclasses import replace
-
-            single = optimize_strategy(prefix(5), 1.0, replace(config, seed=seed))
-            assert best.objective <= single.objective + 1e-9
 
 
 class TestResultMetrics:
