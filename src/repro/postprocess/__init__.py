@@ -9,6 +9,7 @@ from repro.postprocess.baselines import truncate_and_rescale, truncate_negative
 from repro.postprocess.intervals import (
     IntervalEstimate,
     per_query_variances,
+    variance_matrix,
     workload_confidence_intervals,
 )
 from repro.postprocess.wnnls import wnnls_from_answers, wnnls_from_data_estimate
@@ -18,6 +19,7 @@ __all__ = [
     "per_query_variances",
     "truncate_and_rescale",
     "truncate_negative",
+    "variance_matrix",
     "wnnls_from_answers",
     "wnnls_from_data_estimate",
     "workload_confidence_intervals",

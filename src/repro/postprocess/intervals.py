@@ -1,21 +1,35 @@
 """Confidence intervals for workload estimates.
 
 Theorem 3.4 gives the exact per-query variance of the factorization
-mechanism as a function of the data vector.  The data vector is private,
-but its unbiased estimate can be plugged in, giving asymptotically valid
-per-query standard errors — the response histogram is a sum of ``N``
-independent multinomials, so the estimates are asymptotically normal.
+mechanism ``V = W B`` as a function of the data vector.  It is linear in
+``x``:
 
-    Var[v_i^T y] = sum_u x_u [ v_i^T Diag(q_u) v_i - (v_i^T q_u)^2 ]
+    Var[v_i^T y] = sum_u x_u [ v_i^T Diag(q_u) v_i - (v_i^T q_u)^2 ] = (M x)_i
 
-The plug-in uses ``x_hat`` clipped to be non-negative (a variance needs
-non-negative weights); for moderate ``N`` the clipping bias is negligible
-compared to the noise, and the coverage test in the test suite confirms the
+and its coefficients ``M_iu = v_i^T Diag(q_u) v_i - (v_i^T q_u)^2``, i.e.
+``M = (V∘V) Q - (V Q)∘(V Q)``, are fixed once the strategy is.
+:func:`variance_matrix` builds the ``p × n`` matrix ``M`` once per deployed
+mechanism, and every answer then costs the single matvec ``M x̂₊``.  ``M``
+is built from the explicit workload matrix, so it exists only for
+workloads within :data:`~repro.workloads.base.MAX_EXPLICIT_ENTRIES`.
+
+The data vector is private, but its unbiased estimate can be plugged in,
+giving asymptotically valid per-query standard errors — the response
+histogram is a sum of ``N`` independent multinomials, so the estimates are
+asymptotically normal.  The plug-in ``x̂₊`` is the estimate clipped to be
+non-negative (a variance needs non-negative weights) and rescaled to the
+report count; for moderate ``N`` the clipping bias is negligible compared
+to the noise, and the coverage tests in the test suite confirm the
 intervals are calibrated.
+
+Rounds collected from disjoint cohorts over the same workload (an adaptive
+campaign's) are independent, so their answers add: ``est = Σ est_r`` and
+``se = sqrt(Σ se_r²)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,67 +51,120 @@ class IntervalEstimate:
     confidence: float
 
 
-def per_query_variances(
-    workload: Workload,
-    strategy: StrategyMatrix,
-    operator: np.ndarray,
-    data_vector: np.ndarray,
+def variance_matrix(
+    workload: Workload, strategy: StrategyMatrix, operator: np.ndarray
 ) -> np.ndarray:
-    """Exact per-query variances of ``V y`` at a given data vector.
+    """Theorem 3.4's per-query variance coefficients ``M`` (``p × n``).
 
-    Per query ``i``: ``sum_u x_u [ (V^2) q_u - (V q_u)^2 ]_i`` with
-    ``V = W B`` evaluated through the workload's matvec so implicit
-    workloads are supported.
+    ``M_iu`` is the variance one user of type ``u`` adds to query ``i``, so
+    its column sums are :func:`repro.analysis.variance.per_user_variances`.
+    The result is read-only.
+
+    Examples
+    --------
+    >>> from repro.analysis import reconstruction_operator
+    >>> from repro.mechanisms import randomized_response
+    >>> from repro.workloads import prefix
+    >>> strategy = randomized_response(4, 1.0)
+    >>> operator = reconstruction_operator(strategy.probabilities)
+    >>> variance_matrix(prefix(4), strategy, operator).shape
+    (4, 4)
+    """
+    reconstruction = workload.matrix @ operator
+    expectation = reconstruction @ strategy.probabilities
+    np.square(reconstruction, out=reconstruction)
+    matrix = reconstruction @ strategy.probabilities
+    matrix -= np.square(expectation, out=expectation)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def per_query_variances(matrix: np.ndarray, data_vector: np.ndarray) -> np.ndarray:
+    """Exact per-query variances ``M x`` at a non-negative data vector.
+
+    ``Var_i = sum_u M_iu x_u`` with ``M_iu = v_i^T Diag(q_u) v_i -
+    (v_i^T q_u)^2``; ``matrix`` is the deployed mechanism's
+    :func:`variance_matrix`, and the served intervals pass the clipped,
+    rescaled plug-in ``x̂₊`` as ``data_vector``.
     """
     data_vector = np.asarray(data_vector, dtype=float)
-    if data_vector.shape != (workload.domain_size,):
+    if data_vector.shape != (matrix.shape[1],):
         raise WorkloadError(
-            f"data vector shape {data_vector.shape} != ({workload.domain_size},)"
+            f"data vector shape {data_vector.shape} != ({matrix.shape[1]},)"
         )
     if data_vector.min() < 0:
         raise WorkloadError("variance weights must be non-negative")
-    reconstruction = workload.matrix @ operator
-    # Per query i: sum_u x_u [ sum_o V_io^2 q_ou - ((V Q)_iu)^2 ].
-    second_moment = reconstruction**2 @ (strategy.probabilities @ data_vector)
-    expectation = reconstruction @ strategy.probabilities
-    first_moment_sq = expectation**2 @ data_vector
-    return second_moment - first_moment_sq
+    return matrix @ data_vector
 
 
 def workload_confidence_intervals(
     workload: Workload,
-    strategy: StrategyMatrix,
     operator: np.ndarray,
+    matrix: np.ndarray,
     response_histogram: np.ndarray,
     confidence: float = 0.95,
+    completed: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> IntervalEstimate:
     """Point estimates and plug-in CIs for every workload query.
 
     Parameters
     ----------
-    workload, strategy, operator:
-        The deployed mechanism (``operator`` is the reconstruction ``B``).
+    workload, operator, matrix:
+        The deployed mechanism: its workload, reconstruction ``B`` and
+        :func:`variance_matrix` ``M``.
     response_histogram:
         The aggregated response vector ``y``.
     confidence:
         Two-sided confidence level in (0, 1).
+    completed:
+        ``(estimates, standard_errors)`` of earlier independent rounds over
+        the same workload, added in.  An empty ``response_histogram`` is
+        left out when there are any.
+
+    Examples
+    --------
+    >>> from repro.analysis import reconstruction_operator
+    >>> from repro.mechanisms import randomized_response
+    >>> from repro.workloads import histogram
+    >>> strategy = randomized_response(2, 1.0)
+    >>> operator = reconstruction_operator(strategy.probabilities)
+    >>> matrix = variance_matrix(histogram(2), strategy, operator)
+    >>> one = workload_confidence_intervals(
+    ...     histogram(2), operator, matrix, [60.0, 40.0]
+    ... )
+    >>> two = workload_confidence_intervals(
+    ...     histogram(2), operator, matrix, [60.0, 40.0],
+    ...     completed=[(one.estimates, one.standard_errors)],
+    ... )
+    >>> bool(np.allclose(two.standard_errors, one.standard_errors * 2**0.5))
+    True
     """
     if not 0.0 < confidence < 1.0:
         raise WorkloadError(f"confidence must be in (0, 1), got {confidence}")
     response_histogram = np.asarray(response_histogram, dtype=float)
-    data_estimate = operator @ response_histogram
-    estimates = workload.matvec(data_estimate)
-    plug_in = np.clip(data_estimate, 0.0, None)
-    total = response_histogram.sum()
-    if plug_in.sum() > 0 and total > 0:
-        plug_in = plug_in * (total / plug_in.sum())
-    variances = per_query_variances(workload, strategy, operator, plug_in)
-    standard_errors = np.sqrt(np.clip(variances, 0.0, None))
-    # Queries the mechanism answers exactly (e.g. the total count under a
-    # doubly stochastic strategy) have zero variance; a floating-point floor
-    # keeps their intervals from excluding the truth by round-off.
-    floor = 1e-9 * (1.0 + np.abs(estimates))
-    standard_errors = np.maximum(standard_errors, floor)
+    parts = list(completed)
+    if response_histogram.any() or not parts:
+        data_estimate = operator @ response_histogram
+        estimates = workload.matvec(data_estimate)
+        plug_in = np.clip(data_estimate, 0.0, None)
+        total = response_histogram.sum()
+        if plug_in.sum() > 0 and total > 0:
+            plug_in = plug_in * (total / plug_in.sum())
+        variances = per_query_variances(matrix, plug_in)
+        standard_errors = np.sqrt(np.clip(variances, 0.0, None))
+        # Queries the mechanism answers exactly (e.g. the total count under
+        # a doubly stochastic strategy) have zero variance; a floating-point
+        # floor keeps their intervals from excluding the truth by round-off.
+        floor = 1e-9 * (1.0 + np.abs(estimates))
+        parts.append((estimates, np.maximum(standard_errors, floor)))
+    estimates, standard_errors = parts[0]
+    if len(parts) > 1:
+        estimates = np.array(estimates, dtype=float)
+        variances = np.asarray(standard_errors, dtype=float) ** 2
+        for part_estimates, part_errors in parts[1:]:
+            estimates += part_estimates
+            variances += np.asarray(part_errors, dtype=float) ** 2
+        standard_errors = np.sqrt(variances)
     z = scipy.stats.norm.ppf(0.5 + confidence / 2.0)
     return IntervalEstimate(
         estimates=estimates,

@@ -31,10 +31,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from repro.exceptions import ServiceError
-from repro.postprocess.intervals import IntervalEstimate, workload_confidence_intervals
+from repro.postprocess.intervals import (
+    IntervalEstimate,
+    variance_matrix,
+    workload_confidence_intervals,
+)
 from repro.protocol.accounting import BudgetLedger, RoundBudget, split_budget
 from repro.protocol.adaptive import (
     boosted_workload,
@@ -45,7 +48,7 @@ from repro.protocol.adaptive import (
 from repro.protocol.engine import ProtocolSession, ShardAccumulator
 from repro.telemetry import get_registry
 from repro.workloads import by_name as workload_by_name
-from repro.workloads.base import ExplicitWorkload
+from repro.workloads.base import MAX_EXPLICIT_ENTRIES, ExplicitWorkload
 
 #: Campaign names become checkpoint file stems, so they are restricted to a
 #: filesystem-safe alphabet (matched with fullmatch — `$` alone would let a
@@ -197,6 +200,26 @@ class RoundRecord:
     session: ProtocolSession
     accumulator: ShardAccumulator
     selected_group: int
+    #: This round's estimates and floored standard errors, computed by the
+    #: first query after the round closed: stale-round reports and partials
+    #: are refused, so they never change, and the round keeps no variance
+    #: matrix.
+    _answer: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def answer(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(estimates, standard_errors)`` of this round alone."""
+        if self._answer is None:
+            session = self.session
+            intervals = workload_confidence_intervals(
+                session.workload,
+                session.operator,
+                variance_matrix(session.workload, session.strategy, session.operator),
+                self.accumulator.histogram,
+            )
+            self._answer = (intervals.estimates, intervals.standard_errors)
+        return self._answer
 
     def describe(self) -> dict:
         return {
@@ -267,6 +290,13 @@ class Campaign:
     #: (see :meth:`CampaignManager.apply_partial`).  Persisted in
     #: checkpoints so a retried forward stays idempotent across recovery.
     edge_sequences: dict[str, int] = field(default_factory=dict)
+    #: The live session's variance matrix ``M``
+    #: (:func:`~repro.postprocess.intervals.variance_matrix`): built by the
+    #: first query, dropped when a round advance swaps the session, never
+    #: checkpointed.
+    _variance_matrix: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         validate_campaign_name(self.name)
@@ -300,6 +330,15 @@ class Campaign:
                 f"{self.accumulator.round_id} does not match the campaign's "
                 f"round {self.current_round}"
             )
+
+    def variance_matrix(self) -> np.ndarray:
+        """The live session's variance matrix, built at the first call."""
+        if self._variance_matrix is None:
+            session = self.session
+            self._variance_matrix = variance_matrix(
+                session.workload, session.strategy, session.operator
+            )
+        return self._variance_matrix
 
     @property
     def num_reports(self) -> int:
@@ -516,6 +555,14 @@ class CampaignManager:
         if name in self._campaigns:
             raise ServiceError(f"campaign {name!r} already exists")
         target = workload_by_name(workload, domain_size)
+        if target.num_queries * target.domain_size > MAX_EXPLICIT_ENTRIES:
+            raise ServiceError(
+                f"{workload} at n={domain_size} has {target.num_queries} "
+                f"queries; a query needs its {target.num_queries} x "
+                f"{domain_size} variance matrix, over the "
+                f"{MAX_EXPLICIT_ENTRIES}-entry limit, so no query could be "
+                "answered — use a smaller domain"
+            )
         ledger = None
         strategy_epsilon = float(epsilon)
         if adaptive is not None:
@@ -723,6 +770,7 @@ class CampaignManager:
             )
         )
         campaign.session = session
+        campaign._variance_matrix = None
         campaign.accumulator = session.new_accumulator(advance.to_round)
         campaign.current_round = advance.to_round
         get_registry().counter(
@@ -855,14 +903,28 @@ class CampaignManager:
         rounds collect from disjoint client cohorts, so their total-count
         estimates are independent and simply add — ``est = Σ est_r`` with
         ``se = sqrt(Σ se_r²)`` — and no cohort's reports are ever thrown
-        away when the strategy moves on.
+        away when the strategy moves on.  The live session's variance
+        matrix and each completed round's answer are computed once, by the
+        first query that needs them.
         """
         campaign = self.get(name)
         merged = campaign.accumulator
         for partial in pending or ():
             if partial.num_reports:
                 merged = merged.merge(partial)
-        intervals = self._combined_intervals(campaign, merged, confidence)
+        session = campaign.session
+        intervals = workload_confidence_intervals(
+            session.workload,
+            session.operator,
+            campaign.variance_matrix(),
+            merged.histogram,
+            confidence,
+            [
+                record.answer()
+                for record in campaign.rounds
+                if record.accumulator.num_reports
+            ],
+        )
         return QueryAnswer(
             campaign=name,
             intervals=intervals,
@@ -870,51 +932,6 @@ class CampaignManager:
             + sum(record.accumulator.num_reports for record in campaign.rounds),
             as_of=time.time(),
             round=campaign.current_round,
-        )
-
-    @staticmethod
-    def _combined_intervals(
-        campaign: Campaign, merged: ShardAccumulator, confidence: float
-    ) -> IntervalEstimate:
-        """Fold every round's estimate into one interval set."""
-        live = [
-            (record.session, record.accumulator) for record in campaign.rounds
-        ]
-        live.append((campaign.session, merged))
-        live = [(s, a) for s, a in live if a.num_reports]
-        if len(live) <= 1:
-            session, accumulator = live[0] if live else (campaign.session, merged)
-            return workload_confidence_intervals(
-                session.workload,
-                session.strategy,
-                session.operator,
-                accumulator.histogram,
-                confidence=confidence,
-            )
-        estimates = None
-        variances = None
-        for session, accumulator in live:
-            part = workload_confidence_intervals(
-                session.workload,
-                session.strategy,
-                session.operator,
-                accumulator.histogram,
-                confidence=confidence,
-            )
-            if estimates is None:
-                estimates = np.array(part.estimates, dtype=float)
-                variances = np.array(part.standard_errors, dtype=float) ** 2
-            else:
-                estimates += part.estimates
-                variances += np.asarray(part.standard_errors, dtype=float) ** 2
-        standard_errors = np.sqrt(variances)
-        z = float(scipy.stats.norm.ppf(0.5 + confidence / 2))
-        return IntervalEstimate(
-            estimates=estimates,
-            standard_errors=standard_errors,
-            lower=estimates - z * standard_errors,
-            upper=estimates + z * standard_errors,
-            confidence=confidence,
         )
 
     def total_reports(self) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError, ServiceError
-from repro.postprocess import workload_confidence_intervals
+from repro.postprocess import variance_matrix, workload_confidence_intervals
 from repro.service import (
     AdaptivePlan,
     CampaignManager,
@@ -180,8 +180,8 @@ class TestAdaptiveLifecycle:
         per_round = [
             workload_confidence_intervals(
                 session.workload,
-                session.strategy,
                 session.operator,
+                variance_matrix(session.workload, session.strategy, session.operator),
                 accumulator.histogram,
                 confidence=0.95,
             )
@@ -201,6 +201,24 @@ class TestAdaptiveLifecycle:
                 + np.asarray(per_round[1].standard_errors) ** 2
             ),
         )
+
+    def test_completed_round_answer_is_computed_once(self, builds):
+        manager = make_adaptive_manager()
+        campaign = manager.get("demo")
+        campaign.accumulator.add_reports(skewed_reports(campaign.session, seed=1))
+        manager.advance_round("demo")
+        first = campaign.rounds[0].session.strategy
+        assert len(builds) == 1 and builds[0] is first  # the advance's query
+        del builds[:]
+        for seed in range(5):
+            campaign.accumulator.add_reports(
+                skewed_reports(campaign.session, count=50, seed=10 + seed)
+            )
+            manager.query("demo")
+        # The live round's matrix once, and round 1's once for its answer.
+        assert len(builds) == 2
+        assert sum(strategy is first for strategy in builds) == 1
+        assert sum(strategy is campaign.session.strategy for strategy in builds) == 1
 
     def test_describe_exposes_round_state(self):
         manager = make_adaptive_manager()

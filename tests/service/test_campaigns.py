@@ -6,7 +6,12 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.mechanisms import randomized_response
 from repro.protocol import ProtocolSession
-from repro.service import Campaign, CampaignManager, validate_campaign_name
+from repro.service import (
+    Campaign,
+    CampaignManager,
+    CheckpointStore,
+    validate_campaign_name,
+)
 from repro.workloads import histogram
 
 
@@ -116,6 +121,26 @@ class TestCampaignManager:
         assert campaign.source == "store"
         assert campaign.session.epsilon == 1.0
 
+    def test_unanswerable_workload_refused_before_strategy_resolution(
+        self, monkeypatch
+    ):
+        # AllRange at n=1024 has 524,800 queries: its p x n variance matrix
+        # is over MAX_EXPLICIT_ENTRIES, so no query could be answered.
+        def resolve(*args):
+            raise AssertionError("strategy resolved for a refused campaign")
+
+        monkeypatch.setattr(CampaignManager, "_session_from_mechanism", resolve)
+        manager = CampaignManager()
+        with pytest.raises(ServiceError, match="variance matrix"):
+            manager.create(
+                "wide",
+                workload="AllRange",
+                domain_size=1024,
+                epsilon=1.0,
+                mechanism="Randomized Response",
+            )
+        assert len(manager) == 0
+
     def test_adopt_rejects_mismatched_accumulator(self):
         from repro.protocol import ShardAccumulator
 
@@ -171,3 +196,31 @@ class TestQuery:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["num_reports"] == 3
         assert len(payload["estimates"]) == 8
+
+
+class TestVarianceMatrixReuse:
+    def test_twenty_queries_build_it_once(self, manager, builds):
+        campaign = manager.get("demo")
+        assert builds == []  # nobody queried yet
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            campaign.accumulator.add_reports(rng.integers(0, 8, size=50))
+            manager.query("demo")
+        assert len(builds) == 1
+        assert builds[0] is campaign.session.strategy
+
+    def test_recovered_campaign_builds_it_at_first_query(
+        self, manager, builds, tmp_path
+    ):
+        manager.get("demo").accumulator.add_reports([0, 1, 1, 5])
+        before = manager.query("demo")
+        CheckpointStore(tmp_path).save(manager)
+        recovered = CheckpointStore(tmp_path).load()
+        assert len(builds) == 1  # loading builds none
+        answers = [recovered.query("demo") for _ in range(3)]
+        assert len(builds) == 2
+        assert builds[1] is recovered.get("demo").session.strategy
+        for answer in answers:
+            assert np.array_equal(
+                answer.intervals.standard_errors, before.intervals.standard_errors
+            )

@@ -299,6 +299,29 @@ class TestReporter:
             reporter.report(8)
 
 
+class TestUnanswerableWorkload:
+    def test_create_refused_and_nothing_registered_or_checkpointed(self, tmp_path):
+        service = CollectionService(checkpoint_dir=tmp_path, checkpoint_interval=600.0)
+        thread = ServiceThread(service)
+        host, port = thread.start()
+        client = ServiceClient(host, port)
+        try:
+            with pytest.raises(ServiceError, match="400.*variance matrix"):
+                client.create_campaign(
+                    "wide",
+                    workload="AllRange",
+                    domain_size=1024,
+                    epsilon=1.0,
+                    mechanism="Randomized Response",
+                )
+            assert client.campaigns() == []
+            assert "wide" not in service.manager
+            assert not CheckpointStore(tmp_path).exists()
+        finally:
+            client.close()
+            thread.stop(final_checkpoint=False)
+
+
 class TestAcceptance:
     """The ISSUE's end-to-end criterion, in-process."""
 
