@@ -63,15 +63,10 @@ def time_seed_path(workload, strategy, data_vector, seed):
     return elapsed, aggregator.num_reports
 
 
-def time_engine_path(session, data_vector, seed, shards, workers, backend, fast):
+def time_engine_path(session, data_vector, seed, shards, backend, fast):
     start = time.perf_counter()
     result = session.run(
-        data_vector,
-        num_shards=shards,
-        num_workers=workers,
-        backend=backend,
-        seed=seed,
-        fast=fast,
+        data_vector, num_shards=shards, backend=backend, seed=seed, fast=fast
     )
     elapsed = time.perf_counter() - start
     return elapsed, result
@@ -100,10 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--domain", type=int, default=512)
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="serial"
-    )
+    parser.add_argument("--backend", choices=("serial", "thread"), default="serial")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--baseline-users",
@@ -171,7 +163,6 @@ def main(argv=None) -> int:
         data_vector,
         arguments.seed,
         arguments.shards,
-        arguments.workers,
         arguments.backend,
         fast=False,
     )
@@ -188,7 +179,6 @@ def main(argv=None) -> int:
         data_vector,
         arguments.seed,
         arguments.shards,
-        arguments.workers,
         arguments.backend,
         fast=True,
     )

@@ -113,13 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, help="number of population shards K"
     )
     protocol_run.add_argument(
-        "--workers", type=int, default=None, help="concurrent shard workers J"
-    )
-    protocol_run.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "thread"),
         default="serial",
-        help="shard execution backend",
+        help="shard execution backend (thread: one thread per usable CPU)",
     )
     protocol_run.add_argument(
         "--seed", type=int, default=0, help="root seed (spawns one RNG per shard)"
@@ -159,15 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--seed", type=int, default=0, help="root restart seed")
     build.add_argument(
         "--restarts", type=int, default=1, help="best-of-K random restarts"
-    )
-    build.add_argument(
-        "--backend",
-        choices=("serial", "process"),
-        default="serial",
-        help="restart execution backend",
-    )
-    build.add_argument(
-        "--workers", type=int, default=None, help="process-backend worker cap"
     )
     build.add_argument(
         "--num-outputs",
@@ -600,7 +588,6 @@ def _run_protocol_engine(arguments) -> int:
     result = session.run(
         truth,
         num_shards=arguments.shards,
-        num_workers=arguments.workers,
         backend=arguments.backend,
         fast=not arguments.message_level,
         seed=arguments.seed,
@@ -708,7 +695,7 @@ def _run_strategy_build(arguments) -> int:
             workload, arguments.epsilon, config, restarts=arguments.restarts
         )
         domain = f" ({' x '.join(str(size) for size in sizes)})"
-        mode = f"{arguments.backend}, factored"
+        mode = " [factored]"
     else:
         workload = workload_by_name(arguments.workload, arguments.domain)
         config = OptimizerConfig(
@@ -724,7 +711,7 @@ def _run_strategy_build(arguments) -> int:
             workload.gram(), arguments.epsilon, config, restarts=arguments.restarts
         )
         domain = ""
-        mode = arguments.backend
+        mode = ""
     store = _open_store(arguments.store)
     start = time.perf_counter()
     report = optimize(
@@ -732,8 +719,6 @@ def _run_strategy_build(arguments) -> int:
         arguments.epsilon,
         config,
         restarts=arguments.restarts,
-        backend=arguments.backend,
-        num_workers=arguments.workers,
         store=store,
     )
     elapsed = time.perf_counter() - start
@@ -748,8 +733,7 @@ def _run_strategy_build(arguments) -> int:
         shape = f"m = {strategy.num_outputs} outputs"
     print(
         f"workload {workload.name!r}, n = {workload.domain_size}{domain}, "
-        f"eps = {arguments.epsilon:g}, K = {arguments.restarts} restart(s) "
-        f"[{mode}]"
+        f"eps = {arguments.epsilon:g}, K = {arguments.restarts} restart(s){mode}"
     )
     if report.store_hit:
         print(

@@ -9,7 +9,7 @@
 * :mod:`repro.optimization.pgd` — Algorithm 2 (projected gradient descent).
 * :mod:`repro.optimization.optimized` — the "Optimized" mechanism wrapper.
 * :mod:`repro.optimization.search` — the strategy-rows sweep (m).
-* :mod:`repro.optimization.restarts` — the parallel multi-restart driver
+* :mod:`repro.optimization.restarts` — the multi-restart driver
   with strategy-store read-through and warm starts.
 * :mod:`repro.optimization.factored` — Kronecker-factorized optimization
   for product domains (per-factor PGD, alternating minimization).
@@ -46,7 +46,6 @@ from repro.optimization.pgd import (
 )
 from repro.optimization.restarts import (
     DEFAULT_WARM_START_LOG_RATIO,
-    RESTART_BACKENDS,
     RestartReport,
     multi_restart_optimize,
     restart_seeds,
@@ -80,7 +79,6 @@ __all__ = [
     "OptimizerConfig",
     "PROJECTION_METHODS",
     "ProjectionState",
-    "RESTART_BACKENDS",
     "RestartReport",
     "SweepPoint",
     "factored_objective_value",

@@ -35,7 +35,6 @@ sizes to rtol <= 1e-9.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import prod
 
@@ -54,9 +53,9 @@ from repro.optimization.pgd import (
     optimize_strategy,
 )
 from repro.optimization.restarts import (
-    RESTART_BACKENDS,
     RestartReport,
     _best_of,
+    _cached_report,
     restart_seeds,
 )
 from repro.workloads.kron import KronWorkload, ProductMarginalsWorkload
@@ -366,7 +365,8 @@ def optimize_factored_strategy(
 def _run_factored_restart(
     workload, epsilon: float, config: FactoredOptimizerConfig
 ) -> FactoredOptimizationResult | None:
-    """One restart; module-level so process pools can pickle it."""
+    """One restart; divergence is reported as ``None``, as in the dense
+    schedule."""
     try:
         return optimize_factored_strategy(workload, epsilon, config)
     except OptimizationError:
@@ -379,8 +379,6 @@ def multi_restart_optimize_factored(
     config: FactoredOptimizerConfig | None = None,
     *,
     restarts: int = 4,
-    backend: str = "serial",
-    num_workers: int | None = None,
     store=None,
     write: bool = True,
     workload_name: str | None = None,
@@ -393,9 +391,8 @@ def multi_restart_optimize_factored(
     :func:`~repro.optimization.restarts.multi_restart_optimize`, and a
     :class:`~repro.store.StrategyStore` — addressed by the *structural*
     factored fingerprint, never a materialized Gram — short-circuits exact
-    hits and persists the winner.  Per-factor Grams are tiny, so the
-    process backend simply pickles the workload into each worker; there is
-    no warm start.
+    hits and persists the winner.  Restarts run in the calling process,
+    and there is no warm start.
 
     Examples
     --------
@@ -415,11 +412,6 @@ def multi_restart_optimize_factored(
     True
     """
     config = config or FactoredOptimizerConfig()
-    if backend not in RESTART_BACKENDS:
-        raise OptimizationError(
-            f"unknown restart backend {backend!r}; expected one of "
-            f"{RESTART_BACKENDS}"
-        )
     if not isinstance(workload, FACTORED_WORKLOADS):
         raise OptimizationError(
             "factored optimization needs a KronWorkload or "
@@ -433,27 +425,18 @@ def multi_restart_optimize_factored(
         from repro.store import key_for_factored
 
         key = key_for_factored(workload, epsilon, config, restarts=restarts)
-        cached = store.get(key)
+        cached = _cached_report(store, key)
         if cached is not None:
-            return RestartReport(result=cached, store_hit=True)
+            return cached
 
     seeds = restart_seeds(config.base.seed, restarts)
     configs = [
         replace(config, base=replace(config.base, seed=seed)) for seed in seeds
     ]
-    if backend == "process" and len(configs) > 1:
-        max_workers = len(configs) if num_workers is None else num_workers
-        if max_workers < 1:
-            raise OptimizationError(f"need >= 1 worker, got {max_workers}")
-        jobs = [(workload, epsilon, run_config) for run_config in configs]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_run_factored_restart, *zip(*jobs)))
-    else:
-        results = [
-            _run_factored_restart(workload, epsilon, run_config)
-            for run_config in configs
-        ]
-
+    results = [
+        _run_factored_restart(workload, epsilon, run_config)
+        for run_config in configs
+    ]
     report = _best_of(results, seeds, epsilon)
     if store is not None and write:
         store.put(key, report.result, workload=workload_name, config=config)

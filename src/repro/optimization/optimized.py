@@ -56,8 +56,6 @@ class OptimizedMechanism(StrategyMechanism):
     restarts:
         Best-of-K random restarts per strategy (>= 1); restart 0 always
         runs ``config`` verbatim, so more restarts never hurt.
-    restart_backend:
-        ``"serial"`` or ``"process"`` execution for the restart schedule.
 
     Examples
     --------
@@ -74,7 +72,6 @@ class OptimizedMechanism(StrategyMechanism):
         floor_baselines: bool = True,
         store=None,
         restarts: int = 1,
-        restart_backend: str = "serial",
     ) -> None:
         super().__init__("Optimized", factory=None)
         if restarts < 1:
@@ -83,7 +80,6 @@ class OptimizedMechanism(StrategyMechanism):
         self.floor_baselines = floor_baselines
         self.store = store
         self.restarts = restarts
-        self.restart_backend = restart_backend
         self._results: dict[StrategyKey, OptimizationResult] = {}
         self._operators: dict[StrategyKey, np.ndarray] = {}
 
@@ -131,7 +127,6 @@ class OptimizedMechanism(StrategyMechanism):
             epsilon,
             self.config,
             restarts=self.restarts,
-            backend=self.restart_backend,
             store=self.store,
             write=False,
         )
@@ -221,5 +216,4 @@ class OptimizedMechanism(StrategyMechanism):
             floor_baselines=self.floor_baselines,
             store=self.store,
             restarts=self.restarts,
-            restart_backend=self.restart_backend,
         )

@@ -1,4 +1,4 @@
-"""Parallel multi-restart driver for Algorithm 2, backed by the store.
+"""Multi-restart driver for Algorithm 2, backed by the store.
 
 ``L(Q)`` is non-convex, so PGD's endpoint depends on the random init
 (Figure 3b); the standard remedy is best-of-K restarts.  This module is the
@@ -8,15 +8,11 @@ production driver for that loop:
   the K-restart objective is *never worse* than the single-restart one;
   restarts 1..K-1 draw their seeds from ``SeedSequence(seed).spawn()``, so
   the whole schedule is reproducible from one root seed.
-* **Backends** — restarts are independent, so they run serially or on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (the same executor
-  pattern as the protocol engine's shard backend).  Results are
-  backend-independent: each restart is a pure function of
-  ``(gram, epsilon, config)``.  The process backend publishes the Gram
-  matrix once through :mod:`multiprocessing.shared_memory` and workers
-  attach to it by name, so a K-restart run ships the ``n^2`` floats once
-  instead of pickling them into every job (falling back to pickling when
-  shared memory is unavailable).
+* **Execution** — restarts run one after another in the calling process.
+  Each restart is a pure function of ``(gram, epsilon, config)``, so an
+  executor could only change what a run costs; on two cores a process pool
+  cost more CPU time than it saved in wall time.  Every restart's
+  per-iteration counters land in the caller's metrics registry.
 * **Store integration** — with a :class:`~repro.store.StrategyStore`
   attached, an exact key hit skips optimization entirely; otherwise any
   stored strategy for the same workload at a nearby epsilon seeds one extra
@@ -26,7 +22,6 @@ production driver for that loop:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,9 +34,6 @@ from repro.optimization.pgd import (
 )
 from repro.telemetry import get_registry
 from repro.workloads.base import Workload
-
-#: Restart execution backends.
-RESTART_BACKENDS = ("serial", "process")
 
 #: Warm starts are attempted only when the stored epsilon is within this
 #: log-ratio of the target (a factor of e in either direction).
@@ -127,85 +119,26 @@ def restart_seeds(seed: int | None, restarts: int) -> list[int | None]:
 def _run_restart(
     gram: np.ndarray, epsilon: float, config: OptimizerConfig
 ) -> OptimizationResult | None:
-    """One restart; module-level so process pools can pickle it.  Divergence
-    is reported as ``None`` rather than raised so one bad init cannot kill
-    the whole schedule."""
+    """One restart.  Divergence is reported as ``None`` rather than raised
+    so one bad init cannot kill the whole schedule."""
     try:
         return optimize_strategy(gram, epsilon, config)
     except OptimizationError:
         return None
 
 
-#: Worker-process view of the shared Gram: ``(SharedMemory, ndarray)``.
-#: The handle is kept alive for the worker's lifetime so the buffer backing
-#: the array is never released underneath an optimization.
-_SHARED_GRAM: tuple | None = None
-
-
-def _attach_shared_gram(name: str, shape: tuple, dtype_str: str) -> None:
-    """Pool initializer: map the parent's Gram segment into this worker."""
-    global _SHARED_GRAM
-    from multiprocessing import shared_memory
-
-    # Attaching registers the name again with the resource tracker the
-    # workers share with the parent; the tracker keeps a set, so the
-    # parent's one unlink() still removes it.
-    segment = shared_memory.SharedMemory(name=name)
-    gram = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=segment.buf)
-    _SHARED_GRAM = (segment, gram)
-
-
-def _run_restart_shared(
-    epsilon: float, config: OptimizerConfig
-) -> OptimizationResult | None:
-    """One restart against the worker's attached shared-memory Gram."""
-    _, gram = _SHARED_GRAM
-    return _run_restart(gram, epsilon, config)
-
-
-def _run_process_backend(
-    gram: np.ndarray,
-    epsilon: float,
-    configs: list[OptimizerConfig],
-    max_workers: int,
-) -> list[OptimizationResult | None]:
-    """Fan restarts out to a process pool, sharing the Gram read-only.
-
-    The optimizer never mutates its Gram (the workspace copies what it
-    scales), so every worker can run directly against the one shared
-    segment.  If shared memory cannot be created (exotic platforms,
-    exhausted /dev/shm) the old pickle-the-Gram path still works.
-    """
-    gram = np.ascontiguousarray(gram, dtype=float)
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=max(gram.nbytes, 1))
-    except (ImportError, OSError):
-        segment = None
-    if segment is None:
-        jobs = [(gram, epsilon, run_config) for run_config in configs]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_restart, *zip(*jobs)))
-    try:
-        view = np.ndarray(gram.shape, dtype=gram.dtype, buffer=segment.buf)
-        view[:] = gram
-        del view  # release the exported buffer so close() cannot fail
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_attach_shared_gram,
-            initargs=(segment.name, gram.shape, gram.dtype.str),
-        ) as pool:
-            return list(
-                pool.map(
-                    _run_restart_shared,
-                    [epsilon] * len(configs),
-                    configs,
-                )
-            )
-    finally:
-        segment.close()
-        segment.unlink()
+def _cached_report(store, key) -> RestartReport | None:
+    """The store's exact hit for ``key`` as a report, or ``None`` on a miss.
+    Dense and factored builds both look up through here, so every hit is
+    counted."""
+    cached = store.get(key)
+    if cached is None:
+        return None
+    get_registry().counter(
+        "repro_optimizer_store_hits_total",
+        "Multi-restart calls answered straight from the store.",
+    ).inc()
+    return RestartReport(result=cached, store_hit=True)
 
 
 def _best_of(
@@ -214,7 +147,8 @@ def _best_of(
     """The report of a finished restart schedule: the lowest objective wins
     and a diverged restart (``None``) counts as ``inf``.  Shared by
     :func:`multi_restart_optimize` and
-    :func:`~repro.optimization.factored.multi_restart_optimize_factored`."""
+    :func:`~repro.optimization.factored.multi_restart_optimize_factored`,
+    so the completed runs and restarts of both are counted here."""
     objectives = [
         float("inf") if result is None else float(result.objective)
         for result in results
@@ -224,6 +158,15 @@ def _best_of(
         raise OptimizationError(
             f"all {len(results)} restart(s) diverged for epsilon {epsilon}"
         )
+    registry = get_registry()
+    registry.counter(
+        "repro_optimizer_multi_restart_runs_total",
+        "Completed multi-restart calls (store hits excluded).",
+    ).inc()
+    registry.counter(
+        "repro_optimizer_restarts_total",
+        "Individual restart runs scheduled across all multi-restart calls.",
+    ).inc(len(results))
     return RestartReport(
         result=results[best_index],
         objectives=objectives,
@@ -251,7 +194,6 @@ def multi_restart_optimize(
     *,
     restarts: int = 4,
     backend: str = "serial",
-    num_workers: int | None = None,
     store=None,
     write: bool = True,
     warm_start_log_ratio: float = DEFAULT_WARM_START_LOG_RATIO,
@@ -271,10 +213,11 @@ def multi_restart_optimize(
     restarts:
         Number of random restarts ``K`` (>= 1).
     backend:
-        ``"serial"`` or ``"process"`` (one process per restart, capped by
-        ``num_workers``).
-    num_workers:
-        Worker cap for the process backend; defaults to the restart count.
+        Only ``"serial"``; anything else raises
+        :class:`~repro.exceptions.OptimizationError`.  Restarts always run
+        in the calling process.  The keyword stays only because the repo
+        benchmark's optimizer workload (``perfbench/build.py``) passes
+        ``backend="serial"``; it goes with the next change to the benchmark.
     store:
         Optional :class:`~repro.store.StrategyStore`.  An exact key hit
         short-circuits; a nearby-epsilon entry seeds a warm restart; the
@@ -307,10 +250,10 @@ def multi_restart_optimize(
     3
     """
     config = config or OptimizerConfig()
-    if backend not in RESTART_BACKENDS:
+    if backend != "serial":
         raise OptimizationError(
-            f"unknown restart backend {backend!r}; expected one of "
-            f"{RESTART_BACKENDS}"
+            f"unknown restart backend {backend!r}; restarts run in-process "
+            "(backend='serial')"
         )
     if isinstance(workload, Workload):
         gram = workload.gram()
@@ -324,13 +267,9 @@ def multi_restart_optimize(
         from repro.store import key_for
 
         key = key_for(gram, epsilon, config, restarts=restarts)
-        cached = store.get(key)
+        cached = _cached_report(store, key)
         if cached is not None:
-            get_registry().counter(
-                "repro_optimizer_store_hits_total",
-                "Multi-restart calls answered straight from the store.",
-            ).inc()
-            return RestartReport(result=cached, store_hit=True)
+            return cached
 
     seeds: list = restart_seeds(config.seed, restarts)
     configs = [replace(config, seed=seed) for seed in seeds]
@@ -356,31 +295,10 @@ def multi_restart_optimize(
                 seeds.append("warm")
                 warm_started = True
 
-    if backend == "process" and len(configs) > 1:
-        max_workers = len(configs) if num_workers is None else num_workers
-        if max_workers < 1:
-            raise OptimizationError(f"need >= 1 worker, got {max_workers}")
-        results = _run_process_backend(gram, epsilon, configs, max_workers)
-    else:
-        results = [
-            _run_restart(gram, epsilon, run_config) for run_config in configs
-        ]
-
+    results = [_run_restart(gram, epsilon, run_config) for run_config in configs]
     report = _best_of(results, seeds, epsilon, warm_started=warm_started)
-    # Restart-level counters live in the coordinator process; per-iteration
-    # counters from the process backend stay in the worker processes (each
-    # restart is pure, so nothing is lost but their registry increments).
-    registry = get_registry()
-    registry.counter(
-        "repro_optimizer_multi_restart_runs_total",
-        "Completed multi_restart_optimize calls (store hits excluded).",
-    ).inc()
-    registry.counter(
-        "repro_optimizer_restarts_total",
-        "Individual restart runs scheduled across all multi-restart calls.",
-    ).inc(len(configs))
     if warm_started:
-        registry.counter(
+        get_registry().counter(
             "repro_optimizer_warm_starts_total",
             "Multi-restart calls that seeded a warm-started restart.",
         ).inc()

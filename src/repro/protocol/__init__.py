@@ -58,10 +58,11 @@ from repro.protocol.engine import (
     ProtocolResult,
     ProtocolSession,
     ShardAccumulator,
+    expand_users,
     split_data_vector,
 )
 from repro.protocol.server import Aggregator
-from repro.protocol.simulation import expand_users, run_protocol
+from repro.protocol.simulation import run_protocol
 
 __all__ = [
     "ACCUMULATOR_FORMAT_VERSION",

@@ -3,9 +3,9 @@
 The factorization mechanism's server side is pure post-processing of an
 *additive* response histogram, so collection decomposes freely: any
 partition of the population into shards can be randomized independently —
-sequentially, on a thread pool, or across processes — and folded back
-together without changing the estimate's distribution.  This module is the
-seam that exploits that structure:
+sequentially or on a thread pool — and folded back together without
+changing the estimate's distribution.  This module is the seam that
+exploits that structure:
 
 * :class:`ProtocolSession` — the immutable public configuration of one
   collection campaign: strategy, workload, and the reconstruction operator,
@@ -15,20 +15,21 @@ seam that exploits that structure:
   serialization, so partial aggregates can cross process or machine
   boundaries.
 * :meth:`ProtocolSession.run` — one-call execution over a data vector with
-  ``num_shards``/``num_workers``/``backend`` knobs.
+  ``num_shards``/``backend`` knobs.
 
 Determinism contract: sharding is a pure function of the data vector and
 ``num_shards``, and each shard's generator is spawned from a root
 :class:`numpy.random.SeedSequence`, so for a fixed seed the merged estimate
-is bit-identical whether shards run serially, on threads, or in separate
-processes, and in whatever order they are merged (histogram counts are
-integers, exactly representable in float64).
+is bit-identical whether shards run serially or on threads, and in whatever
+order they are merged (histogram counts are integers, exactly representable
+in float64).
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,10 @@ from repro.exceptions import ProtocolError
 from repro.mechanisms.base import DEFAULT_SAMPLE_CHUNK, StrategyMatrix
 from repro.workloads.base import Workload
 
-#: Execution backends accepted by :meth:`ProtocolSession.run`.
-BACKENDS = ("serial", "thread", "process")
+#: Execution backends accepted by :meth:`ProtocolSession.run`.  Shards are
+#: independent, so the backend changes only what a run costs, never its
+#: result.
+BACKENDS = ("serial", "thread")
 
 #: Magic string identifying a serialized :class:`ShardAccumulator` payload.
 ACCUMULATOR_MAGIC = "repro/shard-accumulator"
@@ -322,6 +325,22 @@ class ShardAccumulator:
         )
 
 
+def _user_counts(data_vector) -> np.ndarray:
+    """A population histogram's counts as ``int64``, refusing any count
+    that is not a finite, non-negative whole number (``25.0`` is fine,
+    ``2.5`` is not: flooring it would silently drop users)."""
+    values = np.asarray(data_vector, dtype=float)
+    if values.ndim != 1:
+        raise ProtocolError(f"data vector must be 1-D, got {values.ndim}-D")
+    if not np.isfinite(values).all():
+        raise ProtocolError("data vector has non-finite counts")
+    if (values < 0).any():
+        raise ProtocolError("data vector has negative counts")
+    if (values != np.floor(values)).any():
+        raise ProtocolError("data vector has non-integer counts")
+    return values.astype(np.int64)
+
+
 def split_data_vector(data_vector: np.ndarray, num_shards: int) -> list[np.ndarray]:
     """Deterministically partition a population histogram into shard histograms.
 
@@ -335,47 +354,73 @@ def split_data_vector(data_vector: np.ndarray, num_shards: int) -> list[np.ndarr
     >>> split_data_vector([5, 2], num_shards=2)
     [array([3., 1.]), array([2., 1.])]
     """
-    data_vector = np.asarray(data_vector)
     if num_shards < 1:
         raise ProtocolError(f"need >= 1 shard, got {num_shards}")
-    if data_vector.ndim != 1:
-        raise ProtocolError(f"data vector must be 1-D, got {data_vector.ndim}-D")
-    if data_vector.min() < 0:
-        raise ProtocolError("data vector has negative counts")
-    counts = data_vector.astype(np.int64)
+    counts = _user_counts(data_vector)
     base, remainder = counts // num_shards, counts % num_shards
     return [
         (base + (shard < remainder)).astype(float) for shard in range(num_shards)
     ]
 
 
-def _run_shard(
-    strategy: StrategyMatrix,
-    shard_vector: np.ndarray,
-    seed_sequence: np.random.SeedSequence | None,
-    rng: np.random.Generator | None,
-    fast: bool,
-    chunk_size: int,
-) -> tuple[np.ndarray, int]:
-    """Randomize one shard; module-level so process pools can pickle it.
+def expand_users(data_vector: np.ndarray) -> np.ndarray:
+    """Expand a data vector of counts into an array of user types.
 
-    Returns the raw ``(histogram, num_reports)`` pair rather than a
-    :class:`ShardAccumulator` to keep the cross-process payload minimal.
+    Examples
+    --------
+    >>> expand_users([2, 0, 3])
+    array([0, 0, 2, 2, 2])
     """
-    if rng is None:
-        rng = np.random.default_rng(seed_sequence)
-    accumulator = ShardAccumulator(strategy.num_outputs)
-    if fast:
-        accumulator.add_histogram(strategy.sample_histogram(shard_vector, rng))
-    else:
-        counts = np.asarray(shard_vector).astype(np.int64)
-        user_types = np.repeat(np.arange(counts.shape[0]), counts)
-        for start in range(0, user_types.shape[0], chunk_size):
-            chunk = user_types[start : start + chunk_size]
-            accumulator.add_reports(
-                strategy.sample_responses(chunk, rng, chunk_size=chunk_size)
+    counts = _user_counts(data_vector)
+    return np.repeat(np.arange(counts.shape[0]), counts)
+
+
+def _shard_seeds(
+    backend: str,
+    num_shards: int,
+    chunk_size: int,
+    seed: int | np.random.SeedSequence | None,
+    rng: np.random.Generator | None,
+) -> list[np.random.SeedSequence | None]:
+    """Validate a ``run`` call's execution knobs and return one seed
+    sequence per shard (``[None]`` in legacy single-``rng`` mode)."""
+    if backend not in BACKENDS:
+        raise ProtocolError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if chunk_size < 1:
+        raise ProtocolError(f"chunk size must be >= 1, got {chunk_size}")
+    if num_shards < 1:
+        raise ProtocolError(f"need >= 1 shard, got {num_shards}")
+    if rng is not None:
+        if seed is not None:
+            raise ProtocolError("pass either rng or seed, not both")
+        if num_shards != 1 or backend != "serial":
+            raise ProtocolError(
+                "an explicit rng only supports num_shards=1 on the serial "
+                "backend; use seed= for sharded runs"
             )
-    return accumulator.histogram, accumulator.num_reports
+        return [None]
+    root = (
+        seed
+        if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)
+    )
+    return list(root.spawn(num_shards))
+
+
+def _map_shards(collect, jobs: list, backend: str) -> list:
+    """``collect(*job)`` for every job, in job order: in-line, or on a thread
+    pool with one thread per CPU this process may use (more threads than
+    CPUs only queue behind each other)."""
+    if backend == "serial" or len(jobs) == 1:
+        return [collect(*job) for job in jobs]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(jobs), cpus)) as pool:
+        return list(pool.map(collect, *zip(*jobs)))
 
 
 @dataclass(frozen=True)
@@ -573,8 +618,9 @@ class ProtocolSession:
         40
         """
         rng = rng or np.random.default_rng()
+        counts = _user_counts(shard_vector)
         accumulator = self.new_accumulator()
-        accumulator.add_histogram(self.strategy.sample_histogram(shard_vector, rng))
+        accumulator.add_histogram(self.strategy.sample_histogram(counts, rng))
         return accumulator
 
     def finalize(self, accumulator: ShardAccumulator) -> ProtocolResult:
@@ -612,7 +658,6 @@ class ProtocolSession:
         data_vector: np.ndarray,
         *,
         num_shards: int = 1,
-        num_workers: int | None = None,
         backend: str = "serial",
         fast: bool = True,
         seed: int | np.random.SeedSequence | None = None,
@@ -624,16 +669,14 @@ class ProtocolSession:
         Parameters
         ----------
         data_vector:
-            True population histogram ``x`` (integer counts per type).
+            True population histogram ``x`` (finite, non-negative whole
+            counts per type).
         num_shards:
             Number of independent shards the population is split into.
-        num_workers:
-            Concurrent workers for the ``thread``/``process`` backends
-            (defaults to ``num_shards``).
         backend:
-            ``"serial"`` (in-line loop), ``"thread"``
-            (:class:`concurrent.futures.ThreadPoolExecutor`), or
-            ``"process"`` (:class:`~concurrent.futures.ProcessPoolExecutor`).
+            ``"serial"`` (in-line loop) or ``"thread"``
+            (:class:`concurrent.futures.ThreadPoolExecutor` with one thread
+            per usable CPU, capped at ``num_shards``).
         fast:
             Per-type multinomial shortcut (``True``) versus message-level
             per-user sampling (``False``); both paths are exact simulations
@@ -663,56 +706,25 @@ class ProtocolSession:
         >>> bool(np.array_equal(a.response_vector, b.response_vector))
         True
         """
-        if backend not in BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if chunk_size < 1:
-            raise ProtocolError(f"chunk size must be >= 1, got {chunk_size}")
-        if rng is not None:
-            if seed is not None:
-                raise ProtocolError("pass either rng or seed, not both")
-            if num_shards != 1 or backend != "serial":
-                raise ProtocolError(
-                    "an explicit rng only supports num_shards=1 on the serial "
-                    "backend; use seed= for sharded runs"
-                )
+        seeds = _shard_seeds(backend, num_shards, chunk_size, seed, rng)
         data_vector = np.asarray(data_vector, dtype=float)
         if data_vector.shape != (self.strategy.domain_size,):
             raise ProtocolError(
                 f"data vector shape {data_vector.shape} != "
                 f"({self.strategy.domain_size},)"
             )
-        shards = split_data_vector(data_vector, num_shards)
-        if rng is not None:
-            generators: list[np.random.SeedSequence | None] = [None]
-        else:
-            root = (
-                seed
-                if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed)
+
+        def collect(shard_vector, seed_sequence) -> ShardAccumulator:
+            generator = rng or np.random.default_rng(seed_sequence)
+            if fast:
+                return self.sample_shard(shard_vector, generator)
+            return self.randomize_shard(
+                expand_users(shard_vector), generator, chunk_size
             )
-            generators = list(root.spawn(num_shards))
-        jobs = [
-            (self.strategy, shard, sequence, rng, fast, chunk_size)
-            for shard, sequence in zip(shards, generators)
-        ]
-        if backend == "serial" or num_shards == 1:
-            partials = [_run_shard(*job) for job in jobs]
-        else:
-            max_workers = num_shards if num_workers is None else num_workers
-            if max_workers < 1:
-                raise ProtocolError(f"need >= 1 worker, got {max_workers}")
-            pool_type = (
-                ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-            )
-            with pool_type(max_workers=max_workers) as pool:
-                partials = list(pool.map(_run_shard, *zip(*jobs)))
-        merged = self.new_accumulator()
-        for histogram, num_reports in partials:
-            merged.histogram += histogram
-            merged.num_reports += num_reports
-        return self.finalize(merged)
+
+        jobs = list(zip(split_data_vector(data_vector, num_shards), seeds))
+        partials = _map_shards(collect, jobs, backend)
+        return self.finalize(ShardAccumulator.merge_all(partials))
 
 
 #: Magic string identifying a serialized :class:`FactoredAccumulator` payload.
@@ -1001,26 +1013,6 @@ class FactoredAccumulator:
         )
 
 
-def _run_factored_shard(
-    strategy,
-    attribute_rows: np.ndarray,
-    subsets,
-    seed_sequence: np.random.SeedSequence | None,
-    rng: np.random.Generator | None,
-    chunk_size: int,
-) -> "FactoredAccumulator":
-    """Randomize one shard of users; module-level so pools can pickle it."""
-    if rng is None:
-        rng = np.random.default_rng(seed_sequence)
-    accumulator = FactoredAccumulator(strategy.output_sizes, subsets)
-    for start in range(0, attribute_rows.shape[0], chunk_size):
-        chunk = attribute_rows[start : start + chunk_size]
-        accumulator.add_responses(
-            strategy.sample_attribute_responses(chunk, rng, chunk_size=chunk_size)
-        )
-    return accumulator
-
-
 @dataclass(frozen=True)
 class FactoredProtocolSession:
     """Marginal collection over a product domain, entirely factor-wise.
@@ -1108,14 +1100,15 @@ class FactoredProtocolSession:
         if chunk_size < 1:
             raise ProtocolError(f"chunk size must be >= 1, got {chunk_size}")
         attribute_rows = np.asarray(attribute_rows)
-        return _run_factored_shard(
-            self.strategy,
-            attribute_rows,
-            self.workload.subsets,
-            None,
-            rng,
-            chunk_size,
-        )
+        accumulator = self.new_accumulator()
+        for start in range(0, attribute_rows.shape[0], chunk_size):
+            chunk = attribute_rows[start : start + chunk_size]
+            accumulator.add_responses(
+                self.strategy.sample_attribute_responses(
+                    chunk, rng, chunk_size=chunk_size
+                )
+            )
+        return accumulator
 
     def finalize(self, accumulator: FactoredAccumulator) -> FactoredProtocolResult:
         """Reconstruct every marginal from a (possibly merged) shard state.
@@ -1160,7 +1153,6 @@ class FactoredProtocolSession:
         attribute_rows: np.ndarray,
         *,
         num_shards: int = 1,
-        num_workers: int | None = None,
         backend: str = "serial",
         seed: int | np.random.SeedSequence | None = None,
         rng: np.random.Generator | None = None,
@@ -1174,7 +1166,7 @@ class FactoredProtocolSession:
             Integer array of shape ``(N, k)``; row ``u`` holds user ``u``'s
             per-attribute types (users are *rows*, never a flat histogram —
             the flat domain may be too large to index).
-        num_shards / num_workers / backend:
+        num_shards / backend:
             Sharding knobs, as in :meth:`ProtocolSession.run`; shards are
             contiguous row ranges, so the merged tables are bit-identical
             across backends and merge orders for a fixed ``seed``.
@@ -1201,22 +1193,7 @@ class FactoredProtocolSession:
         >>> bool(np.array_equal(a.workload_estimates, b.workload_estimates))
         True
         """
-        if backend not in BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if chunk_size < 1:
-            raise ProtocolError(f"chunk size must be >= 1, got {chunk_size}")
-        if num_shards < 1:
-            raise ProtocolError(f"need >= 1 shard, got {num_shards}")
-        if rng is not None:
-            if seed is not None:
-                raise ProtocolError("pass either rng or seed, not both")
-            if num_shards != 1 or backend != "serial":
-                raise ProtocolError(
-                    "an explicit rng only supports num_shards=1 on the "
-                    "serial backend; use seed= for sharded runs"
-                )
+        seeds = _shard_seeds(backend, num_shards, chunk_size, seed, rng)
         attribute_rows = np.asarray(attribute_rows)
         if (
             attribute_rows.ndim != 2
@@ -1227,29 +1204,11 @@ class FactoredProtocolSession:
                 f"(N, {self.strategy.num_attributes}), got "
                 f"{attribute_rows.shape}"
             )
-        shards = np.array_split(attribute_rows, num_shards)
-        if rng is not None:
-            generators: list[np.random.SeedSequence | None] = [None]
-        else:
-            root = (
-                seed
-                if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed)
-            )
-            generators = list(root.spawn(num_shards))
-        jobs = [
-            (self.strategy, shard, self.workload.subsets, sequence, rng, chunk_size)
-            for shard, sequence in zip(shards, generators)
-        ]
-        if backend == "serial" or num_shards == 1:
-            partials = [_run_factored_shard(*job) for job in jobs]
-        else:
-            max_workers = num_shards if num_workers is None else num_workers
-            if max_workers < 1:
-                raise ProtocolError(f"need >= 1 worker, got {max_workers}")
-            pool_type = (
-                ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-            )
-            with pool_type(max_workers=max_workers) as pool:
-                partials = list(pool.map(_run_factored_shard, *zip(*jobs)))
+
+        def collect(shard_rows, seed_sequence) -> FactoredAccumulator:
+            generator = rng or np.random.default_rng(seed_sequence)
+            return self.randomize_shard(shard_rows, generator, chunk_size)
+
+        jobs = list(zip(np.array_split(attribute_rows, num_shards), seeds))
+        partials = _map_shards(collect, jobs, backend)
         return self.finalize(FactoredAccumulator.merge_all(partials))

@@ -18,27 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
 from repro.mechanisms.base import StrategyMatrix
-from repro.protocol.engine import ProtocolResult, ProtocolSession
+from repro.protocol.engine import ProtocolResult, ProtocolSession, expand_users
 from repro.workloads.base import Workload
 
 __all__ = ["ProtocolResult", "expand_users", "run_protocol"]
-
-
-def expand_users(data_vector: np.ndarray) -> np.ndarray:
-    """Expand a data vector of counts into an array of user types.
-
-    Examples
-    --------
-    >>> expand_users([2, 0, 3])
-    array([0, 0, 2, 2, 2])
-    """
-    data_vector = np.asarray(data_vector)
-    if data_vector.min() < 0:
-        raise ProtocolError("data vector has negative counts")
-    counts = data_vector.astype(np.int64)
-    return np.repeat(np.arange(counts.shape[0]), counts)
 
 
 def run_protocol(

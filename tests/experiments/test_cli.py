@@ -37,8 +37,6 @@ class TestParser:
                 "run",
                 "--shards",
                 "4",
-                "--workers",
-                "2",
                 "--backend",
                 "thread",
                 "--message-level",
@@ -47,13 +45,25 @@ class TestParser:
         assert arguments.command == "protocol"
         assert arguments.protocol_command == "run"
         assert arguments.shards == 4
-        assert arguments.workers == 2
         assert arguments.backend == "thread"
         assert arguments.message_level
 
     def test_protocol_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["protocol", "run", "--backend", "gpu"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["protocol", "run", "--backend", "process"],
+            ["protocol", "run", "--workers", "2"],
+            ["strategy", "build", "--backend", "serial"],
+            ["strategy", "build", "--workers", "2"],
+        ],
+    )
+    def test_process_pool_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestMain:

@@ -27,6 +27,7 @@ from repro.optimization import (
     optimize_strategy,
 )
 from repro.store import StrategyStore, key_for, key_for_factored
+from repro.telemetry import get_registry
 from repro.workloads import (
     KronWorkload,
     all_product_marginals,
@@ -361,18 +362,27 @@ class TestMultiRestart:
         assert factored_key not in store
         assert store.get(dense_key) is not None
 
-    def test_process_backend_matches_serial(self):
+    def test_cold_build_and_hit_are_counted(self):
+        # Factored builds share the dense builds' counters: one completed
+        # run, K restarts, then one store hit.
+        names = (
+            "repro_optimizer_multi_restart_runs_total",
+            "repro_optimizer_restarts_total",
+            "repro_optimizer_store_hits_total",
+        )
         workload = k_way_product_marginals((3, 2, 2), 2)
         config = FactoredOptimizerConfig(
-            base=OptimizerConfig(num_iterations=25, seed=0), rounds=1
+            base=OptimizerConfig(num_iterations=20, seed=0), rounds=1
         )
-        serial = multi_restart_optimize_factored(
-            workload, 1.0, config, restarts=2, backend="serial"
-        )
-        process = multi_restart_optimize_factored(
-            workload, 1.0, config, restarts=2, backend="process", num_workers=2
-        )
-        assert serial.objectives == process.objectives
+        store = StrategyStore(tempfile.mkdtemp())
+        before = get_registry().to_json()
+        for _ in range(2):
+            multi_restart_optimize_factored(
+                workload, 1.0, config, restarts=3, store=store
+            )
+        after = get_registry().to_json()
+        moved = [after.get(name, 0) - before.get(name, 0) for name in names]
+        assert moved == [1, 3, 1]
 
 
 class TestMillionCellSmoke:

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,6 +14,7 @@ from repro.optimization import (
     restart_seeds,
 )
 from repro.store import StrategyStore
+from repro.telemetry import get_registry
 from repro.workloads import histogram, prefix
 
 CONFIG = OptimizerConfig(num_iterations=50, seed=0)
@@ -55,100 +52,20 @@ class TestDeterminism:
             a.result.strategy.probabilities, b.result.strategy.probabilities
         )
 
-    def test_process_backend_matches_serial(self):
-        config = OptimizerConfig(num_iterations=25, seed=3)
-        serial = multi_restart_optimize(
-            prefix(8), 1.0, config, restarts=2, backend="serial"
-        )
-        process = multi_restart_optimize(
-            prefix(8), 1.0, config, restarts=2, backend="process"
-        )
-        assert serial.objectives == process.objectives
-        assert np.array_equal(
-            serial.result.strategy.probabilities,
-            process.result.strategy.probabilities,
-        )
-
-    def test_process_backend_writes_nothing_to_stderr(self, tmp_path):
-        # The pool workers share the parent's resource tracker: a worker
-        # that unregisters the shared Gram makes the parent's unlink()
-        # trip a KeyError traceback inside the tracker.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "strategy",
-                "build",
-                "--workload",
-                "Prefix",
-                "--domain",
-                "6",
-                "--iterations",
-                "10",
-                "--restarts",
-                "2",
-                "--backend",
-                "process",
-                "--store",
-                str(tmp_path / "strategies"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "store MISS" in completed.stdout
-        assert "Traceback" not in completed.stderr
-        assert "leaked shared_memory" not in completed.stderr
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(OptimizationError, match="backend"):
             multi_restart_optimize(prefix(8), 1.0, CONFIG, backend="fleet")
 
-    def test_shared_memory_gram_round_trip(self):
-        # The process backend publishes the Gram through shared memory;
-        # workers must see exactly the parent's matrix (dtype, layout,
-        # values), so the restart results cannot depend on the transport.
-        from repro.optimization.restarts import _run_process_backend
-
-        gram = prefix(6).gram()
-        config = OptimizerConfig(num_iterations=15, seed=5)
-        results = _run_process_backend(gram, 1.0, [config], max_workers=1)
-        direct = optimize_strategy(gram, 1.0, config)
-        assert len(results) == 1
-        assert results[0] is not None
-        assert results[0].objective == pytest.approx(direct.objective)
-        assert np.array_equal(
-            results[0].strategy.probabilities, direct.strategy.probabilities
+    def test_only_the_serial_backend_remains(self):
+        # Restarts always run in-process; the keyword survives for callers
+        # that pass backend="serial", and any other value is refused.
+        with pytest.raises(OptimizationError, match="backend"):
+            multi_restart_optimize(prefix(8), 1.0, CONFIG, backend="process")
+        serial = multi_restart_optimize(
+            prefix(8), 1.0, CONFIG, restarts=2, backend="serial"
         )
-
-    def test_pickle_fallback_matches_shared_memory(self, monkeypatch):
-        # Platforms without shared memory fall back to pickling the Gram;
-        # both transports must produce the same restarts.
-        import multiprocessing.shared_memory as shm_module
-
-        def broken_shared_memory(*args, **kwargs):
-            raise OSError("no shared memory on this platform")
-
-        config = OptimizerConfig(num_iterations=15, seed=6)
-        shared = multi_restart_optimize(
-            prefix(6), 1.0, config, restarts=2, backend="process"
-        )
-        monkeypatch.setattr(shm_module, "SharedMemory", broken_shared_memory)
-        pickled = multi_restart_optimize(
-            prefix(6), 1.0, config, restarts=2, backend="process"
-        )
-        assert shared.objectives == pickled.objectives
-        assert np.array_equal(
-            shared.result.strategy.probabilities,
-            pickled.result.strategy.probabilities,
-        )
+        default = multi_restart_optimize(prefix(8), 1.0, CONFIG, restarts=2)
+        assert serial.objectives == default.objectives
 
 
 class TestDominance:
@@ -212,6 +129,19 @@ class TestStoreIntegration:
             prefix(8), 5.0, CONFIG, restarts=1, store=store
         )
         assert not report.warm_started
+
+    def test_cold_build_and_hit_are_counted(self, store):
+        names = (
+            "repro_optimizer_multi_restart_runs_total",
+            "repro_optimizer_restarts_total",
+            "repro_optimizer_store_hits_total",
+        )
+        before = get_registry().to_json()
+        multi_restart_optimize(prefix(8), 1.0, CONFIG, restarts=2, store=store)
+        multi_restart_optimize(prefix(8), 1.0, CONFIG, restarts=2, store=store)
+        after = get_registry().to_json()
+        moved = [after[name] - before.get(name, 0) for name in names]
+        assert moved == [1, 2, 1]
 
     def test_write_false_leaves_store_untouched(self, store):
         multi_restart_optimize(

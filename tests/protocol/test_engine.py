@@ -212,6 +212,50 @@ class TestSplitDataVector:
             split_data_vector(np.array([1.0]), 0)
 
 
+#: Counts that are not finite, non-negative whole numbers: flooring 2.5
+#: would silently drop half a user, and NaN/inf have no user count at all.
+BAD_COUNTS = {
+    "fractional": [2.5, 1.7, 0.9, 3.2, 1.0, 1.0, 1.0, 1.0],
+    "nan": [np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    "inf": [np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    "negative": [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+}
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("kind", sorted(BAD_COUNTS))
+    @pytest.mark.parametrize(
+        "run_kwargs",
+        [
+            dict(fast=True),
+            dict(fast=False),
+            dict(fast=True, num_shards=3),
+            dict(fast=False, num_shards=3, backend="thread"),
+        ],
+        ids=["fast", "message-level", "sharded", "sharded-message-level"],
+    )
+    def test_run_refuses_bad_counts(self, session, kind, run_kwargs):
+        with pytest.raises(ProtocolError, match="counts"):
+            session.run(np.array(BAD_COUNTS[kind]), seed=0, **run_kwargs)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_COUNTS))
+    def test_shard_helpers_refuse_bad_counts(self, session, kind):
+        counts = np.array(BAD_COUNTS[kind])
+        with pytest.raises(ProtocolError, match="counts"):
+            split_data_vector(counts, 2)
+        with pytest.raises(ProtocolError, match="counts"):
+            expand_users(counts)
+        with pytest.raises(ProtocolError, match="counts"):
+            session.sample_shard(counts, np.random.default_rng(0))
+
+    def test_integer_valued_floats_are_accepted(self, session):
+        x = np.full(8, 25.0)
+        for fast in (True, False):
+            assert session.run(x, seed=0, fast=fast, num_shards=3).num_users == 200
+        assert session.sample_shard(x, np.random.default_rng(0)).num_reports == 200
+        assert expand_users([2.0, 0.0, 1.0]).tolist() == [0, 0, 2]
+
+
 class TestProtocolSession:
     def test_rejects_domain_mismatch(self):
         with pytest.raises(ProtocolError):
@@ -293,20 +337,22 @@ class TestShardMergeAssociativity:
         x = np.full(8, 500.0)
         kwargs = dict(num_shards=4, seed=7, fast=False)
         serial = session.run(x, backend="serial", **kwargs)
-        threaded = session.run(x, backend="thread", num_workers=2, **kwargs)
+        threaded = session.run(x, backend="thread", **kwargs)
         assert np.array_equal(serial.response_vector, threaded.response_vector)
         assert np.array_equal(
             serial.workload_estimates, threaded.workload_estimates
         )
 
-    def test_process_backend_matches_serial(self, session):
-        x = np.full(8, 200.0)
-        kwargs = dict(num_shards=2, seed=3, fast=False)
+    def test_more_shards_than_threads_are_bit_identical(self, session):
+        # 16 shards outnumber the CPU-sized thread pool on any runner, so
+        # threads pick up queued shards; each shard's generator still comes
+        # from its own spawned seed, so the merge cannot change.
+        x = np.arange(1.0, 9.0) * 60
+        kwargs = dict(num_shards=16, seed=5, fast=False)
         serial = session.run(x, backend="serial", **kwargs)
-        processed = session.run(x, backend="process", num_workers=2, **kwargs)
-        assert np.array_equal(
-            serial.response_vector, processed.response_vector
-        )
+        threaded = session.run(x, backend="thread", **kwargs)
+        assert np.array_equal(serial.response_vector, threaded.response_vector)
+        assert serial.num_users == threaded.num_users == int(x.sum())
 
     def test_fast_path_sharded_determinism(self, session):
         x = np.arange(8.0) * 100

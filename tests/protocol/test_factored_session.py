@@ -180,6 +180,15 @@ class TestFactoredSessionExecution:
         )
         assert serial.num_users == threaded.num_users == 300
 
+    def test_more_shards_than_threads_are_bit_identical(self):
+        # 16 shards queue behind the CPU-sized thread pool on any runner.
+        session = make_session()
+        rows = random_rows(400, seed=5)
+        serial = session.run(rows, num_shards=16, backend="serial", seed=9)
+        threaded = session.run(rows, num_shards=16, backend="thread", seed=9)
+        assert np.array_equal(serial.workload_estimates, threaded.workload_estimates)
+        assert serial.num_users == threaded.num_users == 400
+
     def test_shard_count_changes_only_randomness_partition(self):
         session = make_session()
         rows = random_rows(120, seed=4)
