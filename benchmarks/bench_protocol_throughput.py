@@ -3,8 +3,8 @@
 Compares three ways of collecting one population's reports:
 
 * ``seed``   — the pre-engine message-level path: per-call CDF recomputation
-  and an ``O(N x m)`` materialization of every user's response CDF (the old
-  ``LocalRandomizer.respond_many``), feeding a single aggregator.
+  and an ``O(N x m)`` materialization of every user's response CDF (the
+  original batched client randomizer), feeding a single accumulator.
 * ``engine`` — the shard-parallel engine's message-level path: cached
   offset-CDF inverse sampling in ``O(chunk)`` scratch, sharded and merged.
 * ``fast``   — the engine's per-type multinomial shortcut (``O(n)`` draws).
@@ -33,7 +33,6 @@ import numpy as np
 from repro.data import zipf_data
 from repro.mechanisms import randomized_response
 from repro.protocol import (
-    Aggregator,
     ProtocolSession,
     ShardAccumulator,
     expand_users,
@@ -53,14 +52,14 @@ def seed_respond_many(strategy, user_types, rng):
 
 def time_seed_path(workload, strategy, data_vector, seed):
     start = time.perf_counter()
-    aggregator = Aggregator(strategy, workload)
+    session = ProtocolSession(strategy, workload)
     users = expand_users(data_vector)
-    aggregator.submit_many(
+    accumulator = session.new_accumulator().add_reports(
         seed_respond_many(strategy, users, np.random.default_rng(seed))
     )
-    aggregator.estimate_workload()
+    session.finalize(accumulator)
     elapsed = time.perf_counter() - start
-    return elapsed, aggregator.num_reports
+    return elapsed, accumulator.num_reports
 
 
 def time_engine_path(session, data_vector, seed, shards, backend, fast):

@@ -28,8 +28,7 @@ Run:  PYTHONPATH=src python examples/adaptive_campaign.py
 import numpy as np
 
 from repro.data import zipf_data
-from repro.protocol import partition_workload
-from repro.protocol.simulation import expand_users
+from repro.protocol import expand_users, partition_workload
 from repro.service import AdaptivePlan, CampaignManager
 from repro.workloads import prefix
 

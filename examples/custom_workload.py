@@ -15,7 +15,7 @@ from repro import OptimizedMechanism, OptimizerConfig, ReproError
 from repro.mechanisms import paper_baselines
 from repro.workloads import ExplicitWorkload
 from repro.data import zipf_data
-from repro.protocol import run_protocol
+from repro.protocol import ProtocolSession
 
 DOMAIN_SIZE = 48
 EPSILON = 1.0
@@ -68,7 +68,7 @@ def main() -> None:
     )
 
     strategy = optimized.strategy_for(workload, EPSILON)
-    result = run_protocol(workload, strategy, truth, rng)
+    result = ProtocolSession(strategy, workload).run(truth, rng=rng)
     errors = np.abs(result.workload_estimates - workload.matvec(truth))
     print(
         f"simulated run over {int(truth.sum())} users: "

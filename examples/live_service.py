@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from repro.data import zipf_data
-from repro.protocol.simulation import expand_users
+from repro.protocol import expand_users
 from repro.service import CollectionService, ServiceClient, ServiceThread
 
 DOMAIN_SIZE = 32

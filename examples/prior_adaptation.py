@@ -18,7 +18,6 @@ import numpy as np
 from repro.analysis import per_user_variances
 from repro.data import zipf_data
 from repro.optimization import OptimizerConfig, optimize_strategy
-from repro.protocol import run_protocol
 from repro.workloads import prefix
 
 DOMAIN_SIZE = 32

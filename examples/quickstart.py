@@ -16,7 +16,7 @@ import numpy as np
 from repro import OptimizedMechanism, OptimizerConfig, workloads
 from repro.data import zipf_data
 from repro.postprocess import wnnls_from_data_estimate
-from repro.protocol import audit_strategy, run_protocol
+from repro.protocol import ProtocolSession, audit_strategy
 
 DOMAIN_SIZE = 32
 EPSILON = 1.0
@@ -44,7 +44,7 @@ def main() -> None:
 
     # 4. Simulate the whole population reporting through the randomizer.
     truth = zipf_data(DOMAIN_SIZE, NUM_USERS, seed=1)
-    result = run_protocol(workload, strategy, truth, rng)
+    result = ProtocolSession(strategy, workload).run(truth, rng=rng)
 
     # 5. Consistency post-processing (Appendix A) and evaluation.
     consistent = wnnls_from_data_estimate(workload, result.data_vector_estimate)

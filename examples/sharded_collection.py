@@ -22,8 +22,7 @@ import numpy as np
 from repro import OptimizedMechanism, OptimizerConfig, workloads
 from repro.data import zipf_data
 from repro.experiments.runner import protocol_session
-from repro.protocol import ShardAccumulator, split_data_vector
-from repro.protocol.simulation import expand_users
+from repro.protocol import ShardAccumulator, expand_users, split_data_vector
 
 DOMAIN_SIZE = 32
 EPSILON = 1.0

@@ -14,7 +14,7 @@ import numpy as np
 from repro import OptimizedMechanism, OptimizerConfig
 from repro.domains import BinaryDomain
 from repro.mechanisms import StrategyMechanism, fourier, hadamard_response
-from repro.protocol import run_protocol
+from repro.protocol import ProtocolSession
 from repro.workloads import k_way_marginals
 
 NUM_QUESTIONS = 6
@@ -51,7 +51,7 @@ def main() -> None:
     for mechanism in mechanisms:
         samples = mechanism.sample_complexity(workload, EPSILON)
         strategy = mechanism.strategy_for(workload, EPSILON)
-        result = run_protocol(workload, strategy, truth, rng)
+        result = ProtocolSession(strategy, workload).run(truth, rng=rng)
         errors = np.abs(result.workload_estimates - workload.matvec(truth))
         print(f"{mechanism.name:>12s} {samples:>12.0f} {errors.max():>17.0f}")
 
@@ -59,7 +59,7 @@ def main() -> None:
     # privately by the optimized mechanism.
     optimized = mechanisms[0]
     strategy = optimized.strategy_for(workload, EPSILON)
-    result = run_protocol(workload, strategy, truth, rng)
+    result = ProtocolSession(strategy, workload).run(truth, rng=rng)
     answers = result.workload_estimates
     true_answers = workload.matvec(truth)
     print("\ncontingency table for questions (0, 1) — estimate (truth):")

@@ -19,7 +19,7 @@ import numpy as np
 from repro import OptimizedMechanism, OptimizerConfig
 from repro.data import geometric_data
 from repro.mechanisms import StrategyMechanism, hierarchical, randomized_response
-from repro.protocol import run_protocol
+from repro.protocol import ProtocolSession
 from repro.workloads import all_range, prefix, stack, weighted
 
 LATENCY_BUCKETS = 64  # e.g. exponentially spaced 1ms .. 60s
@@ -55,7 +55,7 @@ def main() -> None:
     for mechanism in mechanisms:
         samples = mechanism.sample_complexity(workload, EPSILON)
         strategy = mechanism.strategy_for(workload, EPSILON)
-        result = run_protocol(workload, strategy, truth, rng)
+        result = ProtocolSession(strategy, workload).run(truth, rng=rng)
         delta = result.data_vector_estimate - truth
         rmse = np.sqrt(workload.error_quadratic(delta) / workload.num_queries)
         print(f"{mechanism.name:>22s} {samples:>12.0f} {rmse:>12.1f}")

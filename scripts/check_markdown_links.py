@@ -7,10 +7,14 @@ Validates every inline link and image in the repo's markdown files:
 * ``#anchor`` fragments (same-file or cross-file) must match a heading in
   the target file, using GitHub's slugification rules;
 * external links (http/https/mailto) are syntax-checked only — CI runs
-  offline, so reachability is out of scope.
+  offline, so reachability is out of scope;
+* in ``README.md`` and ``docs/*.md``, every backticked dotted name that
+  starts with ``repro.`` must import or resolve as an attribute, so a page
+  cannot keep naming an API after it is deleted.  ``CHANGES.md`` and
+  ``ROADMAP.md`` are not checked: they name deleted APIs on purpose.
 
-Exits non-zero listing every broken link.  Used by the CI docs job and by
-``tests/test_docs.py``.
+Exits non-zero listing every broken link and name.  Used by the CI docs
+job and by ``tests/test_docs.py``.
 
 Run::
 
@@ -19,9 +23,13 @@ Run::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
+
+#: The checkout's package sources, so code names resolve without an install.
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Directories never scanned for markdown files.
 SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", ".hypothesis", "node_modules"}
@@ -34,6 +42,10 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 #: Fenced code blocks are stripped before link extraction.
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
+
+#: A code span that opens with a dotted ``repro.`` name (anything after
+#: the name, such as call arguments, is ignored).
+_CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 
 
 def _strip_fences(text: str) -> str:
@@ -92,8 +104,42 @@ def check_file(path: Path, root: Path) -> list[str]:
     return problems
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.c`` names an importable module or an attribute
+    of one (the longest importable prefix, then attribute lookups)."""
+    if str(_SRC) not in sys.path:
+        sys.path.insert(0, str(_SRC))
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_code_names(path: Path, root: Path) -> list[str]:
+    """Every backticked ``repro.`` name in one file that does not resolve."""
+    problems = []
+    text = _strip_fences(path.read_text(encoding="utf-8"))
+    for match in _CODE_NAME.finditer(text):
+        if not resolves(match.group(1)):
+            line = text[: match.start()].count("\n") + 1
+            problems.append(
+                f"{path.relative_to(root)}:{line}: unknown code name "
+                f"{match.group(1)!r}"
+            )
+    return problems
+
+
 def check_tree(root: Path) -> tuple[int, list[str]]:
-    """Check every markdown file under ``root``.
+    """Check every markdown file under ``root``, plus the code names of
+    ``README.md`` and ``docs/*.md``.
 
     Returns ``(files_checked, problems)``.
     """
@@ -102,6 +148,9 @@ def check_tree(root: Path) -> tuple[int, list[str]]:
     files = markdown_files(root)
     for path in files:
         problems.extend(check_file(path, root))
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        if path.is_file():
+            problems.extend(check_code_names(path, root))
     return len(files), problems
 
 
@@ -111,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     checked, problems = check_tree(root)
     for problem in problems:
         print(f"BROKEN  {problem}")
-    print(f"checked {checked} markdown file(s): {len(problems)} broken link(s)")
+    print(f"checked {checked} markdown file(s): {len(problems)} problem(s)")
     return 1 if problems else 0
 
 

@@ -55,7 +55,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.data import zipf_data  # noqa: E402
-from repro.protocol.simulation import expand_users  # noqa: E402
+from repro.protocol import expand_users  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 
 DOMAIN = 32

@@ -9,12 +9,12 @@ Quickstart
 ----------
 >>> import numpy as np
 >>> from repro import workloads, OptimizedMechanism, OptimizerConfig
->>> from repro.protocol import run_protocol
+>>> from repro.protocol import ProtocolSession
 >>> w = workloads.prefix(16)
 >>> mech = OptimizedMechanism(OptimizerConfig(num_iterations=200, seed=0))
 >>> strategy = mech.strategy_for(w, epsilon=1.0)
 >>> x = np.full(16, 100.0)                     # 1600 users, uniform
->>> result = run_protocol(w, strategy, x, rng=np.random.default_rng(0))
+>>> result = ProtocolSession(strategy, w).run(x, seed=0)
 >>> result.workload_estimates.shape
 (16,)
 
@@ -61,7 +61,7 @@ from repro.exceptions import (
     StoreError,
     WorkloadError,
 )
-from repro.mechanisms import FactorizationMechanism, Mechanism, StrategyMatrix
+from repro.mechanisms import Mechanism, StrategyMatrix
 from repro.optimization import (
     OptimizationResult,
     OptimizedMechanism,
@@ -77,7 +77,6 @@ __all__ = [
     "DataError",
     "DomainError",
     "FactorizationError",
-    "FactorizationMechanism",
     "Mechanism",
     "OptimizationError",
     "OptimizationResult",

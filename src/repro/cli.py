@@ -951,7 +951,7 @@ def _run_report(arguments) -> int:
         values = [int(v) for v in arguments.values.split(",") if v.strip()]
     else:
         from repro.data import zipf_data
-        from repro.protocol.simulation import expand_users
+        from repro.protocol import expand_users
 
         truth = zipf_data(
             reporter.strategy.domain_size, arguments.simulate, seed=arguments.seed

@@ -9,7 +9,6 @@ interface.
 """
 
 from repro.mechanisms.base import (
-    FactorizationMechanism,
     StrategyMatrix,
     stack_strategies,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DistributedMatrixMechanism",
     "FACTORED_STRATEGY_MAGIC",
     "FactoredStrategy",
-    "FactorizationMechanism",
     "GaussianMechanism",
     "MAX_RAPPOR_DOMAIN",
     "Mechanism",

@@ -1,10 +1,9 @@
-"""Strategy matrices and the workload factorization mechanism.
+"""Strategy matrices: the paper's encoding of an LDP mechanism.
 
-A :class:`StrategyMatrix` is the paper's encoding of an LDP mechanism as an
-``m x n`` conditional probability table (Proposition 2.6).  A
-:class:`FactorizationMechanism` pairs a strategy with a workload and a
-reconstruction operator (Definition 3.2) and provides unbiased workload
-estimates from aggregated responses.
+A :class:`StrategyMatrix` is an ``m x n`` conditional probability table
+(Proposition 2.6) plus its samplers.  Binding a strategy to a workload
+through a reconstruction operator (Definition 3.2) is
+:class:`repro.protocol.engine.ProtocolSession`'s job.
 """
 
 from __future__ import annotations
@@ -13,24 +12,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.reconstruction import (
-    factorization_residual,
-    is_factorizable,
-    reconstruction_operator,
-    strategy_row_sums,
-)
-from repro.exceptions import (
-    FactorizationError,
-    PrivacyViolationError,
-    ProtocolError,
-    StochasticityError,
-)
+from repro.analysis.reconstruction import strategy_row_sums
+from repro.exceptions import PrivacyViolationError, ProtocolError, StochasticityError
 from repro.linalg import is_column_stochastic, is_ldp_matrix, ldp_ratio, max_abs_column_sum_error
-from repro.workloads.base import Workload
 
 #: Users randomized per vectorized sampling block; bounds sampler memory to
 #: ``O(chunk)`` scratch regardless of population size.
 DEFAULT_SAMPLE_CHUNK = 65_536
+
+
+def _user_counts(counts, what: str = "data vector") -> np.ndarray:
+    """A vector of counts as ``int64``, refusing any count that is not a
+    finite, non-negative whole number (``25.0`` is fine, ``2.5`` is not:
+    flooring it would silently drop users).
+
+    Every sampler and mechanism that turns a population into users, and
+    every accumulator that folds a response histogram, checks its counts
+    here, so a malformed vector fails the same way everywhere.
+    """
+    try:
+        values = np.asarray(counts, dtype=float)
+    except (ValueError, TypeError, OverflowError) as error:
+        raise ProtocolError(f"{what} is not a numeric vector: {error}")
+    if values.ndim != 1:
+        raise ProtocolError(f"{what} must be 1-D, got {values.ndim}-D")
+    if not np.isfinite(values).all():
+        raise ProtocolError(f"{what} has non-finite counts")
+    if (values < 0).any():
+        raise ProtocolError(f"{what} has negative counts")
+    if (values != np.floor(values)).any():
+        raise ProtocolError(f"{what} has non-integer counts")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -217,7 +229,19 @@ class StrategyMatrix:
     def sample_response(
         self, user_type: int, rng: np.random.Generator | None = None
     ) -> int:
-        """One client-side invocation: randomize a single user's type."""
+        """One client-side invocation: randomize a single user's type.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.mechanisms import randomized_response
+        >>> randomized_response(4, 1.0).sample_response(2, np.random.default_rng(0))
+        2
+        """
+        if not 0 <= user_type < self.domain_size:
+            raise ProtocolError(
+                f"user type {user_type} outside domain [0, {self.domain_size})"
+            )
         rng = rng or np.random.default_rng()
         return int(rng.choice(self.num_outputs, p=self.probabilities[:, user_type]))
 
@@ -228,17 +252,29 @@ class StrategyMatrix:
 
         Each user type's responses are a multinomial draw from its strategy
         column, so the full histogram is sampled in ``O(n)`` draws rather
-        than ``O(N)``.
+        than ``O(N)``.  Counts must be finite, non-negative whole numbers.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.mechanisms import randomized_response
+        >>> strategy = randomized_response(4, 1.0)
+        >>> y = strategy.sample_histogram([5, 0, 3, 2], np.random.default_rng(0))
+        >>> int(y.sum())
+        10
+        >>> strategy.sample_histogram([2.5, 1.7, 0.9, 3.2])
+        Traceback (most recent call last):
+            ...
+        repro.exceptions.ProtocolError: data vector has non-integer counts
         """
         rng = rng or np.random.default_rng()
-        data_vector = np.asarray(data_vector)
-        if data_vector.shape != (self.domain_size,):
+        if np.shape(data_vector) != (self.domain_size,):
             raise StochasticityError(
-                f"data vector shape {data_vector.shape} does not match domain "
-                f"size {self.domain_size}"
+                f"data vector shape {np.shape(data_vector)} does not match "
+                f"domain size {self.domain_size}"
             )
         histogram = np.zeros(self.num_outputs)
-        for user_type, count in enumerate(data_vector):
+        for user_type, count in enumerate(_user_counts(data_vector)):
             count = int(count)
             if count > 0:
                 histogram += rng.multinomial(count, self.probabilities[:, user_type])
@@ -262,81 +298,3 @@ def stack_strategies(
         )
     blocks = [weight * np.asarray(block, dtype=float) for weight, block in components]
     return StrategyMatrix(np.vstack(blocks), epsilon, name)
-
-
-class FactorizationMechanism:
-    """The workload factorization mechanism ``M_{V,Q}`` (Definition 3.2).
-
-    Parameters
-    ----------
-    workload:
-        The target workload ``W``.
-    strategy:
-        A validated epsilon-LDP strategy matrix ``Q``.
-    operator:
-        Optional reconstruction operator ``B`` with ``V = W B``.  Defaults
-        to the variance-optimal operator of Theorem 3.10.
-
-    Raises
-    ------
-    FactorizationError
-        If ``W`` is not in the row space of ``Q`` (no valid ``V`` exists).
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        strategy: StrategyMatrix,
-        operator: np.ndarray | None = None,
-    ) -> None:
-        if workload.domain_size != strategy.domain_size:
-            raise FactorizationError(
-                f"workload domain {workload.domain_size} != strategy domain "
-                f"{strategy.domain_size}"
-            )
-        self.workload = workload
-        self.strategy = strategy
-        if operator is None:
-            operator = reconstruction_operator(strategy.probabilities)
-        self.operator = np.asarray(operator, dtype=float)
-        if self.operator.shape != (workload.domain_size, strategy.num_outputs):
-            raise FactorizationError(
-                f"operator shape {self.operator.shape} != "
-                f"({workload.domain_size}, {strategy.num_outputs})"
-            )
-        if not is_factorizable(workload.gram(), strategy.probabilities, self.operator):
-            residual = factorization_residual(
-                workload.gram(), strategy.probabilities, self.operator
-            )
-            raise FactorizationError(
-                f"workload {workload.name!r} is not in the row space of strategy "
-                f"{strategy.name!r} (residual {residual:.3e}); the factorization "
-                "mechanism is undefined for this pair"
-            )
-
-    @property
-    def epsilon(self) -> float:
-        return self.strategy.epsilon
-
-    def reconstruction_matrix(self) -> np.ndarray:
-        """The explicit ``V = W B`` (materializes the workload matrix)."""
-        return self.workload.matrix @ self.operator
-
-    def estimate_data_vector(self, response_histogram: np.ndarray) -> np.ndarray:
-        """Unbiased estimate ``x_hat = B y`` of the data vector.
-
-        (Unbiased for the rowspace projection of ``x``; workload answers
-        ``W x_hat`` are always unbiased for ``W x``.)
-        """
-        return self.operator @ np.asarray(response_histogram, dtype=float)
-
-    def estimate_workload(self, response_histogram: np.ndarray) -> np.ndarray:
-        """Unbiased workload answers ``V y = W (B y)``."""
-        return self.workload.matvec(self.estimate_data_vector(response_histogram))
-
-    def run(
-        self, data_vector: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Execute the full mechanism: randomize, aggregate, reconstruct."""
-        histogram = self.strategy.sample_histogram(data_vector, rng)
-        return self.estimate_workload(histogram)

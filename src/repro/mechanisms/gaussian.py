@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import PrivacyViolationError
+from repro.mechanisms.base import _user_counts
 from repro.mechanisms.interface import Mechanism
 from repro.workloads.base import Workload
 
@@ -55,7 +56,7 @@ class GaussianMechanism(Mechanism):
         """Execute the protocol and return workload answers."""
         rng = rng or np.random.default_rng()
         data_vector = np.asarray(data_vector, dtype=float)
-        num_users = int(round(data_vector.sum()))
+        num_users = int(_user_counts(data_vector).sum())
         sigma = gaussian_sigma(epsilon, self.delta)
         noise_total = rng.normal(
             scale=sigma * np.sqrt(num_users), size=workload.domain_size

@@ -13,13 +13,19 @@ import abc
 
 import numpy as np
 
-from repro.analysis.reconstruction import is_factorizable, reconstruction_operator
+from repro.analysis.reconstruction import (
+    factorization_residual,
+    is_factorizable,
+    reconstruction_operator,
+)
 from repro.analysis.sample_complexity import (
     PAPER_ALPHA,
     sample_complexity_from_variances,
 )
 from repro.analysis.variance import per_user_variances as _strategy_variances
-from repro.mechanisms.base import FactorizationMechanism, StrategyMatrix
+from repro.exceptions import FactorizationError
+from repro.mechanisms.base import StrategyMatrix
+from repro.protocol.engine import ProtocolSession
 from repro.workloads.base import Workload
 
 
@@ -120,14 +126,6 @@ class StrategyMechanism(Mechanism):
             self._cache[key] = (strategy, operator)
         return self._cache[key]
 
-    def factorization(
-        self, workload: Workload, epsilon: float
-    ) -> FactorizationMechanism:
-        """The concrete factorization mechanism for a workload."""
-        strategy = self.strategy_for(workload, epsilon)
-        operator = self.reconstruction_for(workload, epsilon)
-        return FactorizationMechanism(workload, strategy, operator)
-
     def per_user_variances(self, workload: Workload, epsilon: float) -> np.ndarray:
         strategy = self.strategy_for(workload, epsilon)
         operator = self.reconstruction_for(workload, epsilon)
@@ -143,4 +141,37 @@ class StrategyMechanism(Mechanism):
         epsilon: float,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        return self.factorization(workload, epsilon).run(data_vector, rng)
+        """Randomize every user, aggregate, and reconstruct ``W B y``.
+
+        Raises :class:`~repro.exceptions.FactorizationError` when the
+        workload is outside the strategy's row space (no ``V`` with
+        ``W = V Q`` exists, so no unbiased answer does either).
+
+        Examples
+        --------
+        >>> from repro.mechanisms import fourier, randomized_response
+        >>> from repro.workloads import histogram
+        >>> rr = StrategyMechanism("RR", randomized_response)
+        >>> rr.run(histogram(4), [25, 25, 25, 25], 1.0).shape
+        (4,)
+        >>> low_rank = StrategyMechanism(
+        ...     "Fourier(deg=1)", lambda n, eps: fourier(n, eps, degree=1)
+        ... )
+        >>> x = [10] * 8
+        >>> low_rank.run(histogram(8), x, 1.0)  # doctest: +IGNORE_EXCEPTION_DETAIL
+        Traceback (most recent call last):
+            ...
+        repro.exceptions.FactorizationError: not in the row space
+        """
+        strategy = self.strategy_for(workload, epsilon)
+        operator = self.reconstruction_for(workload, epsilon)
+        gram = workload.gram()
+        if not is_factorizable(gram, strategy.probabilities, operator):
+            residual = factorization_residual(gram, strategy.probabilities, operator)
+            raise FactorizationError(
+                f"workload {workload.name!r} is not in the row space of strategy "
+                f"{strategy.name!r} (residual {residual:.3e}); the factorization "
+                "mechanism is undefined for this pair"
+            )
+        session = ProtocolSession(strategy, workload, operator)
+        return session.run(data_vector, rng=rng).workload_estimates

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.exceptions import OptimizationError
 from repro.linalg import symmetrize
+from repro.mechanisms.base import _user_counts
 from repro.mechanisms.interface import Mechanism
 from repro.workloads.base import Workload
 
@@ -178,7 +179,7 @@ class DistributedMatrixMechanism(Mechanism):
         rng = rng or np.random.default_rng()
         strategy = self.strategy_for(workload)
         data_vector = np.asarray(data_vector, dtype=float)
-        num_users = int(round(data_vector.sum()))
+        num_users = int(_user_counts(data_vector).sum())
         num_rows = strategy.shape[0]
         aggregate = strategy @ data_vector
         if self.norm == 1:

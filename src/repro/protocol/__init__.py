@@ -1,15 +1,11 @@
-"""Client/server LDP protocol simulation and the shard-parallel engine.
+"""The LDP collection protocol: the shard-parallel engine and its audits.
 
-* :class:`repro.protocol.engine.ProtocolSession` — immutable session config
-  (strategy + workload + reconstruction operator) and one-call sharded
-  execution.
+* :class:`repro.protocol.engine.ProtocolSession` — the mechanism itself:
+  strategy + workload + reconstruction operator, bound once, with
+  one-call sharded execution.  Per-user randomization is
+  :meth:`~repro.mechanisms.base.StrategyMatrix.sample_responses`.
 * :class:`repro.protocol.engine.ShardAccumulator` — mergeable, serializable
-  per-shard aggregation state.
-* :class:`repro.protocol.client.LocalRandomizer` — per-user randomization.
-* :class:`repro.protocol.server.Aggregator` — single-node response
-  collection and unbiased estimation.
-* :func:`repro.protocol.simulation.run_protocol` — one-shot end-to-end
-  execution (thin wrapper over the engine).
+  aggregation state (the server side only ever adds reports into it).
 * :mod:`repro.protocol.audit` — exact and empirical privacy audits.
 * :mod:`repro.protocol.accounting` — client/server/shard resource accounting
   and the exact multi-round :class:`~repro.protocol.accounting.BudgetLedger`.
@@ -45,7 +41,6 @@ from repro.protocol.audit import (
     empirical_ratio_audit,
     empirical_sampler_audit,
 )
-from repro.protocol.client import LocalRandomizer
 from repro.protocol.engine import (
     ACCUMULATOR_FORMAT_VERSION,
     ACCUMULATOR_MAGIC,
@@ -61,13 +56,10 @@ from repro.protocol.engine import (
     expand_users,
     split_data_vector,
 )
-from repro.protocol.server import Aggregator
-from repro.protocol.simulation import run_protocol
 
 __all__ = [
     "ACCUMULATOR_FORMAT_VERSION",
     "ACCUMULATOR_MAGIC",
-    "Aggregator",
     "AuditReport",
     "BACKENDS",
     "BudgetLedger",
@@ -79,7 +71,6 @@ __all__ = [
     "FactoredProtocolResult",
     "FactoredProtocolSession",
     "LedgerEntry",
-    "LocalRandomizer",
     "ProtocolResult",
     "ProtocolSession",
     "RoundBudget",
@@ -97,7 +88,6 @@ __all__ = [
     "expand_users",
     "group_scores",
     "partition_workload",
-    "run_protocol",
     "selection_probabilities",
     "session_cost_report",
     "split_budget",

@@ -36,7 +36,11 @@ import numpy as np
 
 from repro.analysis.reconstruction import reconstruction_operator
 from repro.exceptions import ProtocolError
-from repro.mechanisms.base import DEFAULT_SAMPLE_CHUNK, StrategyMatrix
+from repro.mechanisms.base import (
+    DEFAULT_SAMPLE_CHUNK,
+    StrategyMatrix,
+    _user_counts,
+)
 from repro.workloads.base import Workload
 
 #: Execution backends accepted by :meth:`ProtocolSession.run`.  Shards are
@@ -139,22 +143,25 @@ class ShardAccumulator:
         return self
 
     def add_histogram(self, histogram: np.ndarray) -> "ShardAccumulator":
-        """Fold in a pre-aggregated response histogram.
+        """Fold in a pre-aggregated response histogram (finite,
+        non-negative whole counts).
 
         Examples
         --------
         >>> ShardAccumulator(3).add_histogram([5.0, 0.0, 2.0]).num_reports
         7
+        >>> ShardAccumulator(3).add_histogram([0.4, 0.4, 0.0])
+        Traceback (most recent call last):
+            ...
+        repro.exceptions.ProtocolError: histogram has non-integer counts
         """
-        histogram = np.asarray(histogram, dtype=float)
-        if histogram.shape != (self.num_outputs,):
+        counts = _user_counts(histogram, "histogram")
+        if counts.shape != (self.num_outputs,):
             raise ProtocolError(
-                f"histogram shape {histogram.shape} != ({self.num_outputs},)"
+                f"histogram shape {counts.shape} != ({self.num_outputs},)"
             )
-        if histogram.min() < 0:
-            raise ProtocolError("histogram has negative counts")
-        self.histogram += histogram
-        self.num_reports += int(round(float(histogram.sum())))
+        self.histogram += counts
+        self.num_reports += int(counts.sum())
         return self
 
     # -- monoid structure --------------------------------------------------
@@ -299,8 +306,15 @@ class ShardAccumulator:
             raise ProtocolError(
                 f"serialized histogram has invalid shape {histogram.shape}"
             )
-        if histogram.min() < 0 or num_reports < 0:
-            raise ProtocolError("serialized accumulator has negative counts")
+        # A payload crosses a trust boundary (edge partials, checkpoints,
+        # worker snapshots): one NaN or fractional count would poison every
+        # later estimate of the campaign it merges into.
+        total = int(_user_counts(histogram, "serialized histogram").sum())
+        if num_reports != total:
+            raise ProtocolError(
+                f"serialized accumulator counts {num_reports} reports but "
+                f"its histogram holds {total}"
+            )
         if round_id < 0:
             raise ProtocolError("serialized accumulator has a negative round")
         accumulator = ShardAccumulator(histogram.shape[0], round_id)
@@ -323,22 +337,6 @@ class ShardAccumulator:
             f"ShardAccumulator(num_outputs={self.num_outputs}, "
             f"num_reports={self.num_reports}{rounds})"
         )
-
-
-def _user_counts(data_vector) -> np.ndarray:
-    """A population histogram's counts as ``int64``, refusing any count
-    that is not a finite, non-negative whole number (``25.0`` is fine,
-    ``2.5`` is not: flooring it would silently drop users)."""
-    values = np.asarray(data_vector, dtype=float)
-    if values.ndim != 1:
-        raise ProtocolError(f"data vector must be 1-D, got {values.ndim}-D")
-    if not np.isfinite(values).all():
-        raise ProtocolError("data vector has non-finite counts")
-    if (values < 0).any():
-        raise ProtocolError("data vector has negative counts")
-    if (values != np.floor(values)).any():
-        raise ProtocolError("data vector has non-integer counts")
-    return values.astype(np.int64)
 
 
 def split_data_vector(data_vector: np.ndarray, num_shards: int) -> list[np.ndarray]:
@@ -617,10 +615,8 @@ class ProtocolSession:
         >>> session.sample_shard([10.0] * 4, np.random.default_rng(0)).num_reports
         40
         """
-        rng = rng or np.random.default_rng()
-        counts = _user_counts(shard_vector)
         accumulator = self.new_accumulator()
-        accumulator.add_histogram(self.strategy.sample_histogram(counts, rng))
+        accumulator.add_histogram(self.strategy.sample_histogram(shard_vector, rng))
         return accumulator
 
     def finalize(self, accumulator: ShardAccumulator) -> ProtocolResult:

@@ -69,7 +69,6 @@ from repro.service.framing import (
     Frame,
     decode_frame,
     decode_frames,
-    encode_histogram,
     encode_reports,
 )
 from repro.service.ingest import (
@@ -77,7 +76,6 @@ from repro.service.ingest import (
     IngestPipeline,
     IngestStats,
     resolve_round,
-    validate_histogram,
     validate_reports,
 )
 from repro.service.server import (
@@ -120,12 +118,10 @@ __all__ = [
     "WriteAheadLog",
     "decode_frame",
     "decode_frames",
-    "encode_histogram",
     "encode_reports",
     "resolve_round",
     "run_edge",
     "run_service",
     "validate_campaign_name",
-    "validate_histogram",
     "validate_reports",
 ]

@@ -27,11 +27,7 @@ import numpy as np
 
 from repro.exceptions import ServiceError, ServiceHTTPError
 from repro.mechanisms.base import StrategyMatrix
-from repro.service.framing import (
-    FRAME_CONTENT_TYPE,
-    encode_histogram,
-    encode_reports,
-)
+from repro.service.framing import FRAME_CONTENT_TYPE, encode_reports
 from repro.telemetry import mint_trace_id
 
 #: Ingest wire formats the SDK can speak.
@@ -43,10 +39,10 @@ class ServiceClient:
 
     Control-plane requests (campaigns, queries, health) always speak
     JSON; ``transport="binary"`` switches the ingest hot path
-    (:meth:`send_reports` / :meth:`send_histogram`, and every
-    :class:`CampaignReporter` built from this client) to the packed
-    frames of :mod:`repro.service.framing`, which cost 1-2 bytes per
-    report instead of 2-6 characters of JSON.
+    (:meth:`send_reports`, and every :class:`CampaignReporter` built
+    from this client) to the packed frames of
+    :mod:`repro.service.framing`, which cost 1-2 bytes per report
+    instead of 2-6 characters of JSON.
 
     Transient failures retry with jittered exponential backoff (the edge
     outbox's 0.25 s-doubling-to-5 s policy), so a worker-recovery blip on
@@ -312,30 +308,6 @@ class ServiceClient:
         body = {
             "campaign": campaign,
             "reports": [int(r) for r in np.asarray(reports)],
-        }
-        if round_id is not None:
-            body["round"] = int(round_id)
-        if trace_id:
-            body["trace"] = trace_id
-        return self._request("POST", "/v1/reports", body, trace_id=trace_id)
-
-    def send_histogram(
-        self, campaign: str, histogram, *, round_id: int | None = None
-    ) -> dict:
-        """Ship a pre-aggregated response histogram."""
-        trace_id = self._mint_trace()
-        if self.transport == "binary":
-            return self._request(
-                "POST",
-                "/v1/reports",
-                raw=encode_histogram(
-                    campaign, histogram, round_id=round_id or 0, trace_id=trace_id
-                ),
-                trace_id=trace_id,
-            )
-        body = {
-            "campaign": campaign,
-            "histogram": [float(v) for v in np.asarray(histogram)],
         }
         if round_id is not None:
             body["round"] = int(round_id)

@@ -250,9 +250,6 @@ async def _handle(message, manager: ShardManager, pipeline: IngestPipeline):
         return await pipeline.submit_reports(
             name, unpack_reports(payload, item_size)
         )
-    if op == "histogram":
-        _, name, array = message
-        return await pipeline.submit_histogram(name, array)
     if op == "open":
         _, name, num_outputs = message
         manager.open(name, num_outputs)
@@ -968,16 +965,6 @@ class WorkerPool:
         self._require_unsupervised("submit_reports_packed")
         worker, accepted = await self._dispatch(
             ("reports_packed", campaign, item_size, payload), None
-        )
-        self._count_accepted(worker, {campaign: accepted})
-        return accepted
-
-    async def submit_histogram(self, campaign: str, histogram: np.ndarray) -> int:
-        """Dispatch one validated pre-aggregated histogram to a worker.
-        Unsupervised pools only — see :meth:`_require_unsupervised`."""
-        self._require_unsupervised("submit_histogram")
-        worker, accepted = await self._dispatch(
-            ("histogram", campaign, histogram), None
         )
         self._count_accepted(worker, {campaign: accepted})
         return accepted

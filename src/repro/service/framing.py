@@ -5,16 +5,16 @@ dominates the cost of a report batch: every output id is re-parsed from
 decimal text, and a 10k-report batch is ~50 KB of JSON for what is at most
 40 KB — usually 10 KB — of packed integers.  This module defines the
 compact alternative the service and SDK speak on ``POST /v1/reports``:
-self-delimiting frames that pack a report batch (or a pre-aggregated
-histogram) as little-endian machine integers behind a fixed header.
+self-delimiting frames that pack a report batch as little-endian machine
+integers behind a fixed header.
 
 Frame layout (all little-endian)::
 
     offset  size  field
     0       4     magic  b"RPRF"
     4       1     format version (1)
-    5       1     kind: 1 = report batch, 2 = response histogram
-    6       1     item size in bytes (1/2/4/8 for reports, 8 for histograms)
+    5       1     kind: 1 = report batch (the only kind accepted)
+    6       1     item size in bytes (1, 2, 4 or 8)
     7       1     adaptive-campaign round id (0 = untagged / non-adaptive)
     8       2     campaign-name length in bytes
     10      2     trace-id length in bytes (0 = no trace attached)
@@ -64,9 +64,9 @@ FRAME_MAGIC = b"RPRF"
 #: Frame format version; bumped on incompatible layout changes.
 FRAME_VERSION = 1
 
-#: Frame kinds.
+#: Frame kind of a report batch, the one kind the service accepts.
+#: (Pre-aggregated counts cross tiers as edge partials, never as frames.)
 KIND_REPORTS = 1
-KIND_HISTOGRAM = 2
 
 #: Content type the service and SDK use for binary ingest bodies.
 FRAME_CONTENT_TYPE = "application/x-repro-frame"
@@ -112,24 +112,9 @@ class Frame:
     round_id: int = 0
     trace_id: str = ""
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Numpy dtype of the packed payload."""
-        if self.kind == KIND_HISTOGRAM:
-            return np.dtype("<f8")
-        return np.dtype(_REPORT_DTYPES[self.item_size]).newbyteorder("<")
-
     def reports(self) -> np.ndarray:
         """The packed report batch as an ``int64`` array."""
-        if self.kind != KIND_REPORTS:
-            raise ServiceError("frame holds a histogram, not a report batch")
         return unpack_reports(self.payload, self.item_size)
-
-    def histogram(self) -> np.ndarray:
-        """The packed response histogram as a ``float64`` array."""
-        if self.kind != KIND_HISTOGRAM:
-            raise ServiceError("frame holds a report batch, not a histogram")
-        return np.frombuffer(self.payload, dtype="<f8").astype(np.float64)
 
 
 def unpack_reports(payload: bytes, item_size: int) -> np.ndarray:
@@ -155,43 +140,6 @@ def unpack_reports(payload: bytes, item_size: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.dtype(dtype).newbyteorder("<")).astype(
         np.int64
     )
-
-
-def _encode(
-    kind: int,
-    campaign: str,
-    payload: bytes,
-    count: int,
-    item_size: int,
-    round_id: int,
-    trace_id: str | None,
-) -> bytes:
-    name = str(campaign).encode("utf-8")
-    if not name or len(name) > _MAX_NAME_BYTES:
-        raise ServiceError(
-            f"campaign name of {len(name)} bytes outside [1, {_MAX_NAME_BYTES}]"
-        )
-    if not 0 <= int(round_id) <= MAX_FRAME_ROUND:
-        raise ServiceError(
-            f"frame round id {round_id} outside [0, {MAX_FRAME_ROUND}]"
-        )
-    trace = (trace_id or "").encode("utf-8")
-    if len(trace) > _MAX_TRACE_BYTES:
-        raise ServiceError(
-            f"trace id of {len(trace)} bytes exceeds {_MAX_TRACE_BYTES}"
-        )
-    header = _HEADER.pack(
-        FRAME_MAGIC,
-        FRAME_VERSION,
-        kind,
-        item_size,
-        int(round_id),
-        len(name),
-        len(trace),
-        len(name) + len(payload),
-        count,
-    )
-    return header + name + payload + trace
 
 
 def encode_reports(
@@ -246,35 +194,32 @@ def encode_reports(
         array.astype(np.dtype(_REPORT_DTYPES[item_size]).newbyteorder("<"))
         .tobytes()
     )
-    return _encode(
+    name = str(campaign).encode("utf-8")
+    if not name or len(name) > _MAX_NAME_BYTES:
+        raise ServiceError(
+            f"campaign name of {len(name)} bytes outside [1, {_MAX_NAME_BYTES}]"
+        )
+    if not 0 <= int(round_id) <= MAX_FRAME_ROUND:
+        raise ServiceError(
+            f"frame round id {round_id} outside [0, {MAX_FRAME_ROUND}]"
+        )
+    trace = (trace_id or "").encode("utf-8")
+    if len(trace) > _MAX_TRACE_BYTES:
+        raise ServiceError(
+            f"trace id of {len(trace)} bytes exceeds {_MAX_TRACE_BYTES}"
+        )
+    header = _HEADER.pack(
+        FRAME_MAGIC,
+        FRAME_VERSION,
         KIND_REPORTS,
-        campaign,
-        payload,
-        int(array.shape[0]),
         item_size,
-        round_id,
-        trace_id,
+        int(round_id),
+        len(name),
+        len(trace),
+        len(name) + len(payload),
+        int(array.shape[0]),
     )
-
-
-def encode_histogram(
-    campaign: str, histogram, *, round_id: int = 0, trace_id: str | None = None
-) -> bytes:
-    """Pack a pre-aggregated response histogram into one frame.
-
-    Examples
-    --------
-    >>> frame = decode_frame(encode_histogram("demo", [5.0, 0.0, 2.0]))
-    >>> frame.histogram()
-    array([5., 0., 2.])
-    """
-    array = np.asarray(histogram, dtype=float)
-    if array.ndim != 1 or array.shape[0] == 0:
-        raise ServiceError("histogram must be a non-empty flat vector")
-    payload = array.astype("<f8").tobytes()
-    return _encode(
-        KIND_HISTOGRAM, campaign, payload, int(array.shape[0]), 8, round_id, trace_id
-    )
+    return header + name + payload + trace
 
 
 def decode_frame(buffer: bytes, offset: int = 0) -> Frame:
@@ -300,9 +245,9 @@ def decode_frames(buffer: bytes) -> list[Frame]:
     Examples
     --------
     >>> frames = decode_frames(
-    ...     encode_reports("a", [1, 2]) + encode_histogram("b", [1.0, 0.0])
+    ...     encode_reports("a", [1, 2]) + encode_reports("b", [300])
     ... )
-    >>> [(f.campaign, f.kind) for f in frames]
+    >>> [(f.campaign, f.item_size) for f in frames]
     [('a', 1), ('b', 2)]
     """
     frames: list[Frame] = []
@@ -343,16 +288,13 @@ def _decode_at(buffer: bytes, offset: int) -> tuple[Frame, int]:
             f"frame format version {version} != supported version "
             f"{FRAME_VERSION} — upgrade the older side"
         )
-    if kind == KIND_REPORTS:
-        if item_size not in _REPORT_DTYPES:
-            raise ServiceError(f"invalid report item size {item_size}")
-    elif kind == KIND_HISTOGRAM:
-        if item_size != 8:
-            raise ServiceError(
-                f"histogram frames use 8-byte items, got {item_size}"
-            )
-    else:
-        raise ServiceError(f"unknown frame kind {kind}")
+    if kind != KIND_REPORTS:
+        raise ServiceError(
+            f"unknown frame kind {kind}; only report batches (kind "
+            f"{KIND_REPORTS}) are accepted"
+        )
+    if item_size not in _REPORT_DTYPES:
+        raise ServiceError(f"invalid report item size {item_size}")
     if name_len < 1:
         raise ServiceError("frame has an empty campaign name")
     if body_len != name_len + count * item_size:

@@ -31,7 +31,7 @@ from repro.exceptions import (
     StaleRoundError,
 )
 from repro.service.campaigns import CampaignManager
-from repro.service.framing import KIND_HISTOGRAM, KIND_REPORTS, decode_frames
+from repro.service.framing import decode_frames
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer, is_trace_id
 
@@ -119,28 +119,6 @@ def resolve_round(campaign, round_id) -> int:
     return round_id
 
 
-def validate_histogram(histogram, num_outputs: int) -> np.ndarray:
-    """Validate one pre-aggregated response histogram; returns it as a
-    ``float64`` vector of length ``num_outputs``.
-
-    Examples
-    --------
-    >>> validate_histogram([5.0, 0.0, 2.0], num_outputs=3)
-    array([5., 0., 2.])
-    """
-    try:
-        array = np.asarray(histogram, dtype=float)
-    except (ValueError, TypeError, OverflowError) as error:
-        raise ServiceError(f"histogram is not a numeric vector: {error}")
-    if array.shape != (num_outputs,):
-        raise ServiceError(f"histogram shape {array.shape} != ({num_outputs},)")
-    if not np.all(np.isfinite(array)):
-        raise ServiceError("histogram has NaN or infinite counts")
-    if array.min() < 0:
-        raise ServiceError("histogram has negative counts")
-    return array
-
-
 @dataclass
 class IngestStats:
     """Counters exposed via ``/v1/metrics``."""
@@ -159,26 +137,21 @@ class IngestStats:
 
 @dataclass
 class _Batch:
-    """One validated batch: reports or a pre-aggregated histogram, checked
-    against ``campaign`` (the live campaign object) in its current round."""
+    """One validated report batch, checked against ``campaign`` (the live
+    campaign object) in its current round."""
 
     campaign: object
-    kind: int
-    values: np.ndarray
-    num_reports: int
+    reports: np.ndarray
     trace_id: str
 
 
-def _batch_size(kind: int, values) -> int:
-    """Reports in a batch that has not been validated (0 when the values
-    are too malformed to tell)."""
+def _batch_size(reports) -> int:
+    """Reports in a batch that has not been validated (0 when the batch
+    is too malformed to tell)."""
     try:
-        if kind == KIND_REPORTS:
-            return len(values)
-        total = float(np.asarray(values, dtype=float).sum())
-    except (ValueError, TypeError, OverflowError):
+        return len(reports)
+    except TypeError:
         return 0
-    return int(round(total)) if np.isfinite(total) else 0
 
 
 class _PipelineMetrics:
@@ -276,22 +249,7 @@ class IngestPipeline:
         this returns.
         """
         with self._refusals():
-            batch = self._validate(campaign, KIND_REPORTS, reports, round_id, trace_id)
-        return self._fold([batch])[campaign]
-
-    async def submit_histogram(
-        self,
-        campaign: str,
-        histogram,
-        round_id: int | None = None,
-        trace_id: str = "",
-    ) -> int:
-        """Validate and fold a pre-aggregated response histogram (the
-        cross-tier path: an edge aggregator ships its merged counts)."""
-        with self._refusals():
-            batch = self._validate(
-                campaign, KIND_HISTOGRAM, histogram, round_id, trace_id
-            )
+            batch = self._validate(campaign, reports, round_id, trace_id)
         return self._fold([batch])[campaign]
 
     @contextlib.contextmanager
@@ -307,10 +265,10 @@ class IngestPipeline:
             raise
 
     def _validate(
-        self, campaign: str, kind: int, values, round_id, trace_id: str = ""
+        self, campaign: str, reports, round_id, trace_id: str = ""
     ) -> _Batch:
-        """Check one batch (``KIND_REPORTS`` or ``KIND_HISTOGRAM``) against
-        its campaign's live round and output alphabet; folds nothing.
+        """Check one report batch against its campaign's live round and
+        output alphabet; folds nothing.
 
         The round is resolved first: a round advance can re-optimize onto
         a different output alphabet, and a stale batch should be refused
@@ -322,19 +280,13 @@ class IngestPipeline:
         except StaleRoundError:
             # The cohort randomized against a retired strategy; surface
             # the loss in the stale-drop telemetry before the 400.
-            dropped = _batch_size(kind, values)
+            dropped = _batch_size(reports)
             self.stats.reports_dropped += dropped
             if self._metrics is not None:
                 self._metrics.dropped.inc(dropped)
             raise
-        num_outputs = target.session.num_outputs
-        if kind == KIND_REPORTS:
-            array = validate_reports(values, num_outputs)
-            count = int(array.shape[0])
-        else:
-            array = validate_histogram(values, num_outputs)
-            count = int(round(float(array.sum())))
-        return _Batch(target, kind, array, count, trace_id)
+        array = validate_reports(reports, target.session.num_outputs)
+        return _Batch(target, array, trace_id)
 
     def _fold(self, batches: list[_Batch]) -> dict[str, int]:
         """Fold validated batches into their campaigns' live accumulators;
@@ -343,25 +295,16 @@ class IngestPipeline:
         per_campaign: dict[str, int] = {}
         for batch in batches:
             started = time.perf_counter()
-            accumulator = batch.campaign.accumulator
-            if batch.kind == KIND_REPORTS:
-                accumulator.add_reports(batch.values)
-            else:
-                accumulator.add_histogram(batch.values)
+            batch.campaign.accumulator.add_reports(batch.reports)
             duration = time.perf_counter() - started
             name = batch.campaign.name
-            per_campaign[name] = per_campaign.get(name, 0) + batch.num_reports
-            self.stats.ingested += batch.num_reports
+            count = int(batch.reports.shape[0])
+            per_campaign[name] = per_campaign.get(name, 0) + count
+            self.stats.ingested += count
             if self._metrics is not None:
-                self._metrics.ingested.inc(batch.num_reports)
+                self._metrics.ingested.inc(count)
                 self._metrics.fold_seconds.observe(duration)
-            self._span(
-                "fold",
-                duration,
-                batch.trace_id,
-                campaign=name,
-                reports=batch.num_reports,
-            )
+            self._span("fold", duration, batch.trace_id, campaign=name, reports=count)
         return per_campaign
 
     def _span(self, name: str, duration: float, trace_id: str, **attributes):
@@ -386,8 +329,16 @@ def _parse_json_body(payload: bytes, single: bool) -> dict:
         body["reports"] = [body.pop("report")]
     if not isinstance(body.get("campaign"), str):
         raise ServiceError("body needs a 'campaign' field")
-    if ("reports" in body) == ("histogram" in body):
-        raise ServiceError("body needs exactly one of 'reports' or 'histogram'")
+    if "histogram" in body:
+        # Folding only the 'reports' of such a body would silently drop
+        # what the client meant to send.
+        raise ServiceError(
+            "pre-aggregated 'histogram' bodies are not accepted; send "
+            "'reports', or forward an edge partial to "
+            "/v1/campaigns/<name>/partials"
+        )
+    if "reports" not in body:
+        raise ServiceError("body needs a 'reports' field")
     return body
 
 
@@ -412,13 +363,8 @@ async def fold_json_body(
         body = _parse_json_body(payload, single)
         if is_trace_id(body.get("trace")):
             trace_id = body["trace"]
-        kind = KIND_REPORTS if "reports" in body else KIND_HISTOGRAM
         batch = pipeline._validate(
-            body["campaign"],
-            kind,
-            body["reports" if kind == KIND_REPORTS else "histogram"],
-            body.get("round"),
-            trace_id,
+            body["campaign"], body["reports"], body.get("round"), trace_id
         )
     pipeline._span("decode", time.perf_counter() - started, trace_id, transport="json")
     return pipeline._fold([batch])
@@ -443,8 +389,7 @@ async def fold_frame_body(
         batches = [
             pipeline._validate(
                 frame.campaign,
-                frame.kind,
-                frame.reports() if frame.kind == KIND_REPORTS else frame.histogram(),
+                frame.reports(),
                 frame.round_id or None,
                 frame.trace_id or trace_id,
             )

@@ -24,8 +24,10 @@ POST   ``/v1/campaigns/<name>/advance`` close the live round of an adaptive
                                         worst-approximated sub-workload,
                                         re-optimize, open the next round
 POST   ``/v1/report``                   one privatized report
-POST   ``/v1/reports``                  a batch of reports, or a
-                                        pre-aggregated histogram
+POST   ``/v1/reports``                  a batch of reports (JSON, or
+                                        binary report frames)
+POST   ``/v1/campaigns/<name>/partials`` an edge's sealed accumulator,
+                                        applied once per (edge, sequence)
 GET    ``/v1/query``                    current estimates + confidence
                                         intervals (``?campaign=&confidence=``;
                                         every acked report is counted, so

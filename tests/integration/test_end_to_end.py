@@ -11,7 +11,7 @@ from repro.analysis import total_variance
 from repro.data import hepth_like
 from repro.optimization import OptimizedMechanism, OptimizerConfig
 from repro.postprocess import wnnls_from_data_estimate
-from repro.protocol import audit_strategy, run_protocol
+from repro.protocol import ProtocolSession, audit_strategy
 from repro.workloads import PAPER_WORKLOADS, by_name
 
 DOMAIN_SIZE = 16
@@ -36,7 +36,9 @@ class TestFullPipeline:
 
         # 2. Run the protocol on a realistic dataset.
         dataset = hepth_like(DOMAIN_SIZE, num_users=2_000)
-        result = run_protocol(workload, strategy, dataset.data_vector, rng)
+        result = ProtocolSession(strategy, workload).run(
+            dataset.data_vector, rng=rng
+        )
         assert result.num_users == 2_000
 
         # 3. The realized squared error is within sane bounds of the

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import PrivacyViolationError
+from repro.exceptions import PrivacyViolationError, ProtocolError
 from repro.mechanisms import DistributedMatrixMechanism, GaussianMechanism, gaussian_sigma
 from repro.workloads import histogram, prefix
 
@@ -52,3 +52,28 @@ class TestGaussianMechanism:
             # At equal eps the pure mechanism pays more noise per row, but the
             # Gaussian one is only (eps, delta)-private; compare at delta=1e-6.
             assert np.isfinite(gaussian.sample_complexity(workload, epsilon))
+
+
+class TestAdditiveNoiseCounts:
+    """Both additive-noise mechanisms size their noise by the user count,
+    so a population that is not whole, non-negative counts has no noise
+    scale: [-3, 1, 1, 1] sums to 0 users, which would release W x with no
+    noise at all, and [2.5, 1.7, 0.9, 3.2] is no number of users."""
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            GaussianMechanism(),
+            DistributedMatrixMechanism(norm=1),
+            DistributedMatrixMechanism(norm=2),
+        ],
+        ids=["gaussian", "matrix-l1", "matrix-l2"],
+    )
+    @pytest.mark.parametrize(
+        "counts",
+        [[-3.0, 1.0, 1.0, 1.0], [2.5, 1.7, 0.9, 3.2], [np.nan, 1.0, 1.0, 1.0]],
+        ids=["negative", "fractional", "nan"],
+    )
+    def test_run_refuses_malformed_counts(self, rng, mechanism, counts):
+        with pytest.raises(ProtocolError, match="counts"):
+            mechanism.run(histogram(4), np.array(counts), 1.0, rng)

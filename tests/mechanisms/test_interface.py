@@ -1,13 +1,14 @@
-"""Tests for the Mechanism comparison interface and FactorizationMechanism."""
+"""Tests for the Mechanism comparison interface."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import FactorizationError
+from repro.exceptions import FactorizationError, ProtocolError
 from repro.mechanisms import (
-    FactorizationMechanism,
     StrategyMechanism,
     fourier,
+    hadamard_response,
+    hierarchical,
     randomized_response,
 )
 from repro.workloads import histogram, parity, prefix
@@ -61,43 +62,41 @@ class TestStrategyMechanism:
         assert estimates.shape == (4,)
 
 
-class TestFactorizationMechanism:
-    def test_domain_mismatch_rejected(self):
-        with pytest.raises(FactorizationError):
-            FactorizationMechanism(histogram(5), randomized_response(4, 1.0))
-
-    def test_infeasible_pair_rejected(self):
-        limited = fourier(8, 1.0, degree=1)
-        with pytest.raises(FactorizationError):
-            FactorizationMechanism(histogram(8), limited)
-
-    def test_operator_shape_validated(self):
-        strategy = randomized_response(4, 1.0)
-        with pytest.raises(FactorizationError):
-            FactorizationMechanism(histogram(4), strategy, operator=np.ones((4, 5)))
-
-    def test_reconstruction_matrix_factorizes_workload(self):
-        workload = prefix(5)
-        strategy = randomized_response(5, 1.0)
-        mechanism = FactorizationMechanism(workload, strategy)
-        v = mechanism.reconstruction_matrix()
-        assert np.allclose(v @ strategy.probabilities, workload.matrix, atol=1e-8)
-
-    def test_estimates_unbiased_in_expectation(self):
-        # E[V y] = V Q x = W x exactly, so averaging the exact expectation:
-        workload = prefix(4)
-        strategy = randomized_response(4, 1.0)
-        mechanism = FactorizationMechanism(workload, strategy)
-        x = np.array([7.0, 1.0, 2.0, 0.0])
-        expected_y = strategy.probabilities @ x
-        assert np.allclose(
-            mechanism.estimate_workload(expected_y), workload.matvec(x), atol=1e-8
+    def test_run_refuses_workload_outside_row_space(self):
+        limited = StrategyMechanism(
+            "Fourier(deg=1)", lambda n, eps: fourier(n, eps, degree=1)
         )
+        with pytest.raises(FactorizationError, match="row space"):
+            limited.run(histogram(8), np.full(8, 10.0), 1.0)
 
-    def test_run_end_to_end(self, rng):
-        workload = histogram(4)
-        strategy = randomized_response(4, 2.0)
-        mechanism = FactorizationMechanism(workload, strategy)
+    @pytest.mark.parametrize(
+        "factory",
+        [randomized_response, hadamard_response, hierarchical],
+        ids=["rr", "hadamard", "hierarchical"],
+    )
+    def test_run_is_sample_reconstruct_answer(self, factory):
+        """At a fixed generator, run() is exactly W (B (M_Q(x))): one
+        multinomial histogram through the cached operator."""
+        mechanism = StrategyMechanism("m", factory)
+        workload, x = prefix(8), np.arange(8.0) * 5
+        strategy = mechanism.strategy_for(workload, 1.0)
+        operator = mechanism.reconstruction_for(workload, 1.0)
+        by_hand = workload.matvec(
+            operator @ strategy.sample_histogram(x, np.random.default_rng(9))
+        )
+        run = mechanism.run(workload, x, 1.0, np.random.default_rng(9))
+        assert np.array_equal(run, by_hand)
+
+    def test_run_is_unbiased(self, rng):
+        mechanism = StrategyMechanism("RR", randomized_response)
         x = np.array([100.0, 50.0, 25.0, 25.0])
-        average = np.mean([mechanism.run(x, rng) for _ in range(200)], axis=0)
+        average = np.mean(
+            [mechanism.run(histogram(4), x, 2.0, rng) for _ in range(200)], axis=0
+        )
         assert np.allclose(average, x, atol=6.0)
+
+    def test_run_refuses_malformed_counts(self, rng):
+        mechanism = StrategyMechanism("RR", randomized_response)
+        for bad in ([2.5, 1.7, 0.9, 3.2], [-3.0, 1.0, 1.0, 1.0]):
+            with pytest.raises(ProtocolError, match="counts"):
+                mechanism.run(histogram(4), np.array(bad), 1.0, rng)

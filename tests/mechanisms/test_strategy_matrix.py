@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import PrivacyViolationError, StochasticityError
+from repro.exceptions import (
+    PrivacyViolationError,
+    ProtocolError,
+    StochasticityError,
+)
 from repro.mechanisms import StrategyMatrix, randomized_response, stack_strategies
 
 
@@ -67,6 +71,23 @@ class TestSampling:
         strategy = randomized_response(5, 2.0)
         for user_type in range(5):
             assert 0 <= strategy.sample_response(user_type, rng) < 5
+
+    @pytest.mark.parametrize("user_type", [-1, 4])
+    def test_sample_response_refuses_types_outside_domain(self, rng, user_type):
+        # A negative type would index from the end: -1 randomizes as n-1.
+        with pytest.raises(ProtocolError, match="outside domain"):
+            randomized_response(4, 1.0).sample_response(user_type, rng)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[2.5, 1.7, 0.9, 3.2], [np.nan, 1.0, 1.0, 1.0], [-3.0, 1.0, 1.0, 1.0]],
+        ids=["fractional", "nan", "negative"],
+    )
+    def test_sample_histogram_refuses_malformed_counts(self, rng, counts):
+        # Flooring or skipping such counts would silently change who is
+        # in the population (6 users from the first vector, 3 from the last).
+        with pytest.raises(ProtocolError, match="counts"):
+            randomized_response(4, 1.0).sample_histogram(np.array(counts), rng)
 
     def test_sample_histogram_total(self, rng):
         strategy = randomized_response(4, 1.0)

@@ -10,11 +10,10 @@ from repro.protocol import (
     ShardAccumulator,
     audit_session,
     empirical_sampler_audit,
-    run_protocol,
+    expand_users,
     session_cost_report,
     split_data_vector,
 )
-from repro.protocol.simulation import expand_users
 from repro.workloads import histogram, prefix
 
 
@@ -27,6 +26,7 @@ class TestShardAccumulator:
     def test_add_reports_and_counts(self):
         accumulator = ShardAccumulator(4)
         accumulator.add_reports(np.array([0, 1, 1, 3]))
+        accumulator.add_reports(np.array([], dtype=int))
         assert np.array_equal(accumulator.histogram, [1, 2, 0, 1])
         assert accumulator.num_reports == 4
 
@@ -38,10 +38,17 @@ class TestShardAccumulator:
 
     def test_add_histogram_validates(self):
         accumulator = ShardAccumulator(3)
-        with pytest.raises(ProtocolError):
-            accumulator.add_histogram(np.array([1.0, 2.0]))
-        with pytest.raises(ProtocolError):
-            accumulator.add_histogram(np.array([1.0, -2.0, 0.0]))
+        # Fractional counts would book round(0.8) = 1 report for 0.8 of one.
+        for bad in (
+            [1.0, 2.0],
+            [1.0, -2.0, 0.0],
+            [0.4, 0.4, 0.0],
+            [np.nan, 0.0, 0.0],
+            [np.inf, 0.0, 0.0],
+        ):
+            with pytest.raises(ProtocolError):
+                accumulator.add_histogram(np.array(bad))
+        assert accumulator == ShardAccumulator(3)
 
     def test_merge_is_commutative_and_fresh(self):
         a = ShardAccumulator(3).add_reports(np.array([0, 0, 1]))
@@ -86,6 +93,25 @@ class TestShardAccumulator:
         bad.histogram = np.array([1.0, -1.0, 0.0])
         with pytest.raises(ProtocolError):
             ShardAccumulator.from_bytes(bad.to_bytes())
+
+    @pytest.mark.parametrize(
+        ("histogram", "num_reports", "match"),
+        [
+            ([np.nan, 0.5, 0.0, 0.0], 1, "non-finite"),
+            ([np.inf, 0.0, 0.0, 0.0], 0, "non-finite"),
+            ([0.5, 0.5, 0.0, 0.0], 1, "non-integer"),
+            ([2.0, 1.0, 0.0, 0.0], 5, "counts 5 reports but its histogram holds 3"),
+            ([2.0, 1.0, 0.0, 0.0], 0, "counts 0 reports"),
+            ([0.0, 0.0, 0.0, 0.0], -1, "counts -1 reports"),
+        ],
+        ids=["nan", "inf", "fractional", "over-count", "under-count", "negative"],
+    )
+    def test_from_bytes_rejects_forged_payloads(self, histogram, num_reports, match):
+        forged = ShardAccumulator(4)
+        forged.histogram = np.array(histogram)
+        forged.num_reports = num_reports
+        with pytest.raises(ProtocolError, match=match):
+            ShardAccumulator.from_bytes(forged.to_bytes())
 
     def test_payload_is_version_tagged(self):
         import io
@@ -271,6 +297,12 @@ class TestProtocolSession:
         with pytest.raises(ProtocolError):
             ProtocolSession(session.strategy, session.workload, np.eye(3))
 
+    def test_finalize_copies_the_response_vector(self, session):
+        accumulator = session.new_accumulator().add_reports(np.array([0, 1]))
+        result = session.finalize(accumulator)
+        result.response_vector[0] = 99
+        assert accumulator.histogram[0] == 1
+
     def test_finalize_rejects_foreign_accumulator(self, session):
         with pytest.raises(ProtocolError):
             session.finalize(ShardAccumulator(session.num_outputs + 1))
@@ -362,19 +394,23 @@ class TestShardMergeAssociativity:
 
 
 class TestEquivalenceContracts:
-    def test_legacy_wrapper_matches_session_run(self):
-        workload, strategy = histogram(4), randomized_response(4, 1.0)
-        session = ProtocolSession(strategy, workload)
-        x = np.array([30.0, 20.0, 10.0, 5.0])
-        for fast in (True, False):
-            wrapped = run_protocol(
-                workload, strategy, x, np.random.default_rng(5), fast=fast
-            )
-            direct = session.run(x, rng=np.random.default_rng(5), fast=fast)
-            assert np.array_equal(
-                wrapped.response_vector, direct.response_vector
-            )
-            assert wrapped.num_users == direct.num_users
+    @pytest.mark.parametrize(
+        "strategy",
+        [randomized_response(8, 1.0), hadamard_response(8, 1.0)],
+        ids=["rr", "hadamard"],
+    )
+    def test_operator_reconstructs_expected_responses_exactly(self, strategy):
+        """Definition 3.2's unbiasedness, with no sampling: feeding the
+        exact expected response vector Q x through the session's operator
+        gives W B (Q x) = W x."""
+        session = ProtocolSession(strategy, prefix(8))
+        x = np.array([7.0, 1.0, 2.0, 0.0, 5.0, 3.0, 0.0, 9.0])
+        expected_responses = strategy.probabilities @ x
+        assert np.allclose(
+            session.workload.matvec(session.operator @ expected_responses),
+            session.workload.matvec(x),
+            atol=1e-8,
+        )
 
     def test_fast_vs_message_level_same_moments(self, session):
         x = np.array([40.0, 40.0, 20.0, 10.0, 10.0, 5.0, 5.0, 2.0]) * 3
@@ -424,6 +460,10 @@ class TestVectorizedSampler:
         assert strategy.response_cdf() is first
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
+
+    def test_empty_batch_gives_no_responses(self):
+        strategy = randomized_response(3, 1.0)
+        assert strategy.sample_responses(np.array([], dtype=int)).size == 0
 
     def test_rejects_invalid_input(self):
         strategy = randomized_response(4, 1.0)

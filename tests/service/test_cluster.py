@@ -68,16 +68,9 @@ class TestShardManager:
 class TestWorkerPool:
     def test_pool_fold_is_bit_identical_to_serial(self):
         """The tentpole invariant: any worker count, any dispatch mix
-        (arrays, packed frames, histograms) folds to exactly the serial
-        histogram."""
+        (arrays, packed frames) folds to exactly the serial histogram."""
         all_batches = batches()
         expected = serial_fold(all_batches)
-        histogram_extra = np.bincount(
-            all_batches[0], minlength=NUM_OUTPUTS
-        ).astype(float)
-        expected = expected.merge(
-            ShardAccumulator(NUM_OUTPUTS).add_histogram(histogram_extra)
-        )
 
         async def run(num_workers):
             pool = WorkerPool(num_workers)
@@ -94,9 +87,6 @@ class TestWorkerPool:
                     else:
                         accepted = await pool.submit_reports("demo", batch)
                     assert accepted == batch.shape[0]
-                assert await pool.submit_histogram(
-                    "demo", histogram_extra
-                ) == int(histogram_extra.sum())
                 merged = await pool.snapshots()
                 stats = await pool.stats()
                 assert stats["workers_alive"] == num_workers
@@ -177,8 +167,6 @@ class TestWorkerPool:
                 await pool.submit_reports("demo", np.array([0], dtype=np.int64))
             with pytest.raises(ServiceError, match="write-ahead log"):
                 await pool.submit_reports_packed("demo", 1, b"\x00")
-            with pytest.raises(ServiceError, match="write-ahead log"):
-                await pool.submit_histogram("demo", np.ones(NUM_OUTPUTS))
 
         asyncio.run(run())
 

@@ -18,9 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError, ServiceHTTPError
+from repro.exceptions import ProtocolError, ServiceError, ServiceHTTPError
 from repro.protocol import ShardAccumulator
 from repro.service import (
+    CampaignManager,
     CollectionService,
     EdgeAggregator,
     ServiceClient,
@@ -58,6 +59,28 @@ def fold_serially(reports, num_outputs=8, round_id=0):
     accumulator = ShardAccumulator(num_outputs, round_id)
     accumulator.add_reports(np.asarray(reports, dtype=np.int64))
     return accumulator
+
+
+#: Partial payloads an honest edge can never produce.  Folding one NaN
+#: would turn every later estimate of the campaign into NaN, and a
+#: checkpoint would persist it.
+FORGED_PARTIALS = {
+    "nan": ([np.nan, 0.5, 0.0, 0.0], 1),
+    "inf": ([np.inf, 0.0, 0.0, 0.0], 0),
+    "fractional": ([0.5, 0.5, 0.0, 0.0], 1),
+    "over-counted": ([2.0, 1.0, 0.0, 0.0], 50),
+    "under-counted": ([2.0, 1.0, 0.0, 0.0], 0),
+}
+
+
+def forged_partial(histogram, num_reports, num_outputs=8):
+    """A serialized accumulator with arbitrary counts (bypassing every
+    fold-time check), padded to ``num_outputs`` bins."""
+    forged = ShardAccumulator(num_outputs)
+    forged.histogram = np.zeros(num_outputs)
+    forged.histogram[: len(histogram)] = histogram
+    forged.num_reports = num_reports
+    return forged.to_bytes()
 
 
 def start_edge(root_thread, **kwargs):
@@ -152,6 +175,59 @@ class TestPartialsEndpoint:
         assert info.value.status == 400
         # Nothing slipped through.
         assert client.query("demo", sync=True)["num_reports"] == 0
+
+    @pytest.mark.parametrize(
+        ("histogram", "num_reports"),
+        list(FORGED_PARTIALS.values()),
+        ids=list(FORGED_PARTIALS),
+    )
+    def test_forged_partial_refused_over_http(self, root, histogram, num_reports):
+        """A partial whose counts are not whole, finite and consistent is a
+        400: nothing folds and the edge's sequence does not advance."""
+        service, _, client = root
+        make_campaign(client)
+        client.send_reports("demo", [3, 3])
+        before = service.manager.get("demo").accumulator.snapshot()
+        forged = forged_partial(histogram, num_reports)
+        with pytest.raises(ServiceHTTPError, match="serialized") as info:
+            client.send_partial("demo", edge_id="e1", sequence=1, payload=forged)
+        assert info.value.status == 400
+        assert service.manager.get("demo").accumulator == before
+        assert service.manager.get("demo").edge_sequences == {}
+        answer = client.query("demo")
+        assert answer["num_reports"] == 2
+        assert np.isfinite(answer["estimates"]).all()
+        # The refused forward consumed no sequence number.
+        receipt = client.send_partial(
+            "demo", edge_id="e1", sequence=1, payload=fold_serially([1]).to_bytes()
+        )
+        assert receipt["duplicate"] is False and receipt["accepted"] == 1
+
+    @pytest.mark.parametrize(
+        ("histogram", "num_reports"),
+        list(FORGED_PARTIALS.values()),
+        ids=list(FORGED_PARTIALS),
+    )
+    def test_forged_partial_refused_by_apply_partial(self, histogram, num_reports):
+        manager = CampaignManager()
+        manager.create(
+            "demo",
+            workload="Histogram",
+            domain_size=4,
+            epsilon=1.0,
+            mechanism="Randomized Response",
+        )
+        campaign = manager.get("demo")
+        with pytest.raises(ProtocolError, match="serialized"):
+            manager.apply_partial(
+                "demo",
+                edge_id="e1",
+                sequence=1,
+                payload=forged_partial(histogram, num_reports, num_outputs=4),
+            )
+        assert campaign.accumulator == campaign.session.new_accumulator()
+        assert campaign.edge_sequences == {}
+        assert np.isfinite(manager.query("demo").intervals.estimates).all()
 
     def test_bad_base64_is_a_400(self, root):
         _, _, client = root

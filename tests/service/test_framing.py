@@ -8,14 +8,34 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.service.framing import (
     FRAME_MAGIC,
-    KIND_HISTOGRAM,
+    FRAME_VERSION,
     KIND_REPORTS,
     decode_frame,
     decode_frames,
-    encode_histogram,
     encode_reports,
     unpack_reports,
 )
+
+
+def legacy_histogram_frame(campaign: str, histogram) -> bytes:
+    """A frame of the retired kind 2: a pre-aggregated float64 response
+    histogram behind the same header.  The service no longer accepts it;
+    edges forward sealed partials instead."""
+    name = campaign.encode("utf-8")
+    payload = np.asarray(histogram, dtype="<f8").tobytes()
+    header = struct.pack(
+        "<4sBBBBHHIQ",
+        FRAME_MAGIC,
+        FRAME_VERSION,
+        2,
+        8,
+        0,
+        len(name),
+        0,
+        len(name) + len(payload),
+        len(histogram),
+    )
+    return header + name + payload
 
 
 class TestRoundTrip:
@@ -41,23 +61,27 @@ class TestRoundTrip:
         frame = decode_frame(encode_reports("c", reports))
         assert np.array_equal(frame.reports(), reports)
 
-    def test_histogram_round_trips_exactly(self):
-        histogram = [5.0, 0.0, 2.5, 1e12]
-        frame = decode_frame(encode_histogram("demo", histogram))
-        assert frame.kind == KIND_HISTOGRAM
-        assert frame.histogram().tolist() == histogram
+    def test_histogram_frames_are_refused(self):
+        # Pre-aggregated counts enter only as edge partials, whose counts
+        # are checked; a kind-2 frame fails to decode, alone or packed
+        # after a good frame, so its body folds nothing.
+        legacy = legacy_histogram_frame("demo", [5.0, 0.0, 2.0])
+        with pytest.raises(ServiceError, match="unknown frame kind 2"):
+            decode_frame(legacy)
+        with pytest.raises(ServiceError, match="unknown frame kind 2"):
+            decode_frames(encode_reports("demo", [1]) + legacy)
 
     def test_multiple_frames_pack_back_to_back(self):
         buffer = (
             encode_reports("a", [1, 2])
-            + encode_histogram("b", [1.0, 0.0])
+            + encode_reports("b", [300, 0])
             + encode_reports("a", [3])
         )
         frames = decode_frames(buffer)
-        assert [(f.campaign, f.kind, f.count) for f in frames] == [
-            ("a", KIND_REPORTS, 2),
-            ("b", KIND_HISTOGRAM, 2),
-            ("a", KIND_REPORTS, 1),
+        assert [(f.campaign, f.item_size, f.count) for f in frames] == [
+            ("a", 1, 2),
+            ("b", 2, 2),
+            ("a", 1, 1),
         ]
 
     def test_binary_is_smaller_than_json(self):
@@ -65,14 +89,6 @@ class TestRoundTrip:
         as_json = len(str(reports))
         as_frame = len(encode_reports("demo", reports))
         assert as_frame < as_json / 2
-
-    def test_wrong_kind_accessors_refuse(self):
-        reports = decode_frame(encode_reports("a", [1]))
-        histogram = decode_frame(encode_histogram("a", [1.0]))
-        with pytest.raises(ServiceError, match="histogram"):
-            histogram.reports()
-        with pytest.raises(ServiceError, match="report batch"):
-            reports.histogram()
 
 
 class TestEncodeValidation:
@@ -162,8 +178,6 @@ class TestRoundTags:
     def test_round_id_round_trips(self):
         frame = decode_frame(encode_reports("demo", [1, 2], round_id=3))
         assert frame.round_id == 3
-        histogram = decode_frame(encode_histogram("demo", [1.0, 0.0], round_id=7))
-        assert histogram.round_id == 7
 
     def test_default_round_is_zero(self):
         assert decode_frame(encode_reports("demo", [1])).round_id == 0
@@ -188,14 +202,10 @@ class TestRoundTags:
 
 
 class TestTraceField:
-    def test_trace_id_round_trips_on_both_kinds(self):
+    def test_trace_id_round_trips(self):
         trace = "deadbeefcafef00d"
         frame = decode_frame(encode_reports("demo", [1, 2], trace_id=trace))
         assert frame.trace_id == trace
-        histogram = decode_frame(
-            encode_histogram("demo", [1.0, 0.0], trace_id=trace)
-        )
-        assert histogram.trace_id == trace
 
     def test_traceless_frame_is_byte_identical_to_pre_trace_format(self):
         # trace length lands in what version 1 reserved as zero padding,

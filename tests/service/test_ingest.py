@@ -9,15 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ReproError, ServiceError, StaleRoundError
-from repro.service import (
-    CampaignManager,
-    IngestPipeline,
-    encode_histogram,
-    encode_reports,
-)
+from repro.service import CampaignManager, IngestPipeline, encode_reports
 from repro.service.edge import _EdgeManager, _MirroredCampaign
 from repro.service.ingest import fold_frame_body, fold_json_body
 from repro.telemetry import MetricsRegistry
+from tests.service.test_framing import legacy_histogram_frame
 
 
 def make_manager(domain_size: int = 8) -> CampaignManager:
@@ -59,15 +55,6 @@ class TestValidation:
             run(pipeline.submit_reports("demo", reports))
         assert manager.get("demo").num_reports == 0
 
-    @pytest.mark.parametrize(
-        "histogram",
-        [["a"] * 8, [float("nan")] + [0.0] * 7, [float("inf")] + [0.0] * 7],
-    )
-    def test_rejects_non_finite_or_non_numeric_histogram(self, histogram):
-        pipeline = IngestPipeline(make_manager())
-        with pytest.raises(ServiceError):
-            run(pipeline.submit_histogram("demo", histogram))
-
     def test_rejected_batch_is_all_or_nothing(self):
         manager = make_manager()
         pipeline = IngestPipeline(manager)
@@ -85,11 +72,6 @@ class TestValidation:
         assert accumulator.num_reports == 3
         assert accumulator.histogram[3] == 2
 
-    def test_histogram_shape_checked(self):
-        pipeline = IngestPipeline(make_manager())
-        with pytest.raises(ServiceError, match="shape"):
-            run(pipeline.submit_histogram("demo", [1.0, 2.0]))
-
     def test_unknown_campaign(self):
         pipeline = IngestPipeline(make_manager())
         with pytest.raises(ServiceError, match="unknown campaign"):
@@ -97,13 +79,13 @@ class TestValidation:
 
 
 class TestFolding:
-    def test_reports_and_histograms_fold_together(self):
+    def test_batches_fold_at_ack_time(self):
         manager = make_manager()
         pipeline = IngestPipeline(manager)
         run(pipeline.submit_reports("demo", [0, 1, 1]))
         # Folded by the time the submit returns: no drain, no flush.
         assert manager.get("demo").num_reports == 3
-        run(pipeline.submit_histogram("demo", [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        run(pipeline.submit_reports("demo", [2] * 5))
         accumulator = manager.get("demo").accumulator
         assert accumulator.num_reports == 8
         assert np.array_equal(
@@ -146,6 +128,16 @@ REFUSED_BODIES = {
     "binary-bad-last-frame": (
         fold_frame_body,
         encode_reports("demo", [0, 1]) + encode_reports("demo", [9]),
+    ),
+    # The retired pre-aggregated kind, on both transports: edges forward
+    # sealed partials to /partials instead.
+    "binary-histogram-frame": (
+        fold_frame_body,
+        legacy_histogram_frame("demo", [1.0] * 8),
+    ),
+    "json-histogram-body": (
+        fold_json_body,
+        json.dumps({"campaign": "demo", "histogram": [2.0] * 8}).encode("utf-8"),
     ),
 }
 
@@ -191,7 +183,7 @@ class TestRefusedBodies:
 FRAMES = [
     encode_reports("demo", [0, 1, 7, 7]),
     encode_reports("demo", np.arange(8), trace_id="ab" * 8),
-    encode_histogram("demo", [1.0] * 8),
+    legacy_histogram_frame("demo", [1.0] * 8),  # retired kind: refused
     encode_reports("demo", [8]),  # out of range: a bad frame
 ]
 

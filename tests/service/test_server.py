@@ -10,7 +10,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, ServiceHTTPError
 from repro.service import (
     CollectionService,
     ServiceClient,
@@ -97,7 +97,9 @@ class TestEndpoints:
             client._request("GET", "/v1/nope")
         with pytest.raises(ServiceError, match="campaign"):
             client._request("POST", "/v1/reports", {"reports": [1]})
-        with pytest.raises(ServiceError, match="exactly one"):
+        # A 'histogram' field is refused by name, even beside 'reports':
+        # folding only the reports would drop what the client meant.
+        with pytest.raises(ServiceError, match="'histogram' bodies"):
             client._request(
                 "POST",
                 "/v1/reports",
@@ -175,21 +177,18 @@ class TestBinaryTransport:
         client.send_reports("demo", reports)
         answer = client.query("demo", sync=True)
         assert answer["num_reports"] == 800
-        expected = np.bincount(np.asarray(reports), minlength=8) * 2.0
-        histogram = binary.send_histogram("demo", expected)
-        assert histogram["accepted"] == 800
         binary.close()
 
     def test_multi_frame_body_accepted_per_campaign(self, live):
         _, client = live
-        from repro.service import encode_histogram, encode_reports
+        from repro.service import encode_reports
 
         make_campaign(client)
         make_campaign(client, name="other")
         body = (
             encode_reports("demo", [0, 1])
             + encode_reports("other", [2])
-            + encode_histogram("demo", [3.0] + [0.0] * 7)
+            + encode_reports("demo", [0, 0, 0])
         )
         response = client._request("POST", "/v1/reports", raw=body)
         assert response["accepted"] == 6
@@ -197,6 +196,31 @@ class TestBinaryTransport:
         assert "campaign" not in response
         assert client.query("demo", sync=True)["num_reports"] == 5
         assert client.query("other", sync=True)["num_reports"] == 1
+
+    def test_histogram_bodies_are_400s_counted_once(self, live):
+        """The retired pre-aggregated kind: a kind-2 frame and a JSON
+        'histogram' body are each refused and count as one rejected
+        batch; edges forward partials instead."""
+        from tests.service.test_framing import legacy_histogram_frame
+
+        service, client = live
+        make_campaign(client)
+        refusals = [
+            (
+                dict(raw=legacy_histogram_frame("demo", [3.0] + [0.0] * 7)),
+                "unknown frame kind 2",
+            ),
+            (
+                dict(body={"campaign": "demo", "histogram": [3.0] + [0.0] * 7}),
+                "'histogram' bodies",
+            ),
+        ]
+        for index, (body, match) in enumerate(refusals, start=1):
+            with pytest.raises(ServiceHTTPError, match=match) as info:
+                client._request("POST", "/v1/reports", **body)
+            assert info.value.status == 400
+            assert service.pipeline.stats.rejected_batches == index
+        assert client.query("demo")["num_reports"] == 0
 
     def test_binary_validation_errors_are_400s(self, live):
         _, client = live

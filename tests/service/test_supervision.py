@@ -171,6 +171,52 @@ def test_checkpoint_cuts_and_truncates_wal(tmp_path):
     assert answer["estimates"] == reference["estimates"]
 
 
+def test_wal_histogram_record_replays_as_rejected(tmp_path):
+    """Builds that still accepted pre-aggregated 'histogram' bodies logged
+    them like any JSON batch.  Replaying such a log refuses that record
+    (counted in startup_replay_rejected) and folds everything else."""
+    import asyncio
+    import json
+
+    from repro.service.wal import KIND_JSON_BATCH, WriteAheadLog
+
+    service = make_service(tmp_path, cluster_workers=0)
+    thread = ServiceThread(service)
+    host, port = thread.start()
+    client = ServiceClient(host, port)
+    create_demo(client)
+    all_batches = batches(seed=41, count=3)
+    try:
+        for batch in all_batches:
+            client.send_reports("demo", batch)
+    finally:
+        client.close()
+        thread.stop(final_checkpoint=False)
+
+    async def append_histogram_record():
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.scan()
+        await wal.start()
+        body = {"campaign": "demo", "histogram": [5.0] + [0.0] * 7}
+        await wal.append(
+            KIND_JSON_BATCH, json.dumps(body).encode("utf-8"), campaign="demo"
+        )
+        await wal.stop()
+
+    asyncio.run(append_histogram_record())
+    recovered = make_service(tmp_path, cluster_workers=0)
+    with ServiceThread(recovered) as (host, port):
+        replayed = ServiceClient(host, port)
+        answer = replayed.query("demo")
+        wal_stats = replayed.metrics()["wal"]
+        replayed.close()
+    assert wal_stats["startup_replayed"] == len(all_batches)
+    assert wal_stats["startup_replay_rejected"] == 1
+    reference = serial_reference(all_batches)
+    assert answer["num_reports"] == reference["num_reports"]
+    assert answer["estimates"] == reference["estimates"]
+
+
 def test_pipeline_mode_wal_crash_recovery_is_bit_identical(tmp_path):
     """The WAL also covers the single-process pipeline: a crash between
     checkpoints loses nothing."""

@@ -92,6 +92,27 @@ def test_checker_reports_real_line_numbers_below_fences(tmp_path):
     assert problems and problems[0].startswith("page.md:8:")
 
 
+def test_checker_flags_code_names_that_do_not_resolve(tmp_path):
+    checker = load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "page.md").write_text(
+        "# Page\n\nCollect with `repro.protocol.ProtocolSession.run(x)` or\n"
+        "`repro.service.ingest`; `repro.protocol.simulation.expand_users` is\n"
+        "gone (the function lives on, the module path does not).\n",
+        encoding="utf-8",
+    )
+    # Pages outside README.md and docs/ may name deleted APIs.
+    (tmp_path / "CHANGES.md").write_text(
+        "# Changes\n\nDeleted `repro.protocol.simulation`.\n", encoding="utf-8"
+    )
+    checked, problems = checker.check_tree(tmp_path)
+    assert checked == 2
+    assert problems == [
+        "docs/page.md:4: unknown code name "
+        "'repro.protocol.simulation.expand_users'"
+    ]
+
+
 def test_cli_docs_mention_strategy_commands():
     page = (REPO_ROOT / "docs" / "strategy-store.md").read_text(encoding="utf-8")
     for command in ("strategy build", "strategy list", "strategy inspect",

@@ -68,11 +68,11 @@ class TestTopLevel:
         import numpy as np
 
         from repro import OptimizedMechanism, OptimizerConfig, workloads
-        from repro.protocol import run_protocol
+        from repro.protocol import ProtocolSession
 
         w = workloads.prefix(8)
         mech = OptimizedMechanism(OptimizerConfig(num_iterations=30, seed=0))
         strategy = mech.strategy_for(w, epsilon=1.0)
         x = np.full(8, 10.0)
-        result = run_protocol(w, strategy, x, rng=np.random.default_rng(0))
+        result = ProtocolSession(strategy, w).run(x, seed=0)
         assert result.workload_estimates.shape == (8,)
