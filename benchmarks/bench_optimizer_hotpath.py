@@ -39,6 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.linalg.blas import thread_counts
 from repro.optimization import OptimizerConfig, optimize_strategy
 from repro.workloads import histogram
 
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     print(
         f"optimizer hot path: {arguments.iterations} iterations, "
         f"eps = {arguments.epsilon}, seed = {arguments.seed}, "
-        f"cpu_count = {os.cpu_count()}"
+        f"cpu_count = {os.cpu_count()}, blas_threads = {thread_counts()}"
     )
     entries = [
         run_domain(
@@ -187,6 +188,7 @@ def main(argv=None) -> int:
         "epsilon": arguments.epsilon,
         "seed": arguments.seed,
         "cpu_count": os.cpu_count(),
+        "blas_threads": thread_counts(),
         "entries": entries,
     }
 

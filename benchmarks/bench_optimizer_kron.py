@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -47,6 +48,7 @@ from math import prod
 import numpy as np
 
 from repro.exceptions import AllocationCapError
+from repro.linalg.blas import thread_counts
 from repro.optimization import (
     FactoredOptimizerConfig,
     OptimizerConfig,
@@ -299,8 +301,13 @@ def main(argv=None):
         results.append(entry)
 
     if arguments.json:
+        document = {
+            "cpu_count": os.cpu_count(),
+            "blas_threads": thread_counts(),
+            "entries": results,
+        }
         with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
+            json.dump(document, handle, indent=2)
         print(f"wrote {arguments.json}")
 
     failures = 0

@@ -12,8 +12,11 @@ library is written against:
   and epsilon-LDP ratio constraints.
 * :mod:`repro.linalg.kron` — implicit Kronecker-product operators applied
   factor-wise, with an allocation-capped dense fallback.
+* :mod:`repro.linalg.blas` — a scope that runs numpy's and scipy's bundled
+  OpenBLAS on one thread (the optimizer and every served answer run in it).
 """
 
+from repro.linalg.blas import single_threaded, thread_counts
 from repro.linalg.checks import (
     is_column_stochastic,
     is_ldp_matrix,
@@ -58,6 +61,8 @@ __all__ = [
     "next_power_of_two",
     "psd_pinv",
     "psd_solve",
+    "single_threaded",
     "spd_factor",
     "symmetrize",
+    "thread_counts",
 ]

@@ -45,6 +45,29 @@ def _user_counts(counts, what: str = "data vector") -> np.ndarray:
     return values.astype(np.int64)
 
 
+def _user_types(values, domain_size: int) -> np.ndarray:
+    """User types as ``int64``, refusing any that is not a whole number in
+    ``[0, domain_size)`` (``2.0`` is fine, ``1.5`` is not: truncating it
+    would randomize a different type).
+
+    Both samplers check their input here, so a malformed raw value fails
+    with :class:`ProtocolError` however it is randomized.
+    """
+    types = np.asarray(values)
+    if types.dtype.kind not in "biuf":
+        raise ProtocolError(f"user types must be numbers, got dtype {types.dtype}")
+    if types.dtype.kind == "f":
+        whole = np.isfinite(types) & (types == np.floor(types))
+        if not whole.all():
+            raise ProtocolError(
+                f"user type {types[~whole].flat[0]} is not a whole number"
+            )
+    if types.size and (types.min() < 0 or types.max() >= domain_size):
+        outside = types[(types < 0) | (types >= domain_size)].flat[0]
+        raise ProtocolError(f"user type {outside} outside domain [0, {domain_size})")
+    return types.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class StrategyMatrix:
     """A validated epsilon-LDP strategy matrix.
@@ -203,14 +226,11 @@ class StrategyMatrix:
         regardless of ``chunk_size``.
         """
         rng = rng or np.random.default_rng()
-        user_types = np.asarray(user_types)
+        user_types = _user_types(user_types, self.domain_size)
         if user_types.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if user_types.min() < 0 or user_types.max() >= self.domain_size:
-            raise ProtocolError("user types outside the strategy's domain")
         if chunk_size < 1:
             raise ProtocolError(f"chunk size must be >= 1, got {chunk_size}")
-        user_types = user_types.astype(np.int64, copy=False)
         table = self._offset_cdf()
         num_outputs = self.num_outputs
         responses = np.empty(user_types.shape[0], dtype=np.int64)
@@ -238,10 +258,7 @@ class StrategyMatrix:
         >>> randomized_response(4, 1.0).sample_response(2, np.random.default_rng(0))
         2
         """
-        if not 0 <= user_type < self.domain_size:
-            raise ProtocolError(
-                f"user type {user_type} outside domain [0, {self.domain_size})"
-            )
+        user_type = int(_user_types(user_type, self.domain_size))
         rng = rng or np.random.default_rng()
         return int(rng.choice(self.num_outputs, p=self.probabilities[:, user_type]))
 

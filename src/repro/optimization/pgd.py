@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import OptimizationError
+from repro.linalg.blas import single_threaded
 from repro.mechanisms.base import StrategyMatrix
 from repro.optimization.kernels import OBJECTIVE_ENGINES, make_engine
 from repro.optimization.projection import (
@@ -519,12 +520,17 @@ def _record_run_telemetry(stats: dict, objective: float) -> None:
         ).set(float(objective))
 
 
+@single_threaded()
 def optimize_strategy(
     workload: Workload | np.ndarray,
     epsilon: float,
     config: OptimizerConfig | None = None,
 ) -> OptimizationResult:
     """Algorithm 2: find an optimized eps-LDP strategy for a workload.
+
+    The run uses one OpenBLAS thread
+    (:func:`~repro.linalg.blas.single_threaded`), whatever the caller set,
+    so its result does not depend on the caller's thread count.
 
     Parameters
     ----------

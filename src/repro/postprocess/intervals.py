@@ -36,6 +36,7 @@ import numpy as np
 import scipy.stats
 
 from repro.exceptions import WorkloadError
+from repro.linalg.blas import single_threaded
 from repro.mechanisms.base import StrategyMatrix
 from repro.workloads.base import Workload
 
@@ -97,6 +98,7 @@ def per_query_variances(matrix: np.ndarray, data_vector: np.ndarray) -> np.ndarr
     return matrix @ data_vector
 
 
+@single_threaded()
 def workload_confidence_intervals(
     workload: Workload,
     operator: np.ndarray,
@@ -106,6 +108,10 @@ def workload_confidence_intervals(
     completed: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> IntervalEstimate:
     """Point estimates and plug-in CIs for every workload query.
+
+    The answer's products (``B·y``, ``W·x̂``, ``M·x̂₊``) run on one OpenBLAS
+    thread (:func:`~repro.linalg.blas.single_threaded`); ``operator`` and
+    ``matrix`` are built by the caller, at its own thread count.
 
     Parameters
     ----------

@@ -986,6 +986,15 @@ class FactoredAccumulator:
             mine += loaded
         if num_reports < 0:
             raise ProtocolError("serialized accumulator has negative counts")
+        # Every table is a marginal of the same reports, so each sums to
+        # their number; a forged count would skew every estimate's scale.
+        for table in accumulator.tables:
+            total = int(table.sum())
+            if total != num_reports:
+                raise ProtocolError(
+                    f"serialized accumulator counts {num_reports} reports but "
+                    f"a count table holds {total}"
+                )
         accumulator.num_reports = num_reports
         return accumulator
 

@@ -25,7 +25,7 @@ import urllib.parse
 
 import numpy as np
 
-from repro.exceptions import ServiceError, ServiceHTTPError
+from repro.exceptions import ProtocolError, ServiceError, ServiceHTTPError
 from repro.mechanisms.base import StrategyMatrix
 from repro.service.framing import FRAME_CONTENT_TYPE, encode_reports
 from repro.telemetry import mint_trace_id
@@ -463,23 +463,20 @@ class CampaignReporter:
 
     def report(self, value: int) -> None:
         """Randomize one raw value locally and buffer the report."""
-        if not 0 <= int(value) < self.strategy.domain_size:
-            raise ServiceError(
-                f"value {value} outside the campaign domain "
-                f"[0, {self.strategy.domain_size})"
-            )
-        self._buffer.append(
-            int(self.strategy.sample_response(int(value), self.rng))
-        )
+        try:
+            response = self.strategy.sample_response(value, self.rng)
+        except ProtocolError as error:
+            raise ServiceError(str(error)) from error
+        self._buffer.append(response)
         if len(self._buffer) >= self.batch_size:
             self.flush()
 
     def report_many(self, values) -> None:
         """Randomize a batch of raw values (vectorized sampler)."""
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        responses = self.strategy.sample_responses(values, self.rng)
+        try:
+            responses = self.strategy.sample_responses(values, self.rng)
+        except ProtocolError as error:
+            raise ServiceError(str(error)) from error
         self._buffer.extend(int(r) for r in responses)
         while len(self._buffer) >= self.batch_size:
             self.flush()

@@ -65,6 +65,34 @@ class MarginalsWorkload(Workload):
         ]
         return np.vstack(blocks)
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Workload answers ``W x`` without building ``W``: each marginal
+        sums the ``2^k`` data tensor over the attributes outside its subset.
+
+        Attribute ``j`` is bit ``j`` of a type, so it is axis ``k - 1 - j``
+        of the C-ordered tensor, and each summed tensor flattens in the row
+        order of :func:`_marginal_rows`.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> workload = k_way_marginals(3, way=2)
+        >>> x = np.arange(8.0)
+        >>> bool(np.array_equal(workload.matvec(x), workload.matrix @ x))
+        True
+        """
+        x = self._check_domain_vector(x)
+        k = self.binary_domain.num_attributes
+        tensor = x.reshape((2,) * k)
+        return np.concatenate(
+            [
+                tensor.sum(
+                    axis=tuple(k - 1 - j for j in range(k) if not mask >> j & 1)
+                ).ravel()
+                for mask in self.subset_masks
+            ]
+        )
+
 
 class AllMarginalsWorkload(MarginalsWorkload):
     """All ``3^k`` marginal queries over ``{0,1}^k`` (includes the total)."""

@@ -38,3 +38,26 @@ def feasible_strategy() -> np.ndarray:
     raw = generator.random((20, 5))
     bounds = initial_bounds(20, 1.0)
     return project_columns(raw, bounds, 1.0).matrix
+
+
+@pytest.fixture
+def set_blas_threads():
+    """Set every bundled OpenBLAS to a thread count for one test.
+
+    Yields the setter; the process's own counts come back afterwards.  The
+    test is skipped when no OpenBLAS with thread-count symbols is found.
+    """
+    from repro.linalg import blas
+
+    libraries = blas._libraries()
+    if not libraries:
+        pytest.skip("no bundled OpenBLAS found")
+    saved = [get_threads() for _, _, get_threads in libraries]
+
+    def set_threads(count: int) -> None:
+        for _, set_count, _ in libraries:
+            set_count(count)
+
+    yield set_threads
+    for (_, set_count, _), count in zip(libraries, saved):
+        set_count(count)

@@ -72,11 +72,48 @@ class TestSampling:
         for user_type in range(5):
             assert 0 <= strategy.sample_response(user_type, rng) < 5
 
-    @pytest.mark.parametrize("user_type", [-1, 4])
-    def test_sample_response_refuses_types_outside_domain(self, rng, user_type):
+    @pytest.mark.parametrize(
+        ("user_type", "match"),
+        [
+            (-1, "outside domain"),
+            (4, "outside domain"),
+            (1.5, "not a whole number"),
+            (np.nan, "not a whole number"),
+        ],
+        ids=["-1", "4", "1.5", "nan"],
+    )
+    def test_sample_response_refuses_types_outside_domain(
+        self, rng, user_type, match
+    ):
         # A negative type would index from the end: -1 randomizes as n-1.
-        with pytest.raises(ProtocolError, match="outside domain"):
+        with pytest.raises(ProtocolError, match=match):
             randomized_response(4, 1.0).sample_response(user_type, rng)
+
+    @pytest.mark.parametrize(
+        ("user_types", "match"),
+        [
+            ([1.5, 2.7], "1.5 is not a whole number"),
+            ([0.0, 3.99], "3.99 is not a whole number"),
+            ([1.0, np.inf], "inf is not a whole number"),
+            ([0, 4], "4 outside domain"),
+            ([-1, 2], "-1 outside domain"),
+            (["1"], "must be numbers"),
+        ],
+    )
+    def test_sample_responses_refuses_malformed_types(self, rng, user_types, match):
+        # Truncating 1.5 and 2.7 would randomize them as types 1 and 2.
+        with pytest.raises(ProtocolError, match=match):
+            randomized_response(4, 1.0).sample_responses(np.array(user_types), rng)
+
+    def test_samplers_accept_whole_floats(self):
+        strategy = randomized_response(4, 1.0)
+        assert strategy.sample_response(
+            2.0, np.random.default_rng(0)
+        ) == strategy.sample_response(2, np.random.default_rng(0))
+        assert np.array_equal(
+            strategy.sample_responses([0.0, 3.0], np.random.default_rng(0)),
+            strategy.sample_responses([0, 3], np.random.default_rng(0)),
+        )
 
     @pytest.mark.parametrize(
         "counts",

@@ -1,5 +1,6 @@
 """Tests for Algorithm 2 (projected gradient descent)."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -223,3 +224,19 @@ class TestEngineEquivalence:
         assert np.allclose(
             fast.history[:shared], reference.history[:shared], rtol=1e-9
         )
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="one CPU runs OpenBLAS on one thread"
+    )
+    def test_result_independent_of_callers_thread_count(self, set_blas_threads):
+        # Two threads reduce in another order; at n = 128 the parallel
+        # kernels kick in and the iterates would drift apart.
+        config = OptimizerConfig(num_iterations=40, seed=0)
+        strategies = []
+        for count in (1, 2):
+            set_blas_threads(count)
+            result = optimize_strategy(prefix(128), 1.0, config)
+            strategies.append(result.strategy.probabilities.tobytes())
+        assert strategies[0] == strategies[1]

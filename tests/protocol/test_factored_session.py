@@ -100,6 +100,15 @@ class TestFactoredAccumulator:
         with pytest.raises(ProtocolError):
             FactoredAccumulator.from_bytes(dense_payload)
 
+    @pytest.mark.parametrize("num_reports", [50, 2, 0])
+    def test_from_bytes_rejects_a_forged_report_count(self, num_reports):
+        # Every table is a marginal of the same 3 reports, so sums to 3.
+        forged = FactoredAccumulator((2, 2), [(0,), (0, 1)])
+        forged.add_responses(np.array([[0, 1], [1, 1], [1, 0]]))
+        forged.num_reports = num_reports
+        with pytest.raises(ProtocolError, match="table holds 3"):
+            FactoredAccumulator.from_bytes(forged.to_bytes())
+
     def test_rejects_out_of_range_and_bad_shape(self):
         state = FactoredAccumulator((2, 2), [(0,)])
         with pytest.raises(ProtocolError):

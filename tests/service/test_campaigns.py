@@ -197,6 +197,26 @@ class TestQuery:
         assert payload["num_reports"] == 3
         assert len(payload["estimates"]) == 8
 
+    def test_answer_runs_on_one_blas_thread(
+        self, manager, set_blas_threads, monkeypatch
+    ):
+        from repro.linalg.blas import thread_counts
+        from repro.postprocess import intervals
+
+        set_blas_threads(2)
+        seen = []
+        per_query_variances = intervals.per_query_variances
+
+        def spy(matrix, data_vector):
+            seen.append(thread_counts())
+            return per_query_variances(matrix, data_vector)
+
+        monkeypatch.setattr(intervals, "per_query_variances", spy)
+        manager.get("demo").accumulator.add_reports([0, 1, 1, 5])
+        manager.query("demo")
+        assert seen == [{name: 1 for name in thread_counts()}]
+        assert set(thread_counts().values()) == {2}
+
 
 class TestVarianceMatrixReuse:
     def test_twenty_queries_build_it_once(self, manager, builds):

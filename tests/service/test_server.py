@@ -322,6 +322,19 @@ class TestReporter:
         with pytest.raises(ServiceError, match="domain"):
             reporter.report(8)
 
+    def test_reporter_refuses_fractional_values(self, live):
+        # Truncation would buffer a report for type 2, and for 0 and 3.
+        _, client = live
+        make_campaign(client)
+        reporter = client.reporter("demo")
+        with pytest.raises(ServiceError, match="2.9 is not a whole number"):
+            reporter.report(2.9)
+        with pytest.raises(ServiceError, match="0.5 is not a whole number"):
+            reporter.report_many([0.5, 3.99])
+        with pytest.raises(ServiceError, match="8 outside domain"):
+            reporter.report_many([1, 8])
+        assert reporter.pending == 0
+
 
 class TestUnanswerableWorkload:
     def test_create_refused_and_nothing_registered_or_checkpointed(self, tmp_path):

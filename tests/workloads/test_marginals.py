@@ -79,3 +79,42 @@ class TestMarginalsWorkloadValidation:
     def test_rejects_out_of_range_mask(self):
         with pytest.raises(WorkloadError):
             MarginalsWorkload(BinaryDomain(2), [4], name="bad")
+
+
+MATVEC_CASES = [(k, None) for k in range(1, 7)] + [
+    (k, way) for k in range(1, 7) for way in range(1, k + 1)
+]
+
+
+class TestMatvec:
+    """``matvec`` sums the data tensor instead of building ``W``."""
+
+    @pytest.fixture(params=MATVEC_CASES, ids=lambda case: f"k={case[0]},way={case[1]}")
+    def workload_and_matrix(self, request, monkeypatch):
+        attributes, way = request.param
+        if way is None:
+            workload = all_marginals(attributes)
+        else:
+            workload = k_way_marginals(attributes, way)
+        matrix = workload.matrix
+
+        def refuse(self):
+            raise AssertionError("matvec built the explicit matrix")
+
+        monkeypatch.setattr(MarginalsWorkload, "matrix", property(refuse))
+        return workload, matrix
+
+    def test_exact_on_integer_vectors(self, workload_and_matrix):
+        workload, matrix = workload_and_matrix
+        x = np.random.default_rng(0).integers(0, 10_000, workload.domain_size)
+        assert np.array_equal(workload.matvec(x), matrix @ x)
+
+    def test_matches_on_float_vectors(self, workload_and_matrix):
+        workload, matrix = workload_and_matrix
+        x = np.random.default_rng(1).random(workload.domain_size)
+        np.testing.assert_allclose(workload.matvec(x), matrix @ x, rtol=1e-12)
+
+    def test_rejects_wrong_length(self, workload_and_matrix):
+        workload, _ = workload_and_matrix
+        with pytest.raises(WorkloadError):
+            workload.matvec(np.ones(workload.domain_size + 1))
