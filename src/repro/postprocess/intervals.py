@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from repro.exceptions import WorkloadError
 from repro.linalg.blas import single_threaded
@@ -121,7 +121,9 @@ def workload_confidence_intervals(
     response_histogram:
         The aggregated response vector ``y``.
     confidence:
-        Two-sided confidence level in (0, 1).
+        Two-sided confidence level in (0, 1); the multiplier is the standard
+        normal quantile at ``0.5 + confidence / 2``
+        (:meth:`statistics.NormalDist.inv_cdf`).
     completed:
         ``(estimates, standard_errors)`` of earlier independent rounds over
         the same workload, added in.  An empty ``response_histogram`` is
@@ -145,8 +147,13 @@ def workload_confidence_intervals(
     >>> bool(np.allclose(two.standard_errors, one.standard_errors * 2**0.5))
     True
     """
-    if not 0.0 < confidence < 1.0:
-        raise WorkloadError(f"confidence must be in (0, 1), got {confidence}")
+    # Within 2**-53 of 1, ``0.5 + confidence / 2`` rounds to 1.0, whose
+    # normal quantile is infinite; NaN fails both comparisons.
+    if not (confidence > 0.0 and 0.5 + confidence / 2.0 < 1.0):
+        raise WorkloadError(
+            f"confidence must be in (0, 1) with a finite normal quantile, "
+            f"got {confidence}"
+        )
     response_histogram = np.asarray(response_histogram, dtype=float)
     parts = list(completed)
     if response_histogram.any() or not parts:
@@ -171,7 +178,7 @@ def workload_confidence_intervals(
             estimates += part_estimates
             variances += np.asarray(part_errors, dtype=float) ** 2
         standard_errors = np.sqrt(variances)
-    z = scipy.stats.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return IntervalEstimate(
         estimates=estimates,
         standard_errors=standard_errors,

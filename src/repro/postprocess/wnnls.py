@@ -7,7 +7,9 @@ closest to the unbiased estimates:
     x_hat = argmin_{x >= 0} || W x - V y ||_2^2
 
 and reports ``W x_hat``.  Following the paper we solve it with L-BFGS-B from
-scipy.  The objective is evaluated in Gram space:
+scipy; ``scipy.optimize`` is imported on the first solve, so processes that
+never post-process (servers, cluster workers, the optimizer) do not load it.
+The objective is evaluated in Gram space:
 
     || W x - W b ||^2 = (x - b)^T (W^T W) (x - b),      b = B y
 
@@ -21,7 +23,6 @@ estimates that are *not* of that form, the general residual form
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from repro.exceptions import WorkloadError
 from repro.workloads.base import Workload
@@ -47,6 +48,8 @@ def wnnls_from_data_estimate(
     numpy.ndarray
         ``x_hat >= 0``; consistent workload answers are ``W x_hat``.
     """
+    import scipy.optimize
+
     gram = workload.gram()
     b = np.asarray(data_estimate, dtype=float)
     if b.shape != (workload.domain_size,):
@@ -82,6 +85,8 @@ def wnnls_from_answers(
     Minimizes ``||W x - a||^2 = x^T G x - 2 x^T (W^T a) + const`` over
     ``x >= 0`` using the workload's adjoint product.
     """
+    import scipy.optimize
+
     gram = workload.gram()
     linear = workload.rmatvec(np.asarray(answers, dtype=float))
 

@@ -91,6 +91,7 @@ from repro.service.wal import (
 )
 from repro.telemetry.logs import get_logger
 from repro.telemetry.metrics import (
+    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -751,9 +752,14 @@ class CollectionService(HttpTier):
                     lambda: float(wal.replayed_records_total),
                 ),
             ):
-                gauge = registry.gauge(name, help_text)
-                assert isinstance(gauge, Gauge)
-                gauge.set_function(getter)
+                # Running totals are counters (Prometheus ``rate()`` needs
+                # the type); the current sequence and segment count are not.
+                if name.endswith("_total"):
+                    metric = registry.counter(name, help_text)
+                else:
+                    metric = registry.gauge(name, help_text)
+                assert isinstance(metric, (Counter, Gauge))
+                metric.set_function(getter)
 
     # -- lifecycle ---------------------------------------------------------
 

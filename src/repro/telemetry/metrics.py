@@ -75,21 +75,29 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """Monotonically increasing count."""
+    """Monotonically increasing count; optionally backed by a callback
+    sampled on read (a running total kept by the object it describes)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_fn")
 
     def __init__(self, labels: tuple[tuple[str, str], ...] = ()) -> None:
         super().__init__(labels)
         self._value = 0.0
+        self._fn: Callable[[], float] | None = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         self._value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Sample ``fn`` at read time; it must never decrease."""
+        self._fn = fn
+
     @property
     def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         return self._value
 
 

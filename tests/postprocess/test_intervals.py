@@ -147,15 +147,27 @@ class TestPerQueryVariances:
 
 
 class TestConfidenceIntervals:
-    def test_structure(self, rng):
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999999])
+    def test_structure(self, rng, confidence):
+        import scipy.stats
+
         workload = prefix(4)
         strategy = randomized_response(4, 1.0)
         operator = reconstruction_operator(strategy.probabilities)
         y = strategy.sample_histogram(np.full(4, 100.0), rng)
-        result = intervals(workload, strategy, operator, y)
+        result = intervals(workload, strategy, operator, y, confidence=confidence)
         assert (result.lower <= result.estimates).all()
         assert (result.estimates <= result.upper).all()
-        assert result.confidence == 0.95
+        assert result.confidence == confidence
+        # scipy's normal quantile is the oracle for the stdlib one.  The two
+        # differ by <= 8.5e-16 relative on (0, 1), and each side rounds
+        # ``z * se`` and ``est ± z * se`` once, so the bounds agree to
+        # (8.5e-16 + 4u) z se + 2u |est| with u = 2**-53: inside 8 eps.
+        z = scipy.stats.norm.ppf(0.5 + confidence / 2.0)
+        margin = z * result.standard_errors
+        tolerance = 8 * np.finfo(float).eps * (np.abs(result.estimates) + margin)
+        assert (np.abs(result.upper - (result.estimates + margin)) <= tolerance).all()
+        assert (np.abs(result.lower - (result.estimates - margin)) <= tolerance).all()
 
     def test_wider_at_higher_confidence(self, rng):
         workload = histogram(4)
@@ -170,8 +182,16 @@ class TestConfidenceIntervals:
         workload = histogram(3)
         strategy = randomized_response(3, 1.0)
         operator = reconstruction_operator(strategy.probabilities)
-        with pytest.raises(WorkloadError):
-            intervals(workload, strategy, operator, np.ones(3), confidence=1.5)
+        # 1 - 2**-53 passes ``< 1`` but ``0.5 + c / 2`` rounds to 1.0,
+        # whose quantile is infinite: the bounds would be +-inf.
+        for confidence in (0.0, 1.0, 1.5, -0.5, 1 - 2**-53, float("nan")):
+            with pytest.raises(WorkloadError, match="confidence"):
+                intervals(
+                    workload, strategy, operator, np.ones(3), confidence=confidence
+                )
+        largest = 1 - 2**-52
+        result = intervals(workload, strategy, operator, np.ones(3), confidence=largest)
+        assert np.isfinite(result.upper).all() and np.isfinite(result.lower).all()
 
     def test_coverage_calibrated(self, rng):
         # Over repeated protocol runs, the 90% intervals should cover the

@@ -159,6 +159,17 @@ class TestEndpoints:
             payload = json.loads(response.read())
         assert payload["num_reports"] == 3
 
+    def test_confidence_with_infinite_quantile_gets_400(self, live):
+        # 1 - 2**-53 passes ``< 1``, but ``0.5 + c / 2`` rounds to 1.0: the
+        # bounds would be +-Infinity, which is not JSON.
+        _, client = live
+        make_campaign(client)
+        client.send_reports("demo", [0, 1, 2])
+        with pytest.raises(ServiceHTTPError, match="confidence") as error:
+            client.query("demo", confidence=1 - 2**-53)
+        assert error.value.status == 400
+        assert client.query("demo", confidence=1 - 2**-52)["num_reports"] == 3
+
     def test_checkpoint_endpoint_requires_directory(self, live):
         _, client = live
         with pytest.raises(ServiceError, match="checkpoint"):

@@ -109,6 +109,41 @@ class TestPrometheusEndpoint:
         assert 0.0 <= first <= second <= third
 
 
+class TestWalFamilies:
+    def test_running_totals_are_counters(self, tmp_path):
+        service = CollectionService(
+            checkpoint_dir=tmp_path / "checkpoints", wal_dir=tmp_path / "wal"
+        )
+        thread = ServiceThread(service)
+        host, port = thread.start()
+        client = ServiceClient(host, port)
+        try:
+            make_campaign(client)
+            client.send_reports("demo", [1, 2, 3])
+            text = client.prometheus_metrics()
+        finally:
+            client.close()
+            thread.stop()
+        assert_valid_exposition(text)
+        kinds = dict(
+            line.split()[2:4]
+            for line in text.splitlines()
+            if line.startswith("# TYPE")
+        )
+        wal_kinds = {name: kind for name, kind in kinds.items() if "_wal_" in name}
+        assert wal_kinds == {
+            "repro_wal_appends_total": "counter",
+            "repro_wal_fsync_batches_total": "counter",
+            "repro_wal_bytes_written_total": "counter",
+            "repro_wal_truncations_total": "counter",
+            "repro_wal_replayed_records_total": "counter",
+            "repro_wal_last_sequence": "gauge",
+            "repro_wal_segments": "gauge",
+        }
+        assert sample_value(text, "repro_wal_appends_total ") >= 1
+        assert sample_value(text, "repro_wal_bytes_written_total ") > 0
+
+
 class TestTracePropagation:
     def test_json_ingest_echoes_the_client_minted_trace(self, live):
         service, client = live

@@ -43,6 +43,16 @@ class TestCounter:
         with pytest.raises(ValueError, match="only go up"):
             counter.inc(-1)
 
+    def test_callback_sampled_on_read(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total")
+        box = {"v": 2.0}
+        counter.set_function(lambda: box["v"])
+        assert counter.value == 2.0
+        box["v"] = 9.0
+        assert counter.value == 9.0
+        assert "# TYPE c_total counter\nc_total 9\n" in registry.render_prometheus()
+
 
 class TestGauge:
     def test_set_inc_dec(self):
