@@ -9,11 +9,10 @@ random initialization descends past them.
 """
 
 from benchmarks.conftest import emit
-from repro.analysis import strategy_objective
 from repro.experiments.reporting import format_table
 from repro.experiments.scale import current_scale
 from repro.mechanisms import hadamard_response, randomized_response
-from repro.optimization import OptimizerConfig, optimize_strategy
+from repro.optimization import OptimizerConfig, objective_value, optimize_strategy
 from repro.workloads import histogram, prefix
 
 EPSILON = 1.0
@@ -45,7 +44,7 @@ def run_comparison():
                 [
                     workload.name,
                     name,
-                    strategy_objective(baseline.probabilities, gram),
+                    objective_value(baseline.probabilities, gram),
                     seeded.objective,
                     random_result.objective,
                 ]

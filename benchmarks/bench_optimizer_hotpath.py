@@ -8,7 +8,9 @@ corridor sweep, and projections — on both evaluation engines:
   bracketed-Newton projection, batched candidates).
 * ``reference`` — the pre-workspace straight-line path (unconditional
   eigenvalue pseudo-inverse, dense residual-map feasibility check,
-  sort-based projection), kept verbatim for exactly this comparison.
+  sort-based projection), kept verbatim as the test oracle
+  ``tests/optimization/reference.py::ReferenceEngine`` and patched in for
+  ``pgd.FastEngine`` to run Algorithm 2 on it.
 
 Both engines walk the same iterates, so iterations/sec is an
 apples-to-apples rate and the final objectives must agree — the script
@@ -36,12 +38,21 @@ import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from repro.linalg.blas import thread_counts
-from repro.optimization import OptimizerConfig, optimize_strategy
-from repro.workloads import histogram
+# The reference engine is a test oracle; make the repo root importable.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.linalg.blas import thread_counts  # noqa: E402
+from repro.optimization import OptimizerConfig, optimize_strategy, pgd  # noqa: E402
+from repro.workloads import histogram  # noqa: E402
+from tests.optimization.reference import ReferenceEngine  # noqa: E402
+
+#: Evaluators Algorithm 2 is timed on, by engine name.
+ENGINES = {"fast": pgd.FastEngine, "reference": ReferenceEngine}
 
 #: Relative window for the time-to-tolerance metric.
 TOLERANCE_WINDOW = 1e-3
@@ -49,10 +60,11 @@ TOLERANCE_WINDOW = 1e-3
 
 def time_engine(workload, epsilon, config, engine):
     """One full optimization on the given engine; returns timing + quality."""
-    run_config = replace(config, engine=engine, track_history=True)
-    start = time.perf_counter()
-    result = optimize_strategy(workload, epsilon, run_config)
-    seconds = time.perf_counter() - start
+    run_config = replace(config, track_history=True)
+    with mock.patch.object(pgd, "FastEngine", ENGINES[engine]):
+        start = time.perf_counter()
+        result = optimize_strategy(workload, epsilon, run_config)
+        seconds = time.perf_counter() - start
     iterations = max(result.iterations_run, 1)
     seconds_per_iteration = seconds / iterations
     history = np.minimum.accumulate(

@@ -11,7 +11,10 @@ Validates every inline link and image in the repo's markdown files:
 * in ``README.md`` and ``docs/*.md``, every backticked dotted name that
   starts with ``repro.`` must import or resolve as an attribute, so a page
   cannot keep naming an API after it is deleted.  ``CHANGES.md`` and
-  ``ROADMAP.md`` are not checked: they name deleted APIs on purpose.
+  ``ROADMAP.md`` are not checked: they name deleted APIs on purpose;
+* every ``*.md`` path named in a ``src/`` module (a docstring or comment
+  pointing the reader at a page) must exist relative to the repo root or
+  under ``docs/``.
 
 Exits non-zero listing every broken link and name.  Used by the CI docs
 job and by ``tests/test_docs.py``.
@@ -46,6 +49,9 @@ _FENCE = re.compile(r"```.*?```", re.DOTALL)
 #: A code span that opens with a dotted ``repro.`` name (anything after
 #: the name, such as call arguments, is ignored).
 _CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
+
+#: A ``*.md`` path in Python source; the lookbehind skips URL tails.
+_SOURCE_PAGE = re.compile(r"(?<![\w./:-])[\w-][\w./-]*\.md\b")
 
 
 def _strip_fences(text: str) -> str:
@@ -137,9 +143,25 @@ def check_code_names(path: Path, root: Path) -> list[str]:
     return problems
 
 
+def check_source_pages(root: Path) -> list[str]:
+    """Every ``*.md`` path named in a ``src/`` module that exists neither
+    relative to ``root`` nor under ``root/docs``."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in _SOURCE_PAGE.finditer(text):
+            page = match.group(0)
+            if not ((root / page).is_file() or (root / "docs" / page).is_file()):
+                line = text[: match.start()].count("\n") + 1
+                problems.append(
+                    f"{path.relative_to(root)}:{line}: missing file {page!r}"
+                )
+    return problems
+
+
 def check_tree(root: Path) -> tuple[int, list[str]]:
-    """Check every markdown file under ``root``, plus the code names of
-    ``README.md`` and ``docs/*.md``.
+    """Check every markdown file under ``root``, the code names of
+    ``README.md`` and ``docs/*.md``, and the pages ``src/`` modules name.
 
     Returns ``(files_checked, problems)``.
     """
@@ -151,6 +173,7 @@ def check_tree(root: Path) -> tuple[int, list[str]]:
     for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
         if path.is_file():
             problems.extend(check_code_names(path, root))
+    problems.extend(check_source_pages(root))
     return len(files), problems
 
 

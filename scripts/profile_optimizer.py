@@ -9,11 +9,7 @@ than a mystery slowdown.
 Run::
 
     PYTHONPATH=src python scripts/profile_optimizer.py --domain 128 \
-        --iterations 100 --engine fast --top 20
-
-Compare the engines directly::
-
-    PYTHONPATH=src python scripts/profile_optimizer.py --engine reference
+        --iterations 100 --top 20
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", choices=("fast", "reference"), default="fast")
     parser.add_argument(
         "--num-outputs",
         type=int,
@@ -71,13 +66,12 @@ def main(argv=None) -> int:
         num_iterations=arguments.iterations,
         seed=arguments.seed,
         num_outputs=arguments.num_outputs,
-        engine=arguments.engine,
         track_history=True,
     )
     print(
         f"profiling optimize_strategy: {arguments.workload}({arguments.domain}), "
         f"m = {arguments.num_outputs or 4 * arguments.domain}, "
-        f"{arguments.iterations} iterations, engine = {arguments.engine}"
+        f"{arguments.iterations} iterations"
     )
 
     profiler = cProfile.Profile()
@@ -108,7 +102,6 @@ def main(argv=None) -> int:
             "domain": arguments.domain,
             "epsilon": arguments.epsilon,
             "seed": arguments.seed,
-            "engine": arguments.engine,
             "elapsed_seconds": elapsed,
             "objective": result.objective,
             "iterations_run": result.iterations_run,

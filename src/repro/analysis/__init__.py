@@ -6,8 +6,8 @@ This subpackage implements the paper's analytical toolkit:
   (worst/average case) — :mod:`repro.analysis.variance`.
 * Theorem 3.10 (optimal reconstruction for fixed Q) —
   :mod:`repro.analysis.reconstruction`.
-* Theorem 3.11 (strategy-only objective ``L(Q)``) —
-  :mod:`repro.analysis.objective`.
+* Theorem 3.11 (strategy-only objective ``L(Q)``) lives with the optimizer
+  that minimizes it: :func:`repro.optimization.objective.objective_value`.
 * Definition 5.2 / Corollaries 5.3-5.4 (sample complexity) —
   :mod:`repro.analysis.sample_complexity`.
 * Theorem 5.6 / Corollary 5.7 (SVD lower bounds) —
@@ -23,7 +23,6 @@ from repro.analysis.bounds import (
     worst_case_variance_lower_bound,
 )
 from repro.analysis.budget import achievable_alpha, epsilon_for_population
-from repro.analysis.objective import strategy_objective
 from repro.analysis.reconstruction import (
     factored_reconstruction_operators,
     factorization_residual,
@@ -67,7 +66,6 @@ __all__ = [
     "sample_complexity_lower_bound",
     "sample_complexity_on_distribution",
     "scaled_gram",
-    "strategy_objective",
     "strategy_objective_lower_bound",
     "strategy_row_sums",
     "total_variance",

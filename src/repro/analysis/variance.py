@@ -5,7 +5,8 @@ Everything is expressed in Gram space.  For the factorization mechanism
 
     t_u = sum_i [ v_i^T Diag(q_u) v_i - (v_i^T q_u)^2 ]
 
-reduces (Section 5 of DESIGN.md) to
+reduces — since ``sum_i v_i^T Diag(q_u) v_i = q_u . diag(V^T V)``,
+``sum_i (v_i^T q_u)^2 = ||V q_u||^2`` and ``V^T V = B^T C B`` — to
 
     t_u = q_u . diag(B^T C B)  -  (B q_u)^T C (B q_u),      C = W^T W
 

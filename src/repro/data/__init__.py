@@ -1,7 +1,9 @@
 """Synthetic datasets and data-vector generators.
 
-See DESIGN.md "Substitutions" for why the DPBench datasets are replaced by
-shape-matched synthetic surrogates.
+The DPBench datasets are not redistributable here, so they are replaced by
+shape-matched synthetic surrogates; the experiments read a dataset only
+through its empirical distribution, so shape is what matters (see
+:mod:`repro.data.datasets`).
 """
 
 from repro.data.datasets import (

@@ -3,8 +3,7 @@
 ``REPRO_SCALE=paper`` reruns every experiment at the paper's sizes (hours of
 compute on one core); the default ``ci`` profile shrinks domain sizes and
 grids so the whole benchmark suite finishes in minutes while preserving the
-comparisons' shape.  EXPERIMENTS.md records results from both where
-feasible.
+comparisons' shape.
 """
 
 from __future__ import annotations

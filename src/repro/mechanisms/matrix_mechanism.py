@@ -26,7 +26,7 @@ exact optimizer of the relaxed central-model problem for the symmetric
 workloads evaluated here, reduced to ``rank(W)`` rows (this matters for the
 L2 flavour, whose noise grows with the row count).  The identity strategy is
 also evaluated and the better of the two is kept, so the baseline is never
-handicapped by the closed form.  See DESIGN.md "Substitutions".
+handicapped by the closed form.
 
 Because the noise is data-independent, the per-user variance contribution is
 the same for every user type: ``sigma_c^2 ||W A^+||_F^2``, computed in Gram

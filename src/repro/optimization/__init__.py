@@ -23,18 +23,8 @@ from repro.optimization.factored import (
     multi_restart_optimize_factored,
     optimize_factored_strategy,
 )
-
-from repro.optimization.kernels import (
-    OBJECTIVE_ENGINES,
-    ObjectiveWorkspace,
-    make_engine,
-)
-from repro.optimization.objective import (
-    objective_and_gradient,
-    objective_value,
-    reference_objective_and_gradient,
-    reference_objective_value,
-)
+from repro.optimization.kernels import ObjectiveWorkspace
+from repro.optimization.objective import objective_and_gradient, objective_value
 from repro.optimization.optimized import OptimizedMechanism
 from repro.optimization.pgd import (
     DEFAULT_OUTPUT_FACTOR,
@@ -51,10 +41,8 @@ from repro.optimization.restarts import (
     restart_seeds,
 )
 from repro.optimization.projection import (
-    PROJECTION_METHODS,
     ProjectionState,
     feasible_bounds,
-    project_column_bisection,
     project_columns,
     project_columns_batch,
     projection_vjp,
@@ -72,12 +60,10 @@ __all__ = [
     "FACTORED_WORKLOADS",
     "FactoredOptimizationResult",
     "FactoredOptimizerConfig",
-    "OBJECTIVE_ENGINES",
     "ObjectiveWorkspace",
     "OptimizationResult",
     "OptimizedMechanism",
     "OptimizerConfig",
-    "PROJECTION_METHODS",
     "ProjectionState",
     "RestartReport",
     "SweepPoint",
@@ -88,16 +74,12 @@ __all__ = [
     "feasible_bounds",
     "initial_bounds",
     "initialize",
-    "make_engine",
     "objective_and_gradient",
     "objective_value",
     "optimize_strategy",
-    "project_column_bisection",
     "project_columns",
     "project_columns_batch",
     "projection_vjp",
-    "reference_objective_and_gradient",
-    "reference_objective_value",
     "restart_seeds",
     "sample_complexity_of_result",
     "search_num_outputs",

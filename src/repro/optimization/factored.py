@@ -27,10 +27,9 @@ Either way no ``n x n`` object is ever formed: memory is
 ``O(sum_i (m_i d_i + d_i^2))`` and per-iteration work drops from
 ``O(n^2 m)`` to ``O(sum_i d_i^2 m_i)`` — the "single biggest unlock"
 called out in the roadmap.  The driver reuses
-:class:`~repro.optimization.pgd.OptimizerConfig` (including the
-``engine="fast"|"reference"`` selection) for the per-factor solves, and the
-test suite pins the composed objective against the dense engine at small
-sizes to rtol <= 1e-9.
+:class:`~repro.optimization.pgd.OptimizerConfig` for the per-factor solves,
+and the test suite pins the composed objective against the dense engine at
+small sizes to rtol <= 1e-9.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from repro.exceptions import OptimizationError
 from repro.linalg import psd_pinv
 from repro.mechanisms.base import StrategyMatrix
 from repro.mechanisms.factored import FactoredStrategy
-from repro.optimization.kernels import OBJECTIVE_ENGINES
 from repro.optimization.pgd import (
     DEFAULT_OUTPUT_FACTOR,
     OptimizationResult,
     OptimizerConfig,
+    check_config,
     optimize_strategy,
 )
 from repro.optimization.restarts import (
@@ -72,7 +71,7 @@ class FactoredOptimizerConfig:
     ----------
     base:
         The per-factor :class:`~repro.optimization.pgd.OptimizerConfig`
-        (iterations, engine, seed, ...).  ``num_outputs``, ``prior`` and
+        (iterations, seed, ...).  ``num_outputs``, ``prior`` and
         ``initial_strategy`` must be unset — they are ambiguous across
         factors (outputs are sized per factor via ``output_factor``; only
         the uniform prior factorizes over a product domain).
@@ -262,19 +261,13 @@ def optimize_factored_strategy(
     True
     """
     config = config or FactoredOptimizerConfig()
-    if epsilon <= 0:
-        raise OptimizationError(f"epsilon must be positive, got {epsilon}")
+    base = config.base
+    check_config(base, epsilon)
     if config.rounds < 1:
         raise OptimizationError(f"need >= 1 round, got {config.rounds}")
     if config.output_factor < 1:
         raise OptimizationError(
             f"output_factor must be >= 1, got {config.output_factor}"
-        )
-    base = config.base
-    if base.engine not in OBJECTIVE_ENGINES:
-        raise OptimizationError(
-            f"unknown objective engine {base.engine!r}; expected one of "
-            f"{OBJECTIVE_ENGINES}"
         )
     if base.num_outputs is not None:
         raise OptimizationError(
@@ -412,6 +405,7 @@ def multi_restart_optimize_factored(
     True
     """
     config = config or FactoredOptimizerConfig()
+    check_config(config.base, epsilon)
     if not isinstance(workload, FACTORED_WORKLOADS):
         raise OptimizationError(
             "factored optimization needs a KronWorkload or "

@@ -3,11 +3,7 @@
 Every evaluation of ``L(Q) = tr[(Q^T D^-1 Q)^+ C]`` inside one
 ``optimize_strategy`` run shares the same workload Gram ``C = W^T W`` — the
 factorization-mechanism view (Edmonds–Nikolov–Ullman 2019) of why strategy
-optimization is a pure function of the public Gram.  The straight-line
-implementation in :mod:`repro.optimization.objective` ignores that: each
-call re-allocates its scratch, runs an unconditional ``O(n^3)``
-eigendecomposition for the pseudo-inverse, and materializes an ``n x n``
-residual map (plus an ``O(n^3)`` einsum) just to detect infeasibility.
+optimization is a pure function of the public Gram.
 
 :class:`ObjectiveWorkspace` is the cached engine: created once per
 optimization run, it holds the Gram, a one-time eigenfactor ``C = F^T F``,
@@ -19,18 +15,18 @@ and preallocated scratch, and evaluates the objective via
   gate — on success the value is ``||L^-1 F^T||_F^2`` and the gradient core
   is ``-(A^-1 F^T)(A^-1 F^T)^T``, all triangular solves,
 * an eigenvalue fallback *only* when the factorization fails or the
-  condition estimate crosses the gate — exactly the reference semantics,
-  with the feasibility mass read off the null-space basis (``O(n^2 k)``)
-  instead of the reference's dense residual map.
+  condition estimate crosses the gate — the pseudo-inverse semantics of
+  Theorem 3.11, with the feasibility mass read off the null-space basis
+  (``O(n^2 k)``) instead of a dense ``n x n`` residual map.
 
 A positive-definite Cholesky *is* the feasibility certificate: ``A`` full
 rank means the factorization constraint ``W = W Q^+ Q`` holds for every
 workload, so the fast path never pays for the check at all.
 
-:class:`FastEngine` / :class:`ReferenceEngine` wrap the workspace (resp. the
-straight-line reference) behind the small evaluator interface Algorithm 2's
-descent loop is written against, including batched multi-candidate
-evaluation through shared buffers and fused batch projection.
+:class:`FastEngine` wraps the workspace and the projection behind the small
+evaluator interface Algorithm 2's descent loop is written against, including
+batched multi-candidate evaluation through shared buffers and fused batch
+projection.
 """
 
 from __future__ import annotations
@@ -47,8 +43,7 @@ from repro.optimization.projection import (
     project_columns_batch,
 )
 
-#: Row sums below this value are treated as dead outputs (matches the
-#: reference implementation in :mod:`repro.optimization.objective`).
+#: Row sums below this value are treated as dead outputs.
 _ROW_SUM_FLOOR = 1e-300
 
 #: Eigenvalues below ``rcond * max_eigenvalue`` count as zero in the
@@ -57,13 +52,12 @@ _PINV_RCOND = 1e-12
 
 #: Reciprocal-condition gate for trusting a Cholesky factorization.  Kept
 #: two orders of magnitude above the pseudo-inverse cutoff so any core whose
-#: small eigenvalues the reference path would drop is routed through the
-#: identical eigenvalue fallback instead of an ill-conditioned solve.
+#: small eigenvalues the pseudo-inverse would drop is routed through the
+#: eigenvalue fallback instead of an ill-conditioned solve.
 _CHOLESKY_RCOND_FLOOR = 1e-10
 
 #: Feasibility threshold: workload mass outside ``range(A)`` beyond this
-#: fraction of ``tr(C)`` means the step overshot into the infeasible region
-#: (matches the reference implementation).
+#: fraction of ``tr(C)`` means the step overshot into the infeasible region.
 _INFEASIBLE_REL_TOL = 1e-9
 
 
@@ -87,16 +81,16 @@ class ObjectiveWorkspace:
 
     Examples
     --------
-    The workspace agrees with the straight-line reference implementation:
+    The workspace agrees with the defining trace formula:
 
     >>> import numpy as np
     >>> from repro.mechanisms import randomized_response
-    >>> from repro.optimization.objective import reference_objective_value
     >>> from repro.workloads import histogram
     >>> q = randomized_response(4, epsilon=1.0).probabilities
     >>> gram = histogram(4).gram()
     >>> workspace = ObjectiveWorkspace(gram, q.shape[0])
-    >>> bool(np.isclose(workspace.value(q), reference_objective_value(q, gram)))
+    >>> core = q.T @ np.diag(1.0 / q.sum(axis=1)) @ q
+    >>> bool(np.isclose(workspace.value(q), np.trace(np.linalg.pinv(core) @ gram)))
     True
     """
 
@@ -200,7 +194,7 @@ class ObjectiveWorkspace:
         if not keep.all():
             # Fused feasibility check: the workload mass in the null space
             # of A is tr(V0^T C V0) over the dropped eigenvectors — the
-            # reference's residual-map einsum without the n x n temporary.
+            # dense residual-map einsum without the n x n temporary.
             null_basis = eigenvectors[:, ~keep]
             infeasible_mass = float(np.sum(null_basis * (self.gram @ null_basis)))
             if infeasible_mass > _INFEASIBLE_REL_TOL * max(self.gram_trace, 1e-30):
@@ -259,8 +253,7 @@ class ObjectiveWorkspace:
         """Evaluate ``L(Q)`` and ``dL/dQ`` together (shared factorization).
 
         Returns ``(inf, None)`` when the strategy cannot answer the
-        workload (the factorization constraint fails), matching the
-        reference implementation.
+        workload (the factorization constraint fails).
         """
         strategy = self._validate(strategy)
         row_sums = self._row_sums(strategy)
@@ -333,9 +326,6 @@ class ObjectiveWorkspace:
 class FastEngine:
     """The workspace-backed evaluator Algorithm 2's loop runs against."""
 
-    name = "fast"
-    projection_method = "newton"
-
     def __init__(
         self,
         gram: np.ndarray,
@@ -363,11 +353,7 @@ class FastEngine:
         initial_multipliers: np.ndarray | None = None,
     ) -> ProjectionState:
         return project_columns(
-            matrix,
-            bounds,
-            epsilon,
-            method=self.projection_method,
-            initial_multipliers=initial_multipliers,
+            matrix, bounds, epsilon, initial_multipliers=initial_multipliers
         )
 
     def project_batch(
@@ -378,96 +364,5 @@ class FastEngine:
         initial_multipliers: np.ndarray | None = None,
     ) -> list[ProjectionState]:
         return project_columns_batch(
-            matrices,
-            bounds,
-            epsilon,
-            method=self.projection_method,
-            initial_multipliers=initial_multipliers,
+            matrices, bounds, epsilon, initial_multipliers=initial_multipliers
         )
-
-
-class ReferenceEngine:
-    """The pre-workspace straight-line path, kept verbatim for pinning.
-
-    Objective evaluations go through the reference implementation in
-    :mod:`repro.optimization.objective` (unconditional eigendecomposition,
-    dense residual-map feasibility check) and projections through the
-    sort-based multiplier sweep.  Tests and the hot-path benchmark compare
-    the fast engine against this one.
-    """
-
-    name = "reference"
-    projection_method = "sort"
-
-    def __init__(
-        self,
-        gram: np.ndarray,
-        num_outputs: int,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        from repro.optimization import objective
-
-        self.gram = np.asarray(gram, dtype=float)
-        self.weights = weights
-        self._value = objective.reference_objective_value
-        self._value_and_gradient = objective.reference_objective_and_gradient
-
-    def value(self, strategy: np.ndarray) -> float:
-        return self._value(strategy, self.gram, self.weights)
-
-    def value_and_gradient(self, strategy: np.ndarray):
-        return self._value_and_gradient(strategy, self.gram, self.weights)
-
-    def value_batch(self, strategies) -> np.ndarray:
-        return np.array([self.value(strategy) for strategy in strategies])
-
-    def project(
-        self,
-        matrix: np.ndarray,
-        bounds: np.ndarray,
-        epsilon: float,
-        initial_multipliers: np.ndarray | None = None,
-    ) -> ProjectionState:
-        # The sort sweep is direct; a warm start has nothing to seed.
-        return project_columns(matrix, bounds, epsilon, method=self.projection_method)
-
-    def project_batch(
-        self,
-        matrices,
-        bounds: np.ndarray,
-        epsilon: float,
-        initial_multipliers: np.ndarray | None = None,
-    ) -> list[ProjectionState]:
-        return [
-            self.project(matrix, bounds, epsilon) for matrix in matrices
-        ]
-
-
-#: Evaluation engines accepted by :class:`~repro.optimization.pgd.OptimizerConfig`.
-OBJECTIVE_ENGINES = ("fast", "reference")
-
-
-def make_engine(
-    engine: str,
-    gram: np.ndarray,
-    num_outputs: int,
-    weights: np.ndarray | None = None,
-) -> FastEngine | ReferenceEngine:
-    """Build the evaluator for one optimization run.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> make_engine("fast", np.eye(3), 12).name
-    'fast'
-    >>> make_engine("reference", np.eye(3), 12).name
-    'reference'
-    """
-    if engine == "fast":
-        return FastEngine(gram, num_outputs, weights)
-    if engine == "reference":
-        return ReferenceEngine(gram, num_outputs, weights)
-    raise OptimizationError(
-        f"unknown objective engine {engine!r}; expected one of "
-        f"{OBJECTIVE_ENGINES}"
-    )

@@ -2,33 +2,27 @@
 
     L(Q) = tr[ A^+ C ],   A = Q^T D^-1 Q,   D = Diag(Q 1),   C = W^T W
 
-Manual gradient (derived in DESIGN.md section 5; the original implementation
-used autograd, which is unnecessary here):
+The gradient, in closed form:
 
     G      = dL/dA = -A^-1 C A^-1                      (symmetric)
     dL/dQ  = 2 D^-1 Q G  -  diag(D^-1 Q G Q^T D^-1) 1^T
 
 The first term is the usual quadratic-form derivative; the second accounts
-for ``D``'s dependence on the row sums of ``Q``.  The gradient is validated
-against central finite differences in the test suite.
+for ``D``'s dependence on the row sums of ``Q`` (``dD_oo / dQ_ou = 1``).
+The gradient is validated against central finite differences in the test
+suite.
 
-Two implementations live side by side:
+:func:`objective_value` / :func:`objective_and_gradient` evaluate one
+strategy through a one-shot
+:class:`repro.optimization.kernels.ObjectiveWorkspace` — the
+factorization-cached engine (Cholesky solves with an eigenvalue fallback,
+BLAS ``syrk`` core, fused feasibility).  The descent loop builds one
+workspace per run instead of going through these wrappers.  A strategy that
+cannot answer the workload (``W != W Q^+ Q``) has ``L(Q) = inf``.
 
-* The public :func:`objective_value` / :func:`objective_and_gradient`
-  delegate to :class:`repro.optimization.kernels.ObjectiveWorkspace` — the
-  factorization-cached engine (Cholesky solves with an eigenvalue fallback,
-  BLAS ``syrk`` core, fused feasibility).  The descent loop builds one
-  workspace per run instead of going through these wrappers.
-* :func:`reference_objective_value` / :func:`reference_objective_and_gradient`
-  keep the original straight-line implementation (unconditional eigenvalue
-  pseudo-inverse, dense residual-map feasibility check) verbatim.  The test
-  suite pins the fast path against it, and the hot-path benchmark measures
-  the speedup over it.
-
-Reference cost per evaluation is ``O(n^2 m + n^3)`` (plus ``O(m n)``),
-matching the complexity analysis in Section 4 of the paper; the workspace
-keeps the same asymptotics with a several-fold smaller constant (see
-docs/optimizer.md for the per-term breakdown).
+Cost per evaluation is ``O(n^2 m + n^3)``, matching the complexity analysis
+in Section 4 of the paper (see docs/optimizer.md for the per-term
+breakdown).
 """
 
 from __future__ import annotations
@@ -36,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import OptimizationError
-from repro.linalg import psd_pinv, symmetrize
 from repro.optimization.kernels import ObjectiveWorkspace
-
-#: Row sums below this value are treated as dead outputs.
-_ROW_SUM_FLOOR = 1e-300
 
 
 def objective_value(
@@ -104,101 +94,3 @@ def _one_shot_workspace(
             f"gram shape {gram.shape} does not match domain size {strategy.shape[1]}"
         )
     return ObjectiveWorkspace(gram, strategy.shape[0], weights, factor_gram=False)
-
-
-def reference_objective_value(
-    strategy: np.ndarray, gram: np.ndarray, weights: np.ndarray | None = None
-) -> float:
-    """The original straight-line ``L(Q)`` evaluation, kept as the
-    reference the fast path is pinned against.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.mechanisms import randomized_response
-    >>> from repro.workloads import histogram
-    >>> q = randomized_response(4, epsilon=1.0).probabilities
-    >>> gram = histogram(4).gram()
-    >>> bool(np.isclose(reference_objective_value(q, gram), objective_value(q, gram)))
-    True
-    """
-    value, _ = _objective_core(strategy, gram, weights, with_gradient=False)
-    return value
-
-
-def reference_objective_and_gradient(
-    strategy: np.ndarray, gram: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """The original straight-line value+gradient evaluation (reference path).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.mechanisms import randomized_response
-    >>> from repro.workloads import histogram
-    >>> q = randomized_response(4, epsilon=1.0).probabilities
-    >>> value, gradient = reference_objective_and_gradient(q, histogram(4).gram())
-    >>> gradient.shape
-    (4, 4)
-    """
-    value, gradient = _objective_core(strategy, gram, weights, with_gradient=True)
-    return value, gradient
-
-
-def _objective_core(
-    strategy: np.ndarray,
-    gram: np.ndarray,
-    weights: np.ndarray | None,
-    with_gradient: bool,
-) -> tuple[float, np.ndarray | None]:
-    strategy = np.asarray(strategy, dtype=float)
-    gram = np.asarray(gram, dtype=float)
-    if strategy.ndim != 2:
-        raise OptimizationError(f"strategy must be 2-D, got {strategy.ndim}-D")
-    if gram.shape != (strategy.shape[1], strategy.shape[1]):
-        raise OptimizationError(
-            f"gram shape {gram.shape} does not match domain size {strategy.shape[1]}"
-        )
-    if weights is None:
-        row_sums = strategy.sum(axis=1)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (strategy.shape[1],):
-            raise OptimizationError(
-                f"weights shape {weights.shape} != domain size {strategy.shape[1]}"
-            )
-        row_sums = strategy @ weights
-    if row_sums.min() < -_ROW_SUM_FLOOR:
-        raise OptimizationError("strategy has a negative row sum")
-    safe = np.maximum(row_sums, _ROW_SUM_FLOOR)
-    live = row_sums > _ROW_SUM_FLOOR
-    weighted = np.where(live[:, None], strategy / safe[:, None], 0.0)
-
-    core = symmetrize(strategy.T @ weighted)
-    core_pinv = psd_pinv(core)
-
-    # The pseudo-inverse silently drops directions outside range(A); there
-    # the true objective is infinite (the factorization constraint
-    # W = W Q^+ Q fails).  Detect that and report inf so the descent loop
-    # treats the step as an overshoot rather than a miraculous improvement.
-    residual_map = np.eye(core.shape[0]) - core_pinv @ core
-    gram_trace = float(np.trace(gram))
-    infeasible_mass = float(
-        np.einsum("ij,ik,kj->", residual_map, gram, residual_map)
-    )
-    if infeasible_mass > 1e-9 * max(gram_trace, 1e-30):
-        return np.inf, None
-
-    value = float(np.sum(core_pinv * gram))
-
-    if not with_gradient:
-        return value, None
-
-    sensitivity = symmetrize(-core_pinv @ gram @ core_pinv)
-    weighted_sensitivity = weighted @ sensitivity
-    diagonal = np.einsum("ou,ou->o", weighted_sensitivity, weighted)
-    if weights is None:
-        gradient = 2.0 * weighted_sensitivity - diagonal[:, None]
-    else:
-        gradient = 2.0 * weighted_sensitivity - np.outer(diagonal, weights)
-    return value, gradient

@@ -24,13 +24,14 @@ hyper-parameter search, which consumes no privacy budget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from repro.exceptions import OptimizationError
 from repro.linalg.blas import single_threaded
 from repro.mechanisms.base import StrategyMatrix
-from repro.optimization.kernels import OBJECTIVE_ENGINES, make_engine
+from repro.optimization.kernels import FastEngine
 from repro.optimization.projection import (
     ProjectionState,
     project_columns,
@@ -50,6 +51,14 @@ DEFAULT_OUTPUT_FACTOR = 4
 #: previous — is identical to it.
 _LINE_SEARCH_BATCHES = (1, 2, 4, 8, 8, 8, 9)
 
+#: Factor by which the line search grows the step after accepting one.
+_STEP_GROWTH = 1.25
+
+#: Stop early once the relative objective improvement stays below
+#: ``_TOLERANCE`` for ``_PATIENCE`` consecutive iterations.
+_TOLERANCE = 1e-10
+_PATIENCE = 100
+
 
 @dataclass
 class OptimizerConfig:
@@ -67,25 +76,21 @@ class OptimizerConfig:
         Seed for the random initialization.
     search_points, search_iterations:
         Size of the step-size grid and trial length per candidate.
-    tolerance, patience:
-        Stop early when the relative objective improvement stays below
-        ``tolerance`` for ``patience`` consecutive iterations.
     track_history:
         Record the objective value at every iteration.
-    engine:
-        Objective evaluation engine: ``"fast"`` (the factorization-cached
-        workspace of :mod:`repro.optimization.kernels`, the default) or
-        ``"reference"`` (the original straight-line path, kept for pinning
-        and benchmarking).  Both produce the same optimization up to
-        floating-point round-off.
+    line_search:
+        Backtrack the Q step (the default); ``False`` runs the paper's
+        fixed-step loop.
+    initial_strategy:
+        Warm-start from this eps-LDP strategy instead of a random draw.
+    prior:
+        Prior over the domain for the weighted objective (footnote 2).
 
     Examples
     --------
     >>> config = OptimizerConfig(num_iterations=100, seed=0)
     >>> config.num_outputs is None  # defaults to 4n at optimization time
     True
-    >>> config.engine
-    'fast'
     """
 
     num_iterations: int = 500
@@ -94,14 +99,10 @@ class OptimizerConfig:
     seed: int | None = None
     search_points: int = 7
     search_iterations: int = 25
-    tolerance: float = 1e-10
-    patience: int = 100
     track_history: bool = False
     line_search: bool = True
-    step_growth: float = 1.25
     initial_strategy: np.ndarray | None = None
     prior: np.ndarray | None = None
-    engine: str = "fast"
 
 
 @dataclass
@@ -220,6 +221,27 @@ def _repair_bounds(bounds: np.ndarray, epsilon: float) -> np.ndarray:
     return bounds
 
 
+def check_config(config: OptimizerConfig, epsilon: float) -> None:
+    """Refuse a budget or config Algorithm 2 cannot run, naming the field.
+
+    Examples
+    --------
+    >>> check_config(OptimizerConfig(num_iterations=0), 1.0)
+    Traceback (most recent call last):
+        ...
+    repro.exceptions.OptimizationError: num_iterations must be an integer >= 1, got 0
+    """
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise OptimizationError(f"epsilon must be finite and positive, got {epsilon}")
+    for name in ("num_iterations", "num_outputs", "search_points", "search_iterations"):
+        value = getattr(config, name)
+        if value is not None and (not isinstance(value, Integral) or value < 1):
+            raise OptimizationError(f"{name} must be an integer >= 1, got {value!r}")
+    step = config.step_size
+    if step is not None and not (np.isfinite(step) and step > 0):
+        raise OptimizationError(f"step_size must be finite and positive, got {step}")
+
+
 def _resolve_gram(workload: Workload | np.ndarray) -> tuple[np.ndarray, int]:
     if isinstance(workload, Workload):
         gram = workload.gram()
@@ -233,19 +255,14 @@ def _resolve_gram(workload: Workload | np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _descend(
-    gram: np.ndarray,
+    evaluator: FastEngine,
     state: ProjectionState,
     bounds: np.ndarray,
     epsilon: float,
     step_size: float,
     num_iterations: int,
-    tolerance: float,
-    patience: int,
     history: list[float] | None,
     line_search: bool = True,
-    step_growth: float = 1.25,
-    weights: np.ndarray | None = None,
-    evaluator=None,  # required; keyword-style for call-site clarity
     stats: dict | None = None,
 ) -> tuple[ProjectionState, np.ndarray, float, int]:
     """Run PGD from a starting point; returns the best iterate found.
@@ -255,21 +272,17 @@ def _descend(
 
         f(Q+) <= f(Q) - (c / beta) ||Q+ - Q||_F^2,   c = 1e-4,
 
-    and grows by ``step_growth`` after each accepted step — Algorithm 2 with
-    an automatic step size instead of a fixed hyper-parameter.  With
+    and grows by ``_STEP_GROWTH`` after each accepted step — Algorithm 2
+    with an automatic step size instead of a fixed hyper-parameter.  With
     ``line_search=False`` this is the paper's fixed-step loop verbatim
     (plus a divergence guard).
 
     All objective evaluations and projections go through ``evaluator`` (a
-    :class:`~repro.optimization.kernels.FastEngine` or
-    :class:`~repro.optimization.kernels.ReferenceEngine`); backtracking
+    :class:`~repro.optimization.kernels.FastEngine`); backtracking
     candidates and the corridor sweep are evaluated in batches through the
     engine's shared buffers.  The candidate sequence and acceptance rule
-    are identical to the original sequential loop, so both engines walk the
-    same iterates up to floating-point round-off.
+    are identical to the original sequential loop.
     """
-    if evaluator is None:
-        raise OptimizationError("_descend requires an evaluation engine")
     if stats is None:
         stats = {}
     stats.setdefault("iterations", 0)
@@ -290,18 +303,18 @@ def _descend(
             state, bounds = best_state, best_bounds
             step_size *= 0.5
             continue
-        if value < best_value * (1.0 - tolerance):
+        if value < best_value * (1.0 - _TOLERANCE):
             stall = 0
         else:
             stall += 1
-            if stall >= patience:
+            if stall >= _PATIENCE:
                 if value < best_value:
                     best_value, best_state, best_bounds = value, state, bounds
                 break
         if value < best_value:
             best_value, best_state, best_bounds = value, state, bounds
 
-        z_scale = gram.shape[0] * np.exp(epsilon)
+        z_scale = state.matrix.shape[1] * np.exp(epsilon)
 
         if not line_search:
             # Verbatim Algorithm 2: fixed-step z and Q updates.
@@ -367,7 +380,7 @@ def _descend(
         if accepted is not None:
             candidate, candidate_value = accepted
             accepted_step = step_size
-            step_size *= step_growth
+            step_size *= _STEP_GROWTH
         else:
             # Q is stationary inside the current corridor; only a corridor
             # (z) move can make further progress.
@@ -440,17 +453,13 @@ def _bound_proposals(
 
 
 def _search_step_size(
-    gram: np.ndarray,
+    evaluator: FastEngine,
     state: ProjectionState,
     bounds: np.ndarray,
     epsilon: float,
     config: OptimizerConfig,
-    weights: np.ndarray | None = None,
-    evaluator=None,
 ) -> float:
     """Short trial runs over a geometric grid of step sizes (Section 4)."""
-    if evaluator is None:
-        evaluator = make_engine(config.engine, gram, state.matrix.shape[0], weights)
     base = _base_step(state, evaluator)
     exponents = np.linspace(-2.0, 1.0, config.search_points)
     best_step, best_value = base, np.inf
@@ -458,19 +467,14 @@ def _search_step_size(
         candidate = base * 10.0**exponent
         try:
             _, _, value, _ = _descend(
-                gram,
+                evaluator,
                 state,
                 bounds,
                 epsilon,
                 candidate,
                 config.search_iterations,
-                config.tolerance,
-                config.patience,
                 history=None,
                 line_search=config.line_search,
-                step_growth=config.step_growth,
-                weights=weights,
-                evaluator=evaluator,
             )
         except OptimizationError:
             continue
@@ -479,7 +483,7 @@ def _search_step_size(
     return best_step
 
 
-def _base_step(state: ProjectionState, evaluator) -> float:
+def _base_step(state: ProjectionState, evaluator: FastEngine) -> float:
     """Heuristic step scale: move the steepest entry by one typical entry
     magnitude (columns sum to 1 over m rows, so a typical entry is 1/m)."""
     _, gradient = evaluator.value_and_gradient(state.matrix)
@@ -565,19 +569,12 @@ def optimize_strategy(
     True
     """
     config = config or OptimizerConfig()
-    if epsilon <= 0:
-        raise OptimizationError(f"epsilon must be positive, got {epsilon}")
-    if config.engine not in OBJECTIVE_ENGINES:
-        raise OptimizationError(
-            f"unknown objective engine {config.engine!r}; expected one of "
-            f"{OBJECTIVE_ENGINES}"
-        )
+    check_config(config, epsilon)
     gram, domain_size = _resolve_gram(workload)
-    num_outputs = config.num_outputs or DEFAULT_OUTPUT_FACTOR * domain_size
-    if num_outputs < domain_size:
-        # Allowed (low-rank workloads), but must remain feasible for W.
-        if num_outputs < 1:
-            raise OptimizationError(f"num_outputs must be >= 1, got {num_outputs}")
+    # m < n is allowed (low-rank workloads), but must remain feasible for W.
+    num_outputs = config.num_outputs
+    if num_outputs is None:
+        num_outputs = DEFAULT_OUTPUT_FACTOR * domain_size
     weights = None
     if config.prior is not None:
         from repro.analysis.reconstruction import prior_weights
@@ -592,7 +589,7 @@ def optimize_strategy(
     # One evaluation engine per run: the workspace (Gram eigenfactor plus
     # scratch buffers) is built once and shared by the step-size search,
     # every descent iteration, and every line-search probe.
-    evaluator = make_engine(config.engine, gram, state.matrix.shape[0], weights)
+    evaluator = FastEngine(gram, state.matrix.shape[0], weights)
 
     step_size = config.step_size
     if step_size is None:
@@ -600,26 +597,19 @@ def optimize_strategy(
             # Backtracking adapts on the fly; a scale heuristic suffices.
             step_size = _base_step(state, evaluator)
         else:
-            step_size = _search_step_size(
-                gram, state, bounds, epsilon, config, weights, evaluator
-            )
+            step_size = _search_step_size(evaluator, state, bounds, epsilon, config)
 
     history: list[float] | None = [] if config.track_history else None
     stats: dict = {}
     state, bounds, value, iterations = _descend(
-        gram,
+        evaluator,
         state,
         bounds,
         epsilon,
         step_size,
         config.num_iterations,
-        config.tolerance,
-        config.patience,
         history,
         line_search=config.line_search,
-        step_growth=config.step_growth,
-        weights=weights,
-        evaluator=evaluator,
         stats=stats,
     )
     _record_run_telemetry(stats, value)

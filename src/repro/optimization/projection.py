@@ -11,31 +11,24 @@ Proposition 4.2 shows the solution decouples per column:
 
 with the scalar ``lambda_u`` chosen so the column sums to one.  The function
 ``f(lambda) = 1^T clip(r + lambda, lo, hi)`` is continuous, piecewise linear
-and nondecreasing with 2m breakpoints ``{lo - r, hi - r}``.  Two exact
-multiplier solvers are provided, both vectorized over all columns:
-
-* ``method="sort"`` — sort the breakpoints and sweep with running sums to
-  find the crossing segment in ``O(m log m)`` per column (the paper's
-  Algorithm 1 complexity).  This is the original implementation and the
-  reference the fast path is pinned against.
-* ``method="newton"`` (default) — bracketed Newton iteration on the
-  monotone piecewise-linear ``f``: each step solves the current affine
-  segment exactly and falls back to bisection whenever the Newton update
-  leaves the bracket, so it terminates on the crossing segment after a
-  handful of ``O(m)`` passes.  Once the correct segment is identified the
-  multiplier formula is the same affine solve the sort method uses, so both
-  methods agree to machine precision; the rare columns that fail to settle
-  within the iteration cap are re-solved with the sort method.
+and nondecreasing with 2m breakpoints ``{lo - r, hi - r}``.  The multiplier
+is found by a bracketed Newton iteration on the monotone ``f``, vectorized
+over all columns: each step solves the current affine segment exactly and
+falls back to bisection whenever the Newton update leaves the bracket, so it
+terminates on the crossing segment after a handful of ``O(m)`` passes.  The
+rare columns that fail to settle within the iteration cap are re-solved
+exactly by the paper's sort sweep (sort the breakpoints, then find the
+crossing segment with running sums in ``O(m log m)`` per column).
 
 :func:`project_columns_batch` projects several matrices against the *same*
 bound vector in one fused call (the candidates of one line-search round
 share ``z``), which is what the optimizer's batched candidate evaluation
 rides on.
 
-:func:`projection_state` additionally reports which entries were clipped,
+:class:`ProjectionState` additionally records which entries were clipped,
 and :func:`projection_vjp` backpropagates a loss gradient through the
 projection to the bound vector ``z`` — the chain-rule step Algorithm 2 needs
-for its ``grad_z L`` update (see DESIGN.md section 5 for the derivation).
+for its ``grad_z L`` update (its docstring states the rule per clipped set).
 """
 
 from __future__ import annotations
@@ -54,12 +47,9 @@ _CLIP_TOL = 1e-12
 _NEWTON_TOL = 1e-12
 
 #: Newton/bisection iteration cap before a column falls back to the sort
-#: solver.  Bisection halves the bracket every non-Newton step, so reaching
+#: sweep.  Bisection halves the bracket every non-Newton step, so reaching
 #: this cap without converging means a pathological column, not a slow one.
 _NEWTON_MAX_ITERATIONS = 64
-
-#: Multiplier solvers accepted by :func:`project_columns`.
-PROJECTION_METHODS = ("newton", "sort")
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,6 @@ def project_columns(
     matrix: np.ndarray,
     z: np.ndarray,
     epsilon: float,
-    method: str = "newton",
     initial_multipliers: np.ndarray | None = None,
 ) -> ProjectionState:
     """Algorithm 1, vectorized over all columns.
@@ -152,13 +141,9 @@ def project_columns(
         Row lower bounds (length ``m``); the upper bounds are ``e^eps z``.
     epsilon:
         Privacy budget defining the bound ratio.
-    method:
-        Multiplier solver: ``"newton"`` (bracketed Newton, the fast default)
-        or ``"sort"`` (the original breakpoint sweep, kept as the reference
-        path).  Both are exact; they agree to machine precision.
     initial_multipliers:
-        Optional per-column warm start for the Newton solver (ignored by
-        ``"sort"``); affects only the iteration count, never the result.
+        Optional per-column warm start for the Newton solver; affects only
+        the iteration count, never the result.
 
     Examples
     --------
@@ -177,11 +162,6 @@ def project_columns(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise OptimizationError(f"expected a 2-D matrix, got {matrix.ndim}-D")
-    if method not in PROJECTION_METHODS:
-        raise OptimizationError(
-            f"unknown projection method {method!r}; expected one of "
-            f"{PROJECTION_METHODS}"
-        )
     lo, hi = feasible_bounds(z, epsilon)
     num_rows = matrix.shape[0]
     if lo.shape != (num_rows,):
@@ -196,10 +176,14 @@ def project_columns(
                 f"column count {matrix.shape[1]}"
             )
 
-    if method == "newton":
-        multipliers = _newton_multipliers(matrix, lo, hi, initial_multipliers)
-    else:
-        multipliers = _crossing_multipliers(matrix, lo, hi)
+    multipliers = _newton_multipliers(matrix, lo, hi, initial_multipliers)
+    return _clipped_state(matrix, multipliers, lo, hi)
+
+
+def _clipped_state(
+    matrix: np.ndarray, multipliers: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> ProjectionState:
+    """The projection ``clip(r + lambda, lo, hi)`` and its clipping masks."""
     projected = np.clip(matrix + multipliers[None, :], lo[:, None], hi[:, None])
 
     gap = np.maximum(hi - lo, 0.0)[:, None]
@@ -353,7 +337,6 @@ def project_columns_batch(
     matrices: list[np.ndarray],
     z: np.ndarray,
     epsilon: float,
-    method: str = "newton",
     initial_multipliers: np.ndarray | None = None,
 ) -> list[ProjectionState]:
     """Project several same-shape matrices against one bound vector at once.
@@ -385,11 +368,7 @@ def project_columns_batch(
     if len(matrices) == 1:
         return [
             project_columns(
-                matrices[0],
-                z,
-                epsilon,
-                method=method,
-                initial_multipliers=initial_multipliers,
+                matrices[0], z, epsilon, initial_multipliers=initial_multipliers
             )
         ]
     shape = matrices[0].shape
@@ -402,7 +381,7 @@ def project_columns_batch(
     if initial_multipliers is not None:
         warm = np.tile(np.asarray(initial_multipliers, float), len(matrices))
     stacked = project_columns(
-        np.hstack(matrices), z, epsilon, method=method, initial_multipliers=warm
+        np.hstack(matrices), z, epsilon, initial_multipliers=warm
     )
     num_cols = shape[1]
     states = []
@@ -417,49 +396,6 @@ def project_columns_batch(
             )
         )
     return states
-
-
-def project_column_bisection(
-    column: np.ndarray,
-    z: np.ndarray,
-    epsilon: float,
-    tol: float = 1e-14,
-    max_iterations: int = 200,
-) -> np.ndarray:
-    """Reference implementation of Algorithm 1 for a single column.
-
-    Finds ``lambda`` by bisection on the monotone column-sum function.  Used
-    by the test suite to cross-check the vectorized sweep.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> column = np.array([0.9, 0.1, 0.4])
-    >>> z = np.full(3, 0.15)
-    >>> reference = project_column_bisection(column, z, 1.0)
-    >>> vectorized = project_columns(column[:, None], z, 1.0).matrix[:, 0]
-    >>> bool(np.allclose(reference, vectorized))
-    True
-    """
-    column = np.asarray(column, dtype=float)
-    lo, hi = feasible_bounds(z, epsilon)
-
-    def column_sum(shift: float) -> float:
-        return float(np.clip(column + shift, lo, hi).sum())
-
-    low = float((lo - column).min()) - 1.0
-    high = float((hi - column).max()) + 1.0
-    if column_sum(high) < 1.0 - 1e-9:
-        raise OptimizationError("projection infeasible: cannot reach sum 1")
-    for _ in range(max_iterations):
-        middle = 0.5 * (low + high)
-        if column_sum(middle) < 1.0:
-            low = middle
-        else:
-            high = middle
-        if high - low < tol:
-            break
-    return np.clip(column + high, lo, hi)
 
 
 def projection_vjp(

@@ -30,6 +30,7 @@ from repro.exceptions import OptimizationError, StoreError
 from repro.optimization.pgd import (
     OptimizationResult,
     OptimizerConfig,
+    check_config,
     optimize_strategy,
 )
 from repro.telemetry import get_registry
@@ -250,6 +251,9 @@ def multi_restart_optimize(
     3
     """
     config = config or OptimizerConfig()
+    # A bad config would fail every restart alike; refuse it by name here
+    # rather than report "all restarts diverged".
+    check_config(config, epsilon)
     if backend != "serial":
         raise OptimizationError(
             f"unknown restart backend {backend!r}; restarts run in-process "

@@ -1216,7 +1216,9 @@ class CollectionService(HttpTier):
         try:
             name = body["name"]
             workload = body["workload"]
-            domain_size = int(body["domain_size"])
+            # Passed as sent, so workloads.by_name refuses a non-integer
+            # such as 8.9 rather than building a campaign over 8 types.
+            domain_size = body["domain_size"]
             epsilon = float(body["epsilon"])
         except (KeyError, TypeError, ValueError) as error:
             raise _HttpError(

@@ -58,11 +58,25 @@ PAPER_WORKLOADS = (
 def by_name(name: str, domain_size: int) -> Workload:
     """Construct one of the paper's six workloads by display name.
 
-    ``domain_size`` must be a power of two for the binary-domain workloads
-    (marginals, parity); the number of attributes is derived from it.
+    ``domain_size`` must be an integer >= 1, and a power of two for the
+    binary-domain workloads (marginals, parity); the number of attributes
+    is derived from it.
+
+    Examples
+    --------
+    >>> by_name("Prefix", 8).num_queries
+    8
+    >>> by_name("Parity", 0)
+    Traceback (most recent call last):
+        ...
+    repro.exceptions.WorkloadError: domain_size must be an integer >= 1, got 0
     """
+    from numbers import Integral
+
     from repro.exceptions import WorkloadError
 
+    if not isinstance(domain_size, Integral) or domain_size < 1:
+        raise WorkloadError(f"domain_size must be an integer >= 1, got {domain_size!r}")
     builders = {
         "Histogram": lambda: histogram(domain_size),
         "Prefix": lambda: prefix(domain_size),

@@ -9,13 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import ExplicitWorkload, Workload
+from repro.exceptions import WorkloadError
+from repro.workloads.base import MAX_EXPLICIT_ENTRIES, ExplicitWorkload, Workload
+
+
+def _check_square(domain_size: int) -> None:
+    """Refuse an ``n x n`` matrix that is empty or over the entry limit
+    before allocating it."""
+    if domain_size < 1:
+        raise WorkloadError(f"domain size must be >= 1, got {domain_size}")
+    if domain_size * domain_size > MAX_EXPLICIT_ENTRIES:
+        raise WorkloadError(
+            f"explicit workload with {domain_size * domain_size} entries exceeds "
+            f"the {MAX_EXPLICIT_ENTRIES} entry limit"
+        )
 
 
 class HistogramWorkload(ExplicitWorkload):
     """The identity workload ``W = I_n`` — one point query per user type."""
 
     def __init__(self, domain_size: int) -> None:
+        _check_square(domain_size)
         super().__init__(np.eye(domain_size), name="Histogram")
 
     def _compute_gram(self) -> np.ndarray:
@@ -31,6 +45,7 @@ class PrefixWorkload(ExplicitWorkload):
     """
 
     def __init__(self, domain_size: int) -> None:
+        _check_square(domain_size)
         super().__init__(np.tril(np.ones((domain_size, domain_size))), name="Prefix")
 
     def _compute_gram(self) -> np.ndarray:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     sample_complexity_lower_bound,
-    strategy_objective,
     strategy_objective_lower_bound,
     worst_case_variance_lower_bound,
 )
@@ -16,6 +15,7 @@ from repro.mechanisms import (
     hierarchical,
     randomized_response,
 )
+from repro.optimization import objective_value
 from repro.workloads import all_range, histogram, parity, prefix
 
 
@@ -28,7 +28,7 @@ class TestTheorem56:
         bound = strategy_objective_lower_bound(workload, epsilon)
         n = workload.domain_size
         for build in (randomized_response, hadamard_response, hierarchical):
-            value = strategy_objective(build(n, epsilon).probabilities, workload.gram())
+            value = objective_value(build(n, epsilon).probabilities, workload.gram())
             assert value >= bound * (1 - 1e-9)
 
     @given(st.integers(min_value=0, max_value=30))
@@ -39,7 +39,7 @@ class TestTheorem56:
         workload = prefix(5)
         raw = np.random.default_rng(seed).random((20, 5))
         strategy = project_columns(raw, initial_bounds(20, epsilon), epsilon).matrix
-        value = strategy_objective(strategy, workload.gram())
+        value = objective_value(strategy, workload.gram())
         assert value >= strategy_objective_lower_bound(workload, epsilon) * (1 - 1e-9)
 
     def test_histogram_closed_form(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis import strategy_objective, trace_objective
+from repro.analysis import trace_objective
 from repro.mechanisms import hadamard_response, hierarchical, randomized_response
+from repro.optimization import objective_value
 from repro.workloads import prefix
 
 
@@ -15,7 +16,7 @@ class TestStrategyObjective:
         workload = prefix(6)
         strategy = build(6, 1.0).probabilities
         assert np.isclose(
-            strategy_objective(strategy, workload.gram()),
+            objective_value(strategy, workload.gram()),
             trace_objective(strategy, workload.gram()),
             rtol=1e-9,
         )
@@ -27,18 +28,18 @@ class TestStrategyObjective:
         strategy = randomized_response(size, epsilon).probabilities
         eigenvalues = np.linalg.eigvalsh(strategy.T @ strategy)
         assert np.isclose(
-            strategy_objective(strategy, np.eye(size)), np.sum(1.0 / eigenvalues)
+            objective_value(strategy, np.eye(size)), np.sum(1.0 / eigenvalues)
         )
 
     def test_scaling_with_workload(self):
         workload = prefix(5)
         strategy = randomized_response(5, 1.0).probabilities
-        base = strategy_objective(strategy, workload.gram())
-        assert np.isclose(strategy_objective(strategy, 4.0 * workload.gram()), 4 * base)
+        base = objective_value(strategy, workload.gram())
+        assert np.isclose(objective_value(strategy, 4.0 * workload.gram()), 4 * base)
 
     def test_monotone_in_epsilon_for_rr(self):
         values = [
-            strategy_objective(
+            objective_value(
                 randomized_response(8, epsilon).probabilities, np.eye(8)
             )
             for epsilon in (0.5, 1.0, 2.0, 4.0)

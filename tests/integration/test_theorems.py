@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from repro.analysis import (
     average_case_variance,
     per_user_variances,
-    strategy_objective,
     strategy_objective_lower_bound,
     worst_case_variance,
 )
-from repro.optimization import initial_bounds, project_columns
+from repro.optimization import initial_bounds, objective_value, project_columns
 from repro.workloads import histogram, prefix, random_workload
 
 
@@ -78,15 +77,14 @@ class TestTheorem56:
         # Theorem 5.6 bounds L(Q) over strategies that can *support* the
         # workload (W = W Q^+ Q).  The column projection can collapse a
         # random draw to a rank-deficient Q — e.g. every column equal at
-        # small epsilon — where L(Q) is really +inf but the pinv-based
-        # objective silently drops the unsupported directions.
+        # small epsilon — where L(Q) is +inf and the bound says nothing.
         assume(
             np.allclose(
                 workload.matrix,
                 workload.matrix @ np.linalg.pinv(strategy) @ strategy,
             )
         )
-        value = strategy_objective(strategy, workload.gram())
+        value = objective_value(strategy, workload.gram())
         bound = strategy_objective_lower_bound(workload, epsilon)
         assert value >= bound * (1 - 1e-9)
 

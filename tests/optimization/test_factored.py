@@ -25,6 +25,7 @@ from repro.optimization import (
     objective_value,
     optimize_factored_strategy,
     optimize_strategy,
+    pgd,
 )
 from repro.store import StrategyStore, key_for, key_for_factored
 from repro.telemetry import get_registry
@@ -33,6 +34,7 @@ from repro.workloads import (
     all_product_marginals,
     k_way_product_marginals,
 )
+from tests.optimization.reference import ReferenceEngine
 
 RTOL = 1e-9
 
@@ -209,26 +211,14 @@ class TestFactoredOptimizerDriver:
         for left, right in zip(a.strategy.factors, b.strategy.factors):
             assert np.array_equal(left.probabilities, right.probabilities)
 
-    def test_engine_selection_matches(self):
+    def test_reference_engine_matches(self, monkeypatch):
         workload = k_way_product_marginals((3, 2, 2), 2)
-        fast = optimize_factored_strategy(
-            workload,
-            1.0,
-            FactoredOptimizerConfig(
-                base=OptimizerConfig(num_iterations=40, seed=0, engine="fast"),
-                rounds=1,
-            ),
+        config = FactoredOptimizerConfig(
+            base=OptimizerConfig(num_iterations=40, seed=0), rounds=1
         )
-        reference = optimize_factored_strategy(
-            workload,
-            1.0,
-            FactoredOptimizerConfig(
-                base=OptimizerConfig(
-                    num_iterations=40, seed=0, engine="reference"
-                ),
-                rounds=1,
-            ),
-        )
+        fast = optimize_factored_strategy(workload, 1.0, config)
+        monkeypatch.setattr(pgd, "FastEngine", ReferenceEngine)
+        reference = optimize_factored_strategy(workload, 1.0, config)
         assert np.isclose(fast.objective, reference.objective, rtol=1e-6)
 
     def test_rejects_ambiguous_base_config(self):

@@ -12,20 +12,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OptimizationError
-from repro.optimization import (
-    OBJECTIVE_ENGINES,
-    ObjectiveWorkspace,
-    initial_bounds,
-    make_engine,
-    project_columns,
-)
-from repro.optimization.objective import (
-    objective_and_gradient,
-    objective_value,
+from repro.optimization import ObjectiveWorkspace, initial_bounds, project_columns
+from repro.optimization.kernels import FastEngine
+from repro.optimization.objective import objective_and_gradient, objective_value
+from repro.workloads import histogram, parity, prefix
+from tests.optimization.reference import (
+    ReferenceEngine,
     reference_objective_and_gradient,
     reference_objective_value,
 )
-from repro.workloads import histogram, parity, prefix
 
 RTOL = 1e-9
 
@@ -216,19 +211,10 @@ class TestWorkspace:
 
 
 class TestEngines:
-    def test_make_engine_names(self):
-        assert make_engine("fast", np.eye(3), 12).name == "fast"
-        assert make_engine("reference", np.eye(3), 12).name == "reference"
-        assert set(OBJECTIVE_ENGINES) == {"fast", "reference"}
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(OptimizationError):
-            make_engine("autograd", np.eye(3), 12)
-
     def test_engines_agree_on_values_and_projections(self):
         gram = prefix(4).gram()
-        fast = make_engine("fast", gram, 16)
-        reference = make_engine("reference", gram, 16)
+        fast = FastEngine(gram, 16)
+        reference = ReferenceEngine(gram, 16)
         strategy = feasible(16, 4, 1.0, seed=4)
         assert np.isclose(
             fast.value(strategy), reference.value(strategy), rtol=RTOL
@@ -243,8 +229,8 @@ class TestEngines:
 
     def test_batch_apis_agree(self):
         gram = histogram(5).gram()
-        fast = make_engine("fast", gram, 20)
-        reference = make_engine("reference", gram, 20)
+        fast = FastEngine(gram, 20)
+        reference = ReferenceEngine(gram, 20)
         candidates = [feasible(20, 5, 1.0, seed) for seed in (1, 2, 3)]
         assert np.allclose(
             fast.value_batch(candidates),

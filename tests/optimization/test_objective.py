@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import strategy_objective
 from repro.exceptions import OptimizationError
 from repro.optimization import initial_bounds, project_columns
 from repro.optimization.objective import objective_and_gradient, objective_value
@@ -18,13 +17,6 @@ def feasible(rows, cols, epsilon, seed):
 
 
 class TestObjectiveValue:
-    def test_matches_analysis_module(self):
-        strategy = feasible(16, 4, 1.0, seed=0)
-        gram = prefix(4).gram()
-        assert np.isclose(
-            objective_value(strategy, gram), strategy_objective(strategy, gram)
-        )
-
     def test_infeasible_rank_reports_infinity(self):
         # A rank-1 strategy cannot answer a full-rank workload.
         strategy = np.full((8, 4), 0.125)

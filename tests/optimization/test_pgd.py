@@ -1,25 +1,24 @@
 """Tests for Algorithm 2 (projected gradient descent)."""
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    strategy_objective,
-    strategy_objective_lower_bound,
-)
+from repro.analysis import strategy_objective_lower_bound
 from repro.exceptions import OptimizationError
 from repro.optimization import (
     OptimizerConfig,
     initial_bounds,
     initialize,
+    objective_value,
     optimize_strategy,
+    pgd,
 )
 from repro.optimization.pgd import _repair_bounds, warm_start
 from repro.mechanisms import randomized_response
 from repro.workloads import histogram, parity, prefix
+from tests.optimization.reference import ReferenceEngine
 
 
 class TestInitialization:
@@ -67,13 +66,13 @@ class TestOptimizeStrategy:
 
     def test_objective_matches_returned_strategy(self):
         result = optimize_strategy(prefix(5), 1.0, OptimizerConfig(num_iterations=60, seed=1))
-        recomputed = strategy_objective(result.strategy.probabilities, prefix(5).gram())
+        recomputed = objective_value(result.strategy.probabilities, prefix(5).gram())
         assert np.isclose(result.objective, recomputed, rtol=1e-8)
 
     def test_improves_over_initialization(self, rng):
         workload = prefix(6)
         state, _ = initialize(6, 24, 1.0, np.random.default_rng(0))
-        start_value = strategy_objective(state.matrix, workload.gram())
+        start_value = objective_value(state.matrix, workload.gram())
         result = optimize_strategy(workload, 1.0, OptimizerConfig(num_iterations=100, seed=0))
         assert result.objective < start_value
 
@@ -96,6 +95,28 @@ class TestOptimizeStrategy:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(OptimizationError):
             optimize_strategy(histogram(4), 0.0)
+
+    @pytest.mark.parametrize(
+        "epsilon, field, value",
+        [
+            (1.0, "num_outputs", 0),
+            (1.0, "num_iterations", 0),
+            (1.0, "num_iterations", -3),
+            (1.0, "num_iterations", 2.5),
+            (float("nan"), "epsilon", None),
+            (float("inf"), "epsilon", None),
+            (1.0, "step_size", 0.0),
+            (1.0, "step_size", -1.0),
+            (1.0, "search_points", 0),
+            (1.0, "search_iterations", 0),
+        ],
+    )
+    def test_rejects_bad_config_by_name(self, epsilon, field, value):
+        config = OptimizerConfig(num_iterations=20, seed=0)
+        if field != "epsilon":
+            setattr(config, field, value)
+        with pytest.raises(OptimizationError, match=f"^{field} must be"):
+            optimize_strategy(prefix(4), epsilon, config)
 
     def test_custom_num_outputs(self):
         result = optimize_strategy(
@@ -154,12 +175,6 @@ class TestOptimizeStrategy:
         )
         assert np.isfinite(result.objective)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(OptimizationError):
-            optimize_strategy(
-                histogram(4), 1.0, OptimizerConfig(engine="autograd")
-            )
-
     def test_warm_start_from_baseline(self):
         baseline = randomized_response(5, 1.0)
         result = optimize_strategy(
@@ -167,41 +182,40 @@ class TestOptimizeStrategy:
             1.0,
             OptimizerConfig(num_iterations=40, initial_strategy=baseline.probabilities),
         )
-        base_value = strategy_objective(baseline.probabilities, np.eye(5))
+        base_value = objective_value(baseline.probabilities, np.eye(5))
         # Never meaningfully worse than the seeding mechanism.
         assert result.objective <= base_value * 1.01
+
+
+def fast_and_reference(monkeypatch, workload, config):
+    """Algorithm 2 on the fast engine, then on the reference oracles."""
+    fast = optimize_strategy(workload, 1.0, config)
+    monkeypatch.setattr(pgd, "FastEngine", ReferenceEngine)
+    return fast, optimize_strategy(workload, 1.0, config)
 
 
 class TestEngineEquivalence:
     """Both engines walk the same Algorithm 2; results must coincide."""
 
     @pytest.mark.parametrize("workload_factory", [histogram, prefix])
-    def test_line_search_converges_to_same_objective(self, workload_factory):
-        workload = workload_factory(6)
+    def test_line_search_converges_to_same_objective(
+        self, monkeypatch, workload_factory
+    ):
         config = OptimizerConfig(num_iterations=120, seed=0)
-        fast = optimize_strategy(workload, 1.0, config)
-        reference = optimize_strategy(
-            workload, 1.0, replace(config, engine="reference")
-        )
+        fast, reference = fast_and_reference(monkeypatch, workload_factory(6), config)
         assert np.isclose(fast.objective, reference.objective, rtol=1e-8)
 
-    def test_fixed_step_mode_matches(self):
+    def test_fixed_step_mode_matches(self, monkeypatch):
         config = OptimizerConfig(
             num_iterations=50, seed=1, line_search=False, step_size=1e-4
         )
-        fast = optimize_strategy(prefix(5), 1.0, config)
-        reference = optimize_strategy(
-            prefix(5), 1.0, replace(config, engine="reference")
-        )
+        fast, reference = fast_and_reference(monkeypatch, prefix(5), config)
         assert np.isclose(fast.objective, reference.objective, rtol=1e-8)
 
-    def test_weighted_prior_matches(self):
+    def test_weighted_prior_matches(self, monkeypatch):
         prior = np.array([0.4, 0.3, 0.2, 0.1])
         config = OptimizerConfig(num_iterations=60, seed=2, prior=prior)
-        fast = optimize_strategy(histogram(4), 1.0, config)
-        reference = optimize_strategy(
-            histogram(4), 1.0, replace(config, engine="reference")
-        )
+        fast, reference = fast_and_reference(monkeypatch, histogram(4), config)
         assert np.isclose(fast.objective, reference.objective, rtol=1e-6)
 
     def test_fast_engine_deterministic(self):
@@ -212,14 +226,11 @@ class TestEngineEquivalence:
             first.strategy.probabilities, second.strategy.probabilities
         )
 
-    def test_tracked_histories_agree_early(self):
+    def test_tracked_histories_agree_early(self, monkeypatch):
         # The iterate sequences are identical up to round-off, so the first
         # recorded objectives must match tightly before chaos accumulates.
         config = OptimizerConfig(num_iterations=12, seed=4, track_history=True)
-        fast = optimize_strategy(histogram(5), 1.0, config)
-        reference = optimize_strategy(
-            histogram(5), 1.0, replace(config, engine="reference")
-        )
+        fast, reference = fast_and_reference(monkeypatch, histogram(5), config)
         shared = min(len(fast.history), len(reference.history), 5)
         assert np.allclose(
             fast.history[:shared], reference.history[:shared], rtol=1e-9

@@ -9,10 +9,13 @@ from repro.exceptions import OptimizationError
 from repro.optimization import (
     feasible_bounds,
     initial_bounds,
-    project_column_bisection,
     project_columns,
     project_columns_batch,
     projection_vjp,
+)
+from tests.optimization.reference import (
+    project_column_bisection,
+    project_columns_sorted,
 )
 
 
@@ -158,8 +161,8 @@ class TestNewtonVsSort:
         z = initial_bounds(rows, epsilon)
         generator = np.random.default_rng(seed)
         raw = generator.normal(size=(rows, cols)) * generator.gamma(1.0)
-        newton = project_columns(raw, z, epsilon, method="newton")
-        sort = project_columns(raw, z, epsilon, method="sort")
+        newton = project_columns(raw, z, epsilon)
+        sort = project_columns_sorted(raw, z, epsilon)
         assert np.allclose(newton.matrix, sort.matrix, atol=1e-10)
         assert np.array_equal(newton.lower, sort.lower)
         assert np.array_equal(newton.upper, sort.upper)
@@ -169,16 +172,16 @@ class TestNewtonVsSort:
         z = generator.random(15) * 0.05
         z *= 0.7 / z.sum()
         raw = generator.normal(size=(15, 4)) * 3.0
-        newton = project_columns(raw, z, 1.0, method="newton")
-        sort = project_columns(raw, z, 1.0, method="sort")
+        newton = project_columns(raw, z, 1.0)
+        sort = project_columns_sorted(raw, z, 1.0)
         assert np.allclose(newton.matrix, sort.matrix, atol=1e-10)
 
     def test_fully_lower_clipped_column(self):
         # sum(z) == 1 forces every entry to its lower bound.
         z = np.full(5, 0.2)
         raw = np.random.default_rng(7).normal(size=(5, 3))
-        newton = project_columns(raw, z, 1.0, method="newton")
-        sort = project_columns(raw, z, 1.0, method="sort")
+        newton = project_columns(raw, z, 1.0)
+        sort = project_columns_sorted(raw, z, 1.0)
         assert np.allclose(newton.matrix, sort.matrix, atol=1e-12)
         assert np.allclose(newton.matrix, 0.2, atol=1e-9)
 
@@ -186,12 +189,11 @@ class TestNewtonVsSort:
         generator = np.random.default_rng(8)
         z = initial_bounds(20, 1.0)
         raw = generator.normal(size=(20, 6))
-        cold = project_columns(raw, z, 1.0, method="newton")
+        cold = project_columns(raw, z, 1.0)
         warm = project_columns(
             raw,
             z,
             1.0,
-            method="newton",
             initial_multipliers=cold.multipliers + generator.normal(size=6),
         )
         assert np.allclose(cold.matrix, warm.matrix, atol=1e-10)
@@ -201,12 +203,6 @@ class TestNewtonVsSort:
         raw = np.random.default_rng(9).random((6, 3))
         with pytest.raises(OptimizationError):
             project_columns(raw, z, 1.0, initial_multipliers=np.zeros(4))
-
-    def test_unknown_method_rejected(self):
-        z = initial_bounds(6, 1.0)
-        raw = np.random.default_rng(10).random((6, 3))
-        with pytest.raises(OptimizationError):
-            project_columns(raw, z, 1.0, method="bisect")
 
 
 class TestProjectColumnsBatch:

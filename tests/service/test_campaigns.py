@@ -1,9 +1,11 @@
 """Tests for the campaign registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.mechanisms import randomized_response
 from repro.protocol import ProtocolSession
 from repro.service import (
@@ -140,6 +142,25 @@ class TestCampaignManager:
                 mechanism="Randomized Response",
             )
         assert len(manager) == 0
+
+    def test_oversized_explicit_workload_refused_before_allocation(self):
+        # Prefix-7500 needs a 7500 x 7500 matrix, over MAX_EXPLICIT_ENTRIES;
+        # building it just to refuse it would allocate n^2 floats (450 MB).
+        manager = CampaignManager()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReproError, match="entry limit"):
+                manager.build(
+                    "big",
+                    workload="Prefix",
+                    domain_size=7500,
+                    epsilon=1.0,
+                    mechanism="Randomized Response",
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7500 * 7500 * 8 / 1000
 
     def test_adopt_rejects_mismatched_accumulator(self):
         from repro.protocol import ShardAccumulator

@@ -392,11 +392,11 @@ class TestEdgeAggregator:
             assert len(edge._outbox) >= 1
             assert client.query("demo", sync=True)["num_reports"] == 0
             down["flag"] = False
-            assert wait_until(
-                lambda: client.query("demo", sync=True)["num_reports"] == 5
-            )
+            # The root counts the reports before the edge's forward returns
+            # and bumps its counter, so wait on the edge's side.
+            assert wait_until(lambda: edge.forwards_applied == 1)
+            assert client.query("demo", sync=True)["num_reports"] == 5
             assert edge.reports_lost == 0
-            assert edge.forwards_applied == 1
         finally:
             edge_client.close()
             edge_thread.stop()

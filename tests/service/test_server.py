@@ -170,6 +170,44 @@ class TestEndpoints:
         assert error.value.status == 400
         assert client.query("demo", confidence=1 - 2**-52)["num_reports"] == 3
 
+    @pytest.mark.parametrize(
+        "workload, domain_size",
+        [
+            ("Histogram", -3),
+            ("Prefix", -3),
+            ("Parity", 0),
+            ("3-Way Marginals", 0),
+            ("AllMarginals", 0),
+            ("Prefix", 7500),
+            ("Histogram", 8.9),
+        ],
+    )
+    def test_bad_domain_size_gets_400(self, live, workload, domain_size):
+        _, client = live
+        with pytest.raises(ServiceHTTPError, match="domain|entry limit") as error:
+            client.create_campaign(
+                "bad",
+                workload=workload,
+                domain_size=domain_size,
+                epsilon=1.0,
+                mechanism="Randomized Response",
+            )
+        assert error.value.status == 400
+        assert client.campaigns() == []
+
+    def test_optimized_with_zero_iterations_gets_400_naming_the_field(self, live):
+        _, client = live
+        with pytest.raises(ServiceHTTPError, match="num_iterations") as error:
+            client.create_campaign(
+                "opt",
+                workload="Histogram",
+                domain_size=4,
+                epsilon=1.0,
+                mechanism="Optimized",
+                iterations=0,
+            )
+        assert error.value.status == 400
+
     def test_checkpoint_endpoint_requires_directory(self, live):
         _, client = live
         with pytest.raises(ServiceError, match="checkpoint"):

@@ -113,6 +113,23 @@ def test_checker_flags_code_names_that_do_not_resolve(tmp_path):
     ]
 
 
+def test_checker_flags_pages_named_in_source_that_do_not_exist(tmp_path):
+    checker = load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("# Guide\n", encoding="utf-8")
+    (tmp_path / "NOTES.md").write_text("# Notes\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '"""See docs/guide.md, guide.md and NOTES.md.\n\n'
+        'The derivation is in DESIGN.md section 5.\n"""\n'
+        "# https://example.com/README.md is a link, not a page here.\n",
+        encoding="utf-8",
+    )
+    checked, problems = checker.check_tree(tmp_path)
+    assert checked == 2
+    assert problems == ["src/pkg/mod.py:3: missing file 'DESIGN.md'"]
+
+
 def test_cli_docs_mention_strategy_commands():
     page = (REPO_ROOT / "docs" / "strategy-store.md").read_text(encoding="utf-8")
     for command in ("strategy build", "strategy list", "strategy inspect",
