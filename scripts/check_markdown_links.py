@@ -12,9 +12,10 @@ Validates every inline link and image in the repo's markdown files:
   starts with ``repro.`` must import or resolve as an attribute, so a page
   cannot keep naming an API after it is deleted.  ``CHANGES.md`` and
   ``ROADMAP.md`` are not checked: they name deleted APIs on purpose;
-* every ``*.md`` path named in a ``src/`` module (a docstring or comment
-  pointing the reader at a page) must exist relative to the repo root or
-  under ``docs/``.
+* every ``*.md`` path named in a Python file under ``src/``, ``scripts/``
+  or ``benchmarks/`` (a docstring or comment pointing the reader at a
+  page) must exist relative to the repo root or under ``docs/``.
+  ``tests/`` is not checked: its fixtures name missing pages on purpose.
 
 Exits non-zero listing every broken link and name.  Used by the CI docs
 job and by ``tests/test_docs.py``.
@@ -52,6 +53,9 @@ _CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 
 #: A ``*.md`` path in Python source; the lookbehind skips URL tails.
 _SOURCE_PAGE = re.compile(r"(?<![\w./:-])[\w-][\w./-]*\.md\b")
+
+#: Directories whose Python files may name pages.
+SOURCE_DIRS = ("src", "scripts", "benchmarks")
 
 
 def _strip_fences(text: str) -> str:
@@ -144,10 +148,11 @@ def check_code_names(path: Path, root: Path) -> list[str]:
 
 
 def check_source_pages(root: Path) -> list[str]:
-    """Every ``*.md`` path named in a ``src/`` module that exists neither
-    relative to ``root`` nor under ``root/docs``."""
+    """Every ``*.md`` path named in a Python file under ``SOURCE_DIRS``
+    that exists neither relative to ``root`` nor under ``root/docs``."""
     problems = []
-    for path in sorted((root / "src").rglob("*.py")):
+    paths = [path for name in SOURCE_DIRS for path in (root / name).rglob("*.py")]
+    for path in sorted(paths):
         text = path.read_text(encoding="utf-8")
         for match in _SOURCE_PAGE.finditer(text):
             page = match.group(0)
@@ -161,7 +166,8 @@ def check_source_pages(root: Path) -> list[str]:
 
 def check_tree(root: Path) -> tuple[int, list[str]]:
     """Check every markdown file under ``root``, the code names of
-    ``README.md`` and ``docs/*.md``, and the pages ``src/`` modules name.
+    ``README.md`` and ``docs/*.md``, and the pages Python files under
+    ``SOURCE_DIRS`` name.
 
     Returns ``(files_checked, problems)``.
     """

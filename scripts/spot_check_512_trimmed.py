@@ -1,4 +1,5 @@
-"""Trimmed n=512 spot check (Prefix + AllRange) for EXPERIMENTS.md.
+"""Trimmed n=512 spot check (Prefix + AllRange): the paper's worst-case
+sample-complexity comparison of Figures 1 and 2 at its own domain size.
 
 Uses a reduced optimizer budget (120 iterations, no baseline floor), so the
 Optimized numbers are an upper bound on what the full budget achieves.

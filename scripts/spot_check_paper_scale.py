@@ -1,4 +1,5 @@
-"""Paper-scale spot check for EXPERIMENTS.md.
+"""Paper-scale spot check: does Optimized still beat every baseline at the
+paper's domain size?
 
 Runs the Figure 1/2 comparison at the paper's domain size (n = 512,
 eps = 1.0) for a subset of workloads, and a mid-scale (n = 128) run of all
@@ -8,8 +9,7 @@ compute.
 
 Runtime warning: the n = 512 sweep with the full optimizer budget takes
 tens of minutes *per workload* on one core; see
-``spot_check_512_trimmed.py`` for the reduced-budget variant used to
-produce results/spot_n512.txt.
+``spot_check_512_trimmed.py`` for a reduced-budget variant.
 
 Run:  python scripts/spot_check_paper_scale.py
 """

@@ -52,6 +52,15 @@ def is_ldp_matrix(matrix: np.ndarray, epsilon: float, rtol: float = 1e-8) -> boo
     """True when the matrix satisfies the epsilon-LDP ratio constraint.
 
     The check allows relative slack ``rtol`` on top of ``exp(epsilon)`` to
-    absorb floating point round-off from projections.
+    absorb floating point round-off from projections.  An infinite realized
+    ratio never passes, not even above epsilon ~709.78, where
+    ``exp(epsilon)`` overflows to infinity.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> is_ldp_matrix(np.eye(4), 710.0)
+    False
     """
-    return ldp_ratio(matrix) <= np.exp(epsilon) * (1.0 + rtol)
+    ratio = ldp_ratio(matrix)
+    return bool(np.isfinite(ratio) and ratio <= np.exp(epsilon) * (1.0 + rtol))

@@ -102,8 +102,10 @@ class StrategyMatrix:
         object.__setattr__(self, "probabilities", matrix)
         if matrix.ndim != 2:
             raise StochasticityError(f"strategy must be 2-D, got {matrix.ndim}-D")
-        if self.epsilon <= 0:
-            raise PrivacyViolationError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise PrivacyViolationError(
+                f"epsilon must be finite and positive, got {self.epsilon}"
+            )
         if not self.validate:
             return
         if not is_column_stochastic(matrix):
@@ -113,9 +115,10 @@ class StrategyMatrix:
                 f"min entry {matrix.min():.3e})"
             )
         if not is_ldp_matrix(matrix, self.epsilon):
+            ratio = ldp_ratio(matrix)
             raise PrivacyViolationError(
                 f"strategy violates {self.epsilon}-LDP: realized ratio "
-                f"{ldp_ratio(matrix):.6g} > e^eps = {np.exp(self.epsilon):.6g}"
+                f"{ratio:.6g} = e^{np.log(ratio):.6g}"
             )
 
     # -- shape & structure -------------------------------------------------

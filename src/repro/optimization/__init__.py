@@ -47,12 +47,7 @@ from repro.optimization.projection import (
     project_columns_batch,
     projection_vjp,
 )
-from repro.optimization.search import (
-    SweepPoint,
-    sample_complexity_of_result,
-    search_num_outputs,
-    worst_case_of_result,
-)
+from repro.optimization.search import SweepPoint, search_num_outputs
 
 __all__ = [
     "DEFAULT_OUTPUT_FACTOR",
@@ -81,7 +76,5 @@ __all__ = [
     "project_columns_batch",
     "projection_vjp",
     "restart_seeds",
-    "sample_complexity_of_result",
     "search_num_outputs",
-    "worst_case_of_result",
 ]

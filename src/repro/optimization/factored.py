@@ -67,38 +67,32 @@ FACTORED_WORKLOADS = (KronWorkload, ProductMarginalsWorkload)
 class FactoredOptimizerConfig:
     """Knobs of the factored driver.
 
+    Every factor gets an equal share of the budget and ``m_i = 4 d_i``
+    outputs (the paper's ``m = 4n`` applied factor-wise).
+
     Attributes
     ----------
     base:
         The per-factor :class:`~repro.optimization.pgd.OptimizerConfig`
         (iterations, seed, ...).  ``num_outputs``, ``prior`` and
         ``initial_strategy`` must be unset — they are ambiguous across
-        factors (outputs are sized per factor via ``output_factor``; only
-        the uniform prior factorizes over a product domain).
-    epsilon_split:
-        Per-factor shares of the total budget (normalized to sum 1);
-        ``None`` splits uniformly.
+        factors (only the uniform prior factorizes over a product domain).
     rounds:
         Alternating-minimization passes over the factors for sum-of-Kron
         workloads (product marginals).  Pure Kron workloads decouple and
         always run a single pass.
-    output_factor:
-        Per-factor output ratio ``m_i = output_factor * d_i`` (the paper's
-        ``m = 4n`` applied factor-wise).
 
     Examples
     --------
     >>> config = FactoredOptimizerConfig(
     ...     base=OptimizerConfig(num_iterations=100, seed=0)
     ... )
-    >>> config.rounds, config.output_factor
-    (2, 4)
+    >>> config.rounds
+    2
     """
 
     base: OptimizerConfig = field(default_factory=OptimizerConfig)
-    epsilon_split: tuple[float, ...] | None = None
     rounds: int = 2
-    output_factor: int = DEFAULT_OUTPUT_FACTOR
 
 
 @dataclass
@@ -116,7 +110,7 @@ class FactoredOptimizationResult:
     factor_objectives:
         Final per-factor subproblem objectives, in attribute order.
     epsilon_split:
-        The normalized per-factor budget shares actually used.
+        The per-factor budget shares (equal, summing to 1).
     rounds_run:
         Alternating passes executed (1 for pure Kron workloads).
     iterations_run:
@@ -206,22 +200,6 @@ def factored_objective_value(strategies, workload) -> float:
     return float(np.sum(np.prod(values, axis=0)))
 
 
-def _resolve_split(
-    epsilon_split: tuple[float, ...] | None, num_factors: int
-) -> tuple[float, ...]:
-    if epsilon_split is None:
-        return tuple([1.0 / num_factors] * num_factors)
-    split = tuple(float(share) for share in epsilon_split)
-    if len(split) != num_factors:
-        raise OptimizationError(
-            f"epsilon_split has {len(split)} shares for {num_factors} factors"
-        )
-    if min(split) <= 0:
-        raise OptimizationError("epsilon_split shares must be positive")
-    total = sum(split)
-    return tuple(share / total for share in split)
-
-
 def _factor_seeds(seed: int | None, num_factors: int) -> list[int | None]:
     """Independent deterministic seeds for the per-factor initializations."""
     if seed is None:
@@ -265,14 +243,10 @@ def optimize_factored_strategy(
     check_config(base, epsilon)
     if config.rounds < 1:
         raise OptimizationError(f"need >= 1 round, got {config.rounds}")
-    if config.output_factor < 1:
-        raise OptimizationError(
-            f"output_factor must be >= 1, got {config.output_factor}"
-        )
     if base.num_outputs is not None:
         raise OptimizationError(
-            "num_outputs is ambiguous across factors; use "
-            "FactoredOptimizerConfig.output_factor"
+            "num_outputs is ambiguous across factors; each factor gets "
+            f"{DEFAULT_OUTPUT_FACTOR} outputs per domain element"
         )
     if base.prior is not None:
         raise OptimizationError(
@@ -288,7 +262,7 @@ def optimize_factored_strategy(
     blocks = _factor_gram_blocks(workload)
     num_factors = len(blocks[0])
     sizes = [blocks[0][i].shape[0] for i in range(num_factors)]
-    split = _resolve_split(config.epsilon_split, num_factors)
+    split = tuple([1.0 / num_factors] * num_factors)
     budgets = [epsilon * share for share in split]
     seeds = _factor_seeds(base.seed, num_factors)
 
@@ -315,7 +289,7 @@ def optimize_factored_strategy(
                 factor_config = replace(
                     base,
                     seed=seeds[i],
-                    num_outputs=config.output_factor * sizes[i],
+                    num_outputs=DEFAULT_OUTPUT_FACTOR * sizes[i],
                 )
             else:
                 factor_config = replace(

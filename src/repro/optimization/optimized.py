@@ -201,19 +201,3 @@ class OptimizedMechanism(StrategyMechanism):
             strategy = self.strategy_for(workload, epsilon)
             self._operators[key] = reconstruction_operator(strategy.probabilities)
         return self._operators[key]
-
-    def with_seed(self, seed: int) -> "OptimizedMechanism":
-        """A fresh instance with a different initialization seed.
-
-        Examples
-        --------
-        >>> mech = OptimizedMechanism(OptimizerConfig(seed=0))
-        >>> mech.with_seed(7).config.seed
-        7
-        """
-        return OptimizedMechanism(
-            replace(self.config, seed=seed),
-            floor_baselines=self.floor_baselines,
-            store=self.store,
-            restarts=self.restarts,
-        )

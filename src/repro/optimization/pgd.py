@@ -16,9 +16,10 @@ restores the best iterate if a step does overshoot.
 The paper's initialization is used verbatim: ``R ~ U[0,1]^{m x n}`` with
 ``m = 4n`` by default and ``z = (1 + e^-eps) / (2m)`` (their
 ``(1 + e^-eps) / 8n`` for ``m = 4n``), projected onto the constraint set.
-When no step size is supplied, a short geometric grid search picks the one
-with the best objective after a few trial iterations (Section 4's
-hyper-parameter search, which consumes no privacy budget).
+The paper picks a fixed step by grid search (Section 4); here the Q step
+backtracks from a scale heuristic instead, so no step is ever searched or
+configured.  The paper's fixed-step loop and its grid search are kept as
+the test oracle ``fixed_step_optimize`` in ``tests/optimization/reference.py``.
 """
 
 from __future__ import annotations
@@ -70,17 +71,10 @@ class OptimizerConfig:
         Gradient steps for the main run.
     num_outputs:
         Number of strategy rows ``m``; defaults to ``4n``.
-    step_size:
-        The Q step ``beta``.  ``None`` triggers the grid search.
     seed:
         Seed for the random initialization.
-    search_points, search_iterations:
-        Size of the step-size grid and trial length per candidate.
     track_history:
         Record the objective value at every iteration.
-    line_search:
-        Backtrack the Q step (the default); ``False`` runs the paper's
-        fixed-step loop.
     initial_strategy:
         Warm-start from this eps-LDP strategy instead of a random draw.
     prior:
@@ -95,12 +89,8 @@ class OptimizerConfig:
 
     num_iterations: int = 500
     num_outputs: int | None = None
-    step_size: float | None = None
     seed: int | None = None
-    search_points: int = 7
-    search_iterations: int = 25
     track_history: bool = False
-    line_search: bool = True
     initial_strategy: np.ndarray | None = None
     prior: np.ndarray | None = None
 
@@ -233,13 +223,10 @@ def check_config(config: OptimizerConfig, epsilon: float) -> None:
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise OptimizationError(f"epsilon must be finite and positive, got {epsilon}")
-    for name in ("num_iterations", "num_outputs", "search_points", "search_iterations"):
+    for name in ("num_iterations", "num_outputs"):
         value = getattr(config, name)
         if value is not None and (not isinstance(value, Integral) or value < 1):
             raise OptimizationError(f"{name} must be an integer >= 1, got {value!r}")
-    step = config.step_size
-    if step is not None and not (np.isfinite(step) and step > 0):
-        raise OptimizationError(f"step_size must be finite and positive, got {step}")
 
 
 def _resolve_gram(workload: Workload | np.ndarray) -> tuple[np.ndarray, int]:
@@ -262,20 +249,17 @@ def _descend(
     step_size: float,
     num_iterations: int,
     history: list[float] | None,
-    line_search: bool = True,
     stats: dict | None = None,
 ) -> tuple[ProjectionState, np.ndarray, float, int]:
     """Run PGD from a starting point; returns the best iterate found.
 
-    With ``line_search`` the Q step backtracks until it satisfies the
-    projected-gradient sufficient-decrease condition
+    The Q step backtracks until it satisfies the projected-gradient
+    sufficient-decrease condition
 
         f(Q+) <= f(Q) - (c / beta) ||Q+ - Q||_F^2,   c = 1e-4,
 
     and grows by ``_STEP_GROWTH`` after each accepted step — Algorithm 2
-    with an automatic step size instead of a fixed hyper-parameter.  With
-    ``line_search=False`` this is the paper's fixed-step loop verbatim
-    (plus a divergence guard).
+    with an automatic step size instead of a fixed hyper-parameter.
 
     All objective evaluations and projections go through ``evaluator`` (a
     :class:`~repro.optimization.kernels.FastEngine`); backtracking
@@ -315,21 +299,6 @@ def _descend(
             best_value, best_state, best_bounds = value, state, bounds
 
         z_scale = state.matrix.shape[1] * np.exp(epsilon)
-
-        if not line_search:
-            # Verbatim Algorithm 2: fixed-step z and Q updates.
-            bound_gradient = projection_vjp(gradient, state, epsilon)
-            bounds = _repair_bounds(
-                bounds - step_size / z_scale * bound_gradient, epsilon
-            )
-            stats["projection_passes"] += 1
-            state = evaluator.project(
-                state.matrix - step_size * gradient,
-                bounds,
-                epsilon,
-                initial_multipliers=state.multipliers,
-            )
-            continue
 
         # --- Q step: backtracking line search with z held fixed, batched
         # per round through the engine's shared buffers. ---
@@ -452,37 +421,6 @@ def _bound_proposals(
     return [gradient_proposal, recentre_proposal]
 
 
-def _search_step_size(
-    evaluator: FastEngine,
-    state: ProjectionState,
-    bounds: np.ndarray,
-    epsilon: float,
-    config: OptimizerConfig,
-) -> float:
-    """Short trial runs over a geometric grid of step sizes (Section 4)."""
-    base = _base_step(state, evaluator)
-    exponents = np.linspace(-2.0, 1.0, config.search_points)
-    best_step, best_value = base, np.inf
-    for exponent in exponents:
-        candidate = base * 10.0**exponent
-        try:
-            _, _, value, _ = _descend(
-                evaluator,
-                state,
-                bounds,
-                epsilon,
-                candidate,
-                config.search_iterations,
-                history=None,
-                line_search=config.line_search,
-            )
-        except OptimizationError:
-            continue
-        if value < best_value:
-            best_step, best_value = candidate, value
-    return best_step
-
-
 def _base_step(state: ProjectionState, evaluator: FastEngine) -> float:
     """Heuristic step scale: move the steepest entry by one typical entry
     magnitude (columns sum to 1 over m rows, so a typical entry is 1/m)."""
@@ -587,17 +525,11 @@ def optimize_strategy(
         state, bounds = initialize(domain_size, num_outputs, epsilon, rng)
 
     # One evaluation engine per run: the workspace (Gram eigenfactor plus
-    # scratch buffers) is built once and shared by the step-size search,
-    # every descent iteration, and every line-search probe.
+    # scratch buffers) is built once and shared by every descent iteration
+    # and every line-search probe.
     evaluator = FastEngine(gram, state.matrix.shape[0], weights)
-
-    step_size = config.step_size
-    if step_size is None:
-        if config.line_search:
-            # Backtracking adapts on the fly; a scale heuristic suffices.
-            step_size = _base_step(state, evaluator)
-        else:
-            step_size = _search_step_size(evaluator, state, bounds, epsilon, config)
+    # Backtracking adapts on the fly; a scale heuristic suffices.
+    step_size = _base_step(state, evaluator)
 
     history: list[float] | None = [] if config.track_history else None
     stats: dict = {}
@@ -609,7 +541,6 @@ def optimize_strategy(
         step_size,
         config.num_iterations,
         history,
-        line_search=config.line_search,
         stats=stats,
     )
     _record_run_telemetry(stats, value)

@@ -197,7 +197,6 @@ def multi_restart_optimize(
     backend: str = "serial",
     store=None,
     write: bool = True,
-    warm_start_log_ratio: float = DEFAULT_WARM_START_LOG_RATIO,
     workload_name: str | None = None,
 ) -> RestartReport:
     """Best-of-K strategy optimization with store read-through.
@@ -221,12 +220,11 @@ def multi_restart_optimize(
         ``backend="serial"``; it goes with the next change to the benchmark.
     store:
         Optional :class:`~repro.store.StrategyStore`.  An exact key hit
-        short-circuits; a nearby-epsilon entry seeds a warm restart; the
-        winner is written back when ``write`` is true.
+        short-circuits; an entry whose budget is within a factor of e of
+        ``epsilon`` (``DEFAULT_WARM_START_LOG_RATIO``) seeds a warm restart;
+        the winner is written back when ``write`` is true.
     write:
         Persist the winning result to ``store`` (ignored without a store).
-    warm_start_log_ratio:
-        Maximum ``|log(stored_eps / eps)|`` for a warm-start candidate.
     workload_name:
         Display name recorded in the store index (defaults to the
         workload's own name when a :class:`Workload` is given).
@@ -282,7 +280,7 @@ def multi_restart_optimize(
     warm_record = None
     if store is not None and config.initial_strategy is None:
         warm_record = store.nearest(
-            gram, epsilon, max_log_ratio=warm_start_log_ratio
+            gram, epsilon, max_log_ratio=DEFAULT_WARM_START_LOG_RATIO
         )
         if warm_record is not None:
             try:

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.analysis.sample_complexity import PAPER_ALPHA
-from repro.analysis.variance import per_user_variances
-from repro.optimization.pgd import OptimizationResult, OptimizerConfig, optimize_strategy
+from repro.analysis.variance import worst_case_variance
+from repro.optimization.pgd import OptimizerConfig, optimize_strategy
 from repro.workloads.base import Workload
 
 
@@ -36,22 +33,6 @@ class SweepPoint:
     seed: int
     objective: float
     worst_case_variance: float
-
-
-def worst_case_of_result(result: OptimizationResult, workload: Workload) -> float:
-    """Single-user ``L_worst`` of an optimized strategy on its workload.
-
-    Examples
-    --------
-    >>> from repro.workloads import histogram
-    >>> result = optimize_strategy(
-    ...     histogram(4), 1.0, OptimizerConfig(num_iterations=30, seed=0)
-    ... )
-    >>> worst_case_of_result(result, histogram(4)) > 0
-    True
-    """
-    t = per_user_variances(result.strategy.probabilities, workload.gram())
-    return float(np.max(t))
 
 
 def search_num_outputs(
@@ -84,27 +65,9 @@ def search_num_outputs(
                     num_outputs=num_outputs,
                     seed=seed,
                     objective=result.objective,
-                    worst_case_variance=worst_case_of_result(result, workload),
+                    worst_case_variance=worst_case_variance(
+                        result.strategy.probabilities, workload.gram()
+                    ),
                 )
             )
     return points
-
-
-def sample_complexity_of_result(
-    result: OptimizationResult,
-    workload: Workload,
-    alpha: float = PAPER_ALPHA,
-) -> float:
-    """Sample complexity (Corollary 5.4) of an optimized strategy.
-
-    Examples
-    --------
-    >>> from repro.workloads import histogram
-    >>> result = optimize_strategy(
-    ...     histogram(4), 1.0, OptimizerConfig(num_iterations=30, seed=0)
-    ... )
-    >>> sample_complexity_of_result(result, histogram(4)) > 0
-    True
-    """
-    t = per_user_variances(result.strategy.probabilities, workload.gram())
-    return float(np.max(t) / (workload.num_queries * alpha))

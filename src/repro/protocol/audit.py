@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ProtocolError
-from repro.linalg import ldp_ratio
+from repro.linalg import is_ldp_matrix
 from repro.mechanisms.base import StrategyMatrix
 
 
@@ -69,7 +69,7 @@ def audit_strategy(strategy: StrategyMatrix, rtol: float = 1e-8) -> AuditReport:
     return AuditReport(
         epsilon_claimed=strategy.epsilon,
         epsilon_realized=realized,
-        satisfied=ldp_ratio(matrix) <= np.exp(strategy.epsilon) * (1.0 + rtol),
+        satisfied=is_ldp_matrix(matrix, strategy.epsilon, rtol),
         worst_output=worst,
     )
 

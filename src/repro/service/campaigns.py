@@ -26,9 +26,11 @@ optimization off the event loop while ingest continues.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,6 +79,25 @@ def validate_campaign_name(name: str) -> str:
     return name
 
 
+def _require_string(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ServiceError(f"{name} must be a string, got {value!r}")
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ServiceError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+    ):
+        raise ServiceError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptivePlan:
     """The round structure of one adaptive campaign, fixed at creation.
@@ -117,6 +138,10 @@ class AdaptivePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_rounds", "num_groups", "iterations", "restarts", "seed"):
+            _require_integer(name, getattr(self, name))
+        for name in ("selector_share", "boost"):
+            _require_finite(name, getattr(self, name))
         if self.num_rounds < 2:
             raise ServiceError(
                 f"an adaptive campaign needs >= 2 rounds, got {self.num_rounds}"
@@ -134,6 +159,8 @@ class AdaptivePlan:
             raise ServiceError(f"boost must be positive, got {self.boost}")
         if self.iterations < 1 or self.restarts < 1:
             raise ServiceError("iterations and restarts must be >= 1")
+        if self.seed < 0:
+            raise ServiceError(f"seed must be >= 0, got {self.seed}")
 
     def budgets(self, total_epsilon: float) -> list[RoundBudget]:
         """The campaign's exact per-round budget split."""
@@ -155,7 +182,8 @@ class AdaptivePlan:
     @classmethod
     def from_json(cls, document: dict) -> "AdaptivePlan":
         """Build a plan from a JSON object (campaign-creation bodies accept
-        ``rounds``/``groups`` aliases; unknown keys are rejected)."""
+        ``rounds``/``groups`` aliases; unknown keys are rejected, and
+        values are checked by type, not converted)."""
         if not isinstance(document, dict):
             raise ServiceError("adaptive plan must be a JSON object")
         aliases = {"rounds": "num_rounds", "groups": "num_groups"}
@@ -171,18 +199,7 @@ class AdaptivePlan:
             values[target] = value
         if "num_rounds" not in values:
             raise ServiceError("adaptive plan needs 'rounds' (or 'num_rounds')")
-        try:
-            return cls(
-                num_rounds=int(values["num_rounds"]),
-                num_groups=int(values.get("num_groups", 4)),
-                selector_share=float(values.get("selector_share", 0.05)),
-                boost=float(values.get("boost", 4.0)),
-                iterations=int(values.get("iterations", 150)),
-                restarts=int(values.get("restarts", 1)),
-                seed=int(values.get("seed", 0)),
-            )
-        except (TypeError, ValueError) as error:
-            raise ServiceError(f"malformed adaptive plan: {error}")
+        return cls(**values)
 
 
 @dataclass
@@ -554,6 +571,10 @@ class CampaignManager:
         validate_campaign_name(name)
         if name in self._campaigns:
             raise ServiceError(f"campaign {name!r} already exists")
+        _require_string("workload", workload)
+        _require_string("mechanism", mechanism)
+        _require_integer("iterations", iterations)
+        _require_finite("epsilon", epsilon)
         target = workload_by_name(workload, domain_size)
         if target.num_queries * target.domain_size > MAX_EXPLICIT_ENTRIES:
             raise ServiceError(

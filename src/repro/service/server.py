@@ -64,7 +64,11 @@ from dataclasses import dataclass
 from repro._version import __version__
 from repro.exceptions import ClusterDegradedError, ReproError, ServiceError
 from repro.protocol.engine import ShardAccumulator
-from repro.service.campaigns import AdaptivePlan, CampaignManager
+from repro.service.campaigns import (
+    AdaptivePlan,
+    CampaignManager,
+    validate_campaign_name,
+)
 from repro.service.checkpoint import CheckpointStore
 from repro.service.cluster import (
     DEFAULT_RESTART_LIMIT,
@@ -1216,18 +1220,20 @@ class CollectionService(HttpTier):
         try:
             name = body["name"]
             workload = body["workload"]
-            # Passed as sent, so workloads.by_name refuses a non-integer
-            # such as 8.9 rather than building a campaign over 8 types.
             domain_size = body["domain_size"]
-            epsilon = float(body["epsilon"])
-        except (KeyError, TypeError, ValueError) as error:
+            epsilon = body["epsilon"]
+        except (KeyError, TypeError) as error:
             raise _HttpError(
                 400,
                 "campaign creation needs name, workload, domain_size, "
                 f"epsilon ({error})",
             )
-        mechanism = str(body.get("mechanism", "Hadamard"))
-        iterations = int(body.get("iterations", 300))
+        # Every field goes on as sent: CampaignManager.build and
+        # AdaptivePlan refuse a wrong type by name (2.7 iterations or an
+        # 8.9 domain are not truncated, NaN budgets not accepted).
+        validate_campaign_name(name)
+        mechanism = body.get("mechanism", "Hadamard")
+        iterations = body.get("iterations", 300)
         adaptive = None
         if body.get("adaptive") is not None:
             if self.pool is not None:

@@ -75,7 +75,11 @@ def by_name(name: str, domain_size: int) -> Workload:
 
     from repro.exceptions import WorkloadError
 
-    if not isinstance(domain_size, Integral) or domain_size < 1:
+    if (
+        isinstance(domain_size, bool)
+        or not isinstance(domain_size, Integral)
+        or domain_size < 1
+    ):
         raise WorkloadError(f"domain_size must be an integer >= 1, got {domain_size!r}")
     builders = {
         "Histogram": lambda: histogram(domain_size),

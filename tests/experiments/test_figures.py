@@ -1,7 +1,8 @@
 """Smoke + shape tests for every figure/table experiment at a tiny scale.
 
 These run each experiment end to end with a miniature profile and assert
-the paper's *qualitative* findings, which is what EXPERIMENTS.md records.
+the paper's *qualitative* findings (orderings and trends), which are what a
+scale this small can reproduce.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 """Tests for repro.linalg.checks."""
 
 import numpy as np
+import pytest
 
 from repro.linalg import (
     is_column_stochastic,
@@ -70,3 +71,9 @@ class TestIsLdpMatrix:
         matrix /= matrix.sum(axis=0)
         assert is_ldp_matrix(matrix, epsilon=1.0, rtol=1e-8)
         assert not is_ldp_matrix(matrix, epsilon=1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [709.0, 710.0, 800.0, np.inf])
+    def test_infinite_ratio_never_passes(self, epsilon):
+        # exp(epsilon) overflows to inf above ~709.78; inf <= inf must not
+        # let a zero-beside-non-zero row through.
+        assert not is_ldp_matrix(np.eye(4), epsilon)

@@ -35,6 +35,30 @@ class TestValidation:
         with pytest.raises(PrivacyViolationError):
             StrategyMatrix(np.full((2, 2), 0.5), 0.0)
 
+    @pytest.mark.parametrize(
+        "epsilon, match",
+        [
+            (710.0, "violates"),
+            (800.0, "violates"),
+            (float("inf"), "finite and positive"),
+            (float("nan"), "finite and positive"),
+        ],
+    )
+    def test_identity_refused_at_every_epsilon(self, epsilon, match):
+        # The identity reveals every input; e^eps overflowing to inf above
+        # eps ~709.78 must not make its infinite ratio pass.
+        with pytest.raises(PrivacyViolationError, match=match):
+            StrategyMatrix(np.eye(4), epsilon)
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -1.0])
+    def test_epsilon_checked_without_validation(self, epsilon):
+        with pytest.raises(PrivacyViolationError, match="finite and positive"):
+            StrategyMatrix(np.full((2, 2), 0.5), epsilon, validate=False)
+
+    def test_randomized_response_accepted_at_large_epsilon(self):
+        strategy = StrategyMatrix(randomized_response(4, 700.0).probabilities, 700.0)
+        assert np.isclose(np.log(strategy.realized_ratio()), 700.0)
+
     def test_rejects_non_2d(self):
         with pytest.raises(StochasticityError):
             StrategyMatrix(np.full(4, 0.25), 1.0)

@@ -12,7 +12,12 @@ the fast path against them:
   bisection;
 * :class:`ReferenceEngine` puts the oracles behind the evaluator interface
   of :class:`repro.optimization.kernels.FastEngine`.  Run Algorithm 2 on it
-  with ``monkeypatch.setattr(pgd, "FastEngine", ReferenceEngine)``.
+  with ``monkeypatch.setattr(pgd, "FastEngine", ReferenceEngine)``;
+* :func:`fixed_step_optimize` runs the paper's Algorithm 2 verbatim: a
+  fixed Q step, picked by a geometric grid search when none is given
+  (Section 4).  ``optimize_strategy`` backtracks the step instead; this
+  loop is the baseline that choice is measured against
+  (``benchmarks/bench_ablation_line_search.py``).
 
 The package under ``src/`` never imports this module.
 """
@@ -23,8 +28,13 @@ import numpy as np
 
 from repro.exceptions import OptimizationError
 from repro.linalg import psd_pinv, symmetrize
-from repro.optimization import projection
-from repro.optimization.projection import ProjectionState, feasible_bounds
+from repro.linalg.blas import single_threaded
+from repro.optimization import pgd, projection
+from repro.optimization.projection import (
+    ProjectionState,
+    feasible_bounds,
+    projection_vjp,
+)
 
 #: Row sums below this value are treated as dead outputs.
 _ROW_SUM_FLOOR = 1e-300
@@ -170,3 +180,99 @@ class ReferenceEngine:
 
     def project_batch(self, matrices, bounds, epsilon, initial_multipliers=None):
         return [project_columns_sorted(matrix, bounds, epsilon) for matrix in matrices]
+
+
+def _fixed_step_descend(
+    evaluator,
+    state: ProjectionState,
+    bounds: np.ndarray,
+    epsilon: float,
+    step_size: float,
+    num_iterations: int,
+) -> tuple[float, int]:
+    """The paper's fixed-step z and Q updates, with the optimizer's
+    divergence guard and early stop; returns ``(best objective,
+    iterations run)``."""
+    best_value = np.inf
+    best_state, best_bounds = state, bounds
+    stall = 0
+    iterations_run = 0
+    for iteration in range(num_iterations):
+        iterations_run = iteration + 1
+        value, gradient = evaluator.value_and_gradient(state.matrix)
+        if not np.isfinite(value):
+            # Overshot into the infeasible/degenerate region: back off.
+            state, bounds = best_state, best_bounds
+            step_size *= 0.5
+            continue
+        if value < best_value * (1.0 - pgd._TOLERANCE):
+            stall = 0
+        else:
+            stall += 1
+            if stall >= pgd._PATIENCE:
+                best_value = min(best_value, value)
+                break
+        if value < best_value:
+            best_value, best_state, best_bounds = value, state, bounds
+        z_scale = state.matrix.shape[1] * np.exp(epsilon)
+        bound_gradient = projection_vjp(gradient, state, epsilon)
+        bounds = pgd._repair_bounds(
+            bounds - step_size / z_scale * bound_gradient, epsilon
+        )
+        state = evaluator.project(
+            state.matrix - step_size * gradient,
+            bounds,
+            epsilon,
+            initial_multipliers=state.multipliers,
+        )
+    if not np.isfinite(best_value):
+        raise OptimizationError("optimization diverged from the first step")
+    return float(best_value), iterations_run
+
+
+@single_threaded()
+def fixed_step_optimize(
+    workload,
+    epsilon: float,
+    num_iterations: int,
+    *,
+    seed: int | None = None,
+    step_size: float | None = None,
+    search_points: int = 7,
+    search_iterations: int = 25,
+) -> tuple[float, int]:
+    """Algorithm 2 with the paper's fixed step; returns ``(objective,
+    iterations_run)``.
+
+    Starts from ``pgd.initialize`` with m = 4n outputs.  Without a
+    ``step_size``, each of ``search_points`` steps on the grid
+    ``base * 10**linspace(-2, 1)`` (``base`` from ``pgd._base_step``) runs
+    ``search_iterations`` iterations from that start, and the step with the
+    lowest objective runs the main loop.  Evaluations go through
+    ``pgd.FastEngine``, so ``monkeypatch.setattr(pgd, "FastEngine",
+    ReferenceEngine)`` runs this loop on the reference engine too.
+    """
+    gram, domain_size = pgd._resolve_gram(workload)
+    state, bounds = pgd.initialize(
+        domain_size,
+        pgd.DEFAULT_OUTPUT_FACTOR * domain_size,
+        epsilon,
+        np.random.default_rng(seed),
+    )
+    evaluator = pgd.FastEngine(gram, state.matrix.shape[0], None)
+    if step_size is None:
+        base = pgd._base_step(state, evaluator)
+        step_size, best_value = base, np.inf
+        for exponent in np.linspace(-2.0, 1.0, search_points):
+            candidate = base * 10.0**exponent
+            try:
+                value, _ = _fixed_step_descend(
+                    evaluator, state, bounds, epsilon, candidate, search_iterations
+                )
+            except OptimizationError:
+                continue
+            if value < best_value:
+                step_size, best_value = candidate, value
+    return _fixed_step_descend(
+        evaluator, state, bounds, epsilon, step_size, num_iterations
+    )

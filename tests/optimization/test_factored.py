@@ -191,14 +191,15 @@ class TestFactoredOptimizerDriver:
             workload,
             2.0,
             FactoredOptimizerConfig(
-                base=OptimizerConfig(num_iterations=40, seed=0),
-                epsilon_split=(2.0, 1.0, 1.0),
-                rounds=1,
+                base=OptimizerConfig(num_iterations=40, seed=0), rounds=1
             ),
         )
+        # Equal shares, and m_i = 4 d_i outputs per factor.
         assert result.strategy.epsilon == pytest.approx(2.0)
-        assert result.epsilon_split == pytest.approx((0.5, 0.25, 0.25))
-        assert result.strategy.factors[0].epsilon == pytest.approx(1.0)
+        assert result.epsilon_split == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        factors = result.strategy.factors
+        assert [factor.epsilon for factor in factors] == pytest.approx([2 / 3] * 3)
+        assert [factor.num_outputs for factor in factors] == [12, 8, 8]
 
     def test_deterministic_given_seed(self):
         workload = k_way_product_marginals((3, 2, 2), 2)
@@ -237,22 +238,9 @@ class TestFactoredOptimizerDriver:
                 ),
             )
 
-    def test_rejects_bad_splits_and_workloads(self):
+    def test_rejects_non_factored_workloads(self):
         from repro.workloads import histogram
 
-        workload = KronWorkload([np.eye(3), np.eye(2)])
-        with pytest.raises(OptimizationError):
-            optimize_factored_strategy(
-                workload,
-                1.0,
-                FactoredOptimizerConfig(epsilon_split=(1.0,)),
-            )
-        with pytest.raises(OptimizationError):
-            optimize_factored_strategy(
-                workload,
-                1.0,
-                FactoredOptimizerConfig(epsilon_split=(1.0, -1.0)),
-            )
         with pytest.raises(OptimizationError):
             optimize_factored_strategy(histogram(6), 1.0)
 

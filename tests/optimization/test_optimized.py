@@ -74,11 +74,6 @@ class TestAdaptivity:
         strategy = mechanism.strategy_for(prefix(5), 1.0)
         assert strategy.realized_ratio() <= np.e * (1 + 1e-8)
 
-    def test_with_seed_gives_fresh_instance(self, quick_mechanism):
-        other = quick_mechanism.with_seed(99)
-        assert other is not quick_mechanism
-        assert other.config.seed == 99
-
     def test_run_end_to_end(self, quick_mechanism, rng):
         workload = histogram(4)
         x = np.array([200.0, 100.0, 50.0, 50.0])

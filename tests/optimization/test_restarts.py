@@ -194,13 +194,6 @@ class TestMechanismReadThrough:
             1.0 + 1e-12
         )
 
-    def test_with_seed_preserves_store_settings(self, store):
-        mech = OptimizedMechanism(CONFIG, store=store, restarts=3)
-        derived = mech.with_seed(9)
-        assert derived.store is store
-        assert derived.restarts == 3
-        assert derived.config.seed == 9
-
 
 class TestSessionFromStore:
     def test_round_trip_into_protocol_session(self, store):

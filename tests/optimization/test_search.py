@@ -1,14 +1,7 @@
 """Tests for hyper-parameter search helpers."""
 
-import numpy as np
-
-from repro.optimization import (
-    OptimizerConfig,
-    optimize_strategy,
-    sample_complexity_of_result,
-    search_num_outputs,
-    worst_case_of_result,
-)
+from repro.analysis import worst_case_variance
+from repro.optimization import OptimizerConfig, optimize_strategy, search_num_outputs
 from repro.workloads import prefix
 
 
@@ -36,11 +29,14 @@ class TestSearchNumOutputs:
         assert points[0].objective > 0
         assert points[0].worst_case_variance > 0
 
-
-class TestResultMetrics:
-    def test_consistency_between_metrics(self):
+    def test_worst_case_variance_is_the_analysis_metric(self):
         workload = prefix(5)
-        result = optimize_strategy(workload, 1.0, OptimizerConfig(num_iterations=60, seed=0))
-        worst = worst_case_of_result(result, workload)
-        samples = sample_complexity_of_result(result, workload, alpha=0.01)
-        assert np.isclose(samples, worst / (workload.num_queries * 0.01))
+        config = OptimizerConfig(num_iterations=60)
+        (point,) = search_num_outputs(workload, 1.0, [20], [0], config)
+        result = optimize_strategy(
+            workload, 1.0, OptimizerConfig(num_iterations=60, num_outputs=20, seed=0)
+        )
+        assert point.objective == result.objective
+        assert point.worst_case_variance == worst_case_variance(
+            result.strategy.probabilities, workload.gram()
+        )

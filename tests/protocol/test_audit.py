@@ -33,6 +33,12 @@ class TestExactAudit:
         assert not report.satisfied
         assert report.epsilon_realized > 1.0
 
+    def test_identity_fails_where_exp_epsilon_overflows(self):
+        rogue = StrategyMatrix(np.eye(4), 710.0, validate=False)
+        report = audit_strategy(rogue)
+        assert not report.satisfied
+        assert report.epsilon_realized == np.inf
+
     def test_worst_output_identified(self):
         # Build a strategy where row 1 has the largest ratio.
         matrix = np.array([[0.5, 0.5], [0.3, 0.2], [0.2, 0.3]])

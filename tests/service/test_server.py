@@ -5,12 +5,13 @@ event-loop thread bound to an ephemeral port and talks to it over actual
 sockets through the blocking SDK — the same path production traffic takes.
 """
 
+import json
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError, ServiceHTTPError
+from repro.exceptions import PrivacyViolationError, ServiceError, ServiceHTTPError
 from repro.service import (
     CollectionService,
     ServiceClient,
@@ -180,6 +181,7 @@ class TestEndpoints:
             ("AllMarginals", 0),
             ("Prefix", 7500),
             ("Histogram", 8.9),
+            ("Histogram", True),
         ],
     )
     def test_bad_domain_size_gets_400(self, live, workload, domain_size):
@@ -208,10 +210,72 @@ class TestEndpoints:
             )
         assert error.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("name", ["demo"], "campaign name"),
+            ("workload", ["Histogram"], "workload must be a string"),
+            ("mechanism", ["Hadamard"], "mechanism"),
+            ("iterations", "abc", "iterations must be an integer"),
+            ("iterations", None, "iterations must be an integer"),
+            ("iterations", 2.7, "iterations must be an integer"),
+            ("iterations", True, "iterations must be an integer"),
+            ("epsilon", float("nan"), "epsilon must be a finite number"),
+            ("epsilon", "1.0", "epsilon must be a finite number"),
+            ("adaptive.rounds", 2.7, "num_rounds must be an integer"),
+            ("adaptive.groups", True, "num_groups must be an integer"),
+            ("adaptive.restarts", "1", "restarts must be an integer"),
+            ("adaptive.iterations", 30.0, "iterations must be an integer"),
+            ("adaptive.seed", 1.9, "seed must be an integer"),
+            ("adaptive.seed", -1, "seed must be >= 0"),
+            ("adaptive.boost", "nan", "boost must be a finite number"),
+            ("adaptive.boost", "Infinity", "boost must be a finite number"),
+            ("adaptive.boost", float("inf"), "boost must be a finite number"),
+            ("adaptive.selector_share", float("nan"), "selector_share"),
+        ],
+    )
+    def test_bad_campaign_field_gets_400_naming_it(self, live, field, value, match):
+        _, client = live
+        body = {
+            "name": "bad",
+            "workload": "Histogram",
+            "domain_size": 8,
+            "epsilon": 1.0,
+            "mechanism": "Randomized Response",
+        }
+        if field.startswith("adaptive."):
+            body["adaptive"] = {"rounds": 2, field.split(".", 1)[1]: value}
+        else:
+            body[field] = value
+        with pytest.raises(ServiceHTTPError, match=match) as error:
+            client._request("POST", "/v1/campaigns", body)
+        assert error.value.status == 400
+        assert client.campaigns() == []
+
     def test_checkpoint_endpoint_requires_directory(self, live):
         _, client = live
         with pytest.raises(ServiceError, match="checkpoint"):
             client.checkpoint()
+
+
+class TestForgedStrategy:
+    @pytest.mark.parametrize("epsilon", ["800", "1e309"])
+    def test_sdk_refuses_identity_published_at_huge_epsilon(
+        self, monkeypatch, epsilon
+    ):
+        # e^800 overflows to inf, and json.loads reads 1e309 as inf: the
+        # identity's infinite ratio must still be refused, so no reporter
+        # ever sends a raw value.
+        document = json.loads(
+            f'{{"name": "Forged", "epsilon": {epsilon}, '
+            f'"probabilities": {json.dumps(np.eye(4).tolist())}}}'
+        )
+        client = ServiceClient("127.0.0.1", 1)
+        monkeypatch.setattr(client, "_strategy_document", lambda name: document)
+        with pytest.raises(PrivacyViolationError):
+            client.strategy("demo")
+        with pytest.raises(PrivacyViolationError):
+            client.reporter("demo")
 
 
 class TestBinaryTransport:

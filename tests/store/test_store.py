@@ -46,7 +46,8 @@ class TestKeys:
         assert base == config_fingerprint(OptimizerConfig(num_iterations=40, seed=0))
         assert base != config_fingerprint(replace(CONFIG, num_iterations=41))
         assert base != config_fingerprint(replace(CONFIG, seed=1))
-        assert base != config_fingerprint(replace(CONFIG, step_size=0.1))
+        assert base != config_fingerprint(replace(CONFIG, num_outputs=16))
+        assert base != config_fingerprint(replace(CONFIG, track_history=True))
         assert base != config_fingerprint(
             replace(CONFIG, initial_strategy=np.full((4, 2), 0.25))
         )

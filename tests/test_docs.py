@@ -130,6 +130,24 @@ def test_checker_flags_pages_named_in_source_that_do_not_exist(tmp_path):
     assert problems == ["src/pkg/mod.py:3: missing file 'DESIGN.md'"]
 
 
+def test_checker_flags_pages_named_in_scripts_and_benchmarks(tmp_path):
+    checker = load_checker()
+    (tmp_path / "README.md").write_text("# Readme\n", encoding="utf-8")
+    for directory in ("scripts", "benchmarks", "tests"):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "run.py").write_text(
+            '"""Results go to README.md and EXPERIMENTS.md."""\n',
+            encoding="utf-8",
+        )
+    checked, problems = checker.check_tree(tmp_path)
+    assert checked == 1
+    # tests/ is left out: its fixtures name missing pages on purpose.
+    assert problems == [
+        "benchmarks/run.py:1: missing file 'EXPERIMENTS.md'",
+        "scripts/run.py:1: missing file 'EXPERIMENTS.md'",
+    ]
+
+
 def test_cli_docs_mention_strategy_commands():
     page = (REPO_ROOT / "docs" / "strategy-store.md").read_text(encoding="utf-8")
     for command in ("strategy build", "strategy list", "strategy inspect",
