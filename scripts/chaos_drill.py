@@ -2,8 +2,7 @@
 """Seeded chaos drill for CI: crash storms with a zero-loss ledger.
 
 Drives a real ``repro serve`` subprocess (cluster tier + WAL) through a
-deterministic storm of injected faults — every fault action the service
-supports, in one run:
+deterministic storm of crashes, in one run:
 
 1. **mid-dispatch** — the coordinator SIGKILLs a worker right before
    sending it a batch (``kill_worker``);
@@ -15,9 +14,11 @@ supports, in one run:
    coordinator's worst case: it cannot know whether the cut landed;
 4. **torn WAL tail** — the whole server process dies mid-fsync leaving a
    half-written record on disk (``torn_wal``), and is restarted on the
-   same directories;
-5. a **delayed ack** (``delay_ack``) rides along to exercise the client
-   timeout path.
+   same directories.
+
+The program has no fault hooks: the faulted server runs through
+``scripts/chaos_serve.py``, which wraps the program's own functions from
+outside (see its docstring).
 
 The drill keeps a serial ledger: batches are sent one at a time, a batch
 counts as *acked* only when the HTTP 200 arrives, and the one
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -53,6 +55,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from chaos_serve import PLAN_ENV  # noqa: E402
 from repro.service import (  # noqa: E402
     CollectionService,
     ServiceClient,
@@ -69,13 +72,19 @@ _LISTENING = re.compile(r"listening on http://[\d.]+:(\d+)")
 
 
 class Server:
-    """One ``repro serve`` subprocess on an ephemeral port."""
+    """One ``repro serve`` subprocess on an ephemeral port; with a
+    ``plan``, started through ``scripts/chaos_serve.py`` with its crashes
+    armed."""
 
-    def __init__(self, checkpoint_dir: str, wal_dir: str, fault_plan=None):
+    def __init__(self, checkpoint_dir: str, wal_dir: str, plan=None):
+        entry = ["-m", "repro"]
+        environment = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        if plan is not None:
+            entry = [str(REPO_ROOT / "scripts" / "chaos_serve.py")]
+            environment[PLAN_ENV] = json.dumps(plan)
         arguments = [
             sys.executable,
-            "-m",
-            "repro",
+            *entry,
             "serve",
             "--port",
             "0",
@@ -88,15 +97,10 @@ class Server:
             "--checkpoint-interval",
             "3600",
         ]
-        if fault_plan is not None:
-            arguments += ["--fault-plan", json.dumps(fault_plan)]
         self.process = subprocess.Popen(
             arguments,
             cwd=REPO_ROOT,
-            env={
-                **__import__("os").environ,
-                "PYTHONPATH": str(REPO_ROOT / "src"),
-            },
+            env=environment,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -141,8 +145,9 @@ def build_plan(seed: int, phase1: int, phase3: int) -> dict:
     """Derive every fault occurrence point from the seed.
 
     Worker-side faults target distinct workers so each original process
-    hosts exactly one death (respawned replacements spawn without the
-    plan).  The torn WAL record is pinned to the first post-storm send:
+    hosts exactly one death (a fault fires once, so respawned
+    replacements live).  The torn WAL record is pinned to the first
+    post-storm send:
     sequences 1..phase1 land before checkpoint A, phase3 more follow, so
     the tear hits sequence ``phase1 + phase3 + 1`` — always the one
     in-flight, never-acked batch.
@@ -164,12 +169,6 @@ def build_plan(seed: int, phase1: int, phase3: int) -> dict:
             {"action": "drop_reply", "at": 2, "op": "cut", "worker": 2},
             # torn tail: the first send after the storm dies mid-fsync
             {"action": "torn_wal", "at": phase1 + phase3 + 1},
-            # a slow ack somewhere in phase 1
-            {
-                "action": "delay_ack",
-                "at": int(rng.integers(1, phase1)),
-                "seconds": 0.2,
-            },
         ],
     }
 
@@ -236,17 +235,17 @@ def main() -> int:
 
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
     wal_dir = tempfile.mkdtemp(prefix="repro-chaos-wal-")
+    markers = tempfile.mkdtemp(prefix="repro-chaos-markers-")
     ledger = {"acked": 0, "resent": 0}
     artifact = {"seed": arguments.seed, "plan": plan, "phases": {}}
 
-    server = Server(checkpoint_dir, wal_dir, fault_plan=plan)
+    server = Server(checkpoint_dir, wal_dir, plan={**plan, "markers": markers})
     port = server.wait_ready()
     client = ServiceClient("127.0.0.1", port)
     create_campaign(client)
     cursor = 0
 
-    # Phase 1: sends through the mid-dispatch kill, the mid-fold death and
-    # the delayed ack.
+    # Phase 1: sends through the mid-dispatch kill and the mid-fold death.
     for _ in range(arguments.phase1):
         client.send_reports(CAMPAIGN, batches[cursor])
         ledger["acked"] += 1
@@ -295,7 +294,7 @@ def main() -> int:
             f"{server.process.returncode}:\n" + "".join(server.lines[-20:])
         )
 
-    # Restart on the same directories, no fault plan: recovery must cut
+    # Restart on the same directories, no faults armed: recovery must cut
     # the torn tail and replay the phase-3 suffix past checkpoint A.
     server = Server(checkpoint_dir, wal_dir)
     port = server.wait_ready()

@@ -21,14 +21,14 @@ cluster tier (coordinator + K worker processes), including the SIGKILL
 of the coordinator, which orphans and reaps the workers.
 
 ``--adaptive`` runs the multi-round scenario instead: a 2-round adaptive
-campaign ingests a round-1 cohort, advances with the post-commit
-checkpoint suppressed, and is SIGKILLed **between the round checkpoint
-and the persisted strategy swap** — the narrowest recovery window.  The
-restarted service must come back in round 1 with bit-identical
-estimates, replay the advance to the identical selection and strategy,
-reject stale round-1 reports, and finish the campaign with the combined
-two-round answer beating the round-1-only answer on worst-sub-workload
-error.
+campaign ingests a round-1 cohort, checkpoints, keeps a copy of the
+checkpoint directory, advances, and is SIGKILLed; putting the copy back
+leaves the disk **between the round checkpoint and the persisted
+strategy swap** — the narrowest recovery window.  The restarted service
+must come back in round 1 with bit-identical estimates, replay the
+advance to the identical selection and strategy, reject stale round-1
+reports, and finish the campaign with the combined two-round answer
+beating the round-1-only answer on worst-sub-workload error.
 
 Exits non-zero on any failure.  Run::
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -232,8 +233,8 @@ def run_adaptive(transport: str) -> int:
         "--adaptive", "2",
         "--adaptive-groups", "2",
         "--iterations", "100",
-        # only the advance's own round checkpoint may touch disk, so the
-        # kill window below is exactly [round checkpoint, strategy swap]
+        # no periodic checkpoint may touch disk between the copy and the
+        # kill below
         "--checkpoint-interval", "3600",
     )
     server = Server(checkpoint_dir, 0, transport, extra=adaptive_args)
@@ -264,19 +265,25 @@ def run_adaptive(transport: str) -> int:
             f"sub-workload error {round1_error:.4f} users/report"
         )
 
-        # advance WITHOUT the post-commit checkpoint: on disk the campaign
-        # is still in round 1 (the advance's internal round checkpoint);
-        # in memory it has already swapped to the round-2 strategy
-        report = client.advance_campaign(CAMPAIGN, checkpoint=False)
+        # a checkpoint now holds what the advance's own round checkpoint
+        # writes; putting a copy of it back after the kill leaves the disk
+        # in round 1 while memory had swapped to the round-2 strategy
+        client.checkpoint()
+        round_checkpoint = tempfile.mkdtemp(prefix="repro-adaptive-round-")
+        shutil.copytree(checkpoint_dir, round_checkpoint, dirs_exist_ok=True)
+        report = client.advance_campaign(CAMPAIGN)
         assert report["round"] == 2, report
         strategy = client.strategy(CAMPAIGN)
         client.close()
         print(
             f"[smoke] advanced to round 2 (selected sub-workload "
-            f"{report['selected_group']}); SIGKILL before the swap persists"
+            f"{report['selected_group']}); SIGKILL, then the round "
+            "checkpoint goes back on disk"
         )
         server.process.send_signal(signal.SIGKILL)
         server.process.wait(timeout=30)
+        shutil.rmtree(checkpoint_dir)
+        shutil.copytree(round_checkpoint, checkpoint_dir)
 
         server2 = Server(checkpoint_dir, 0, transport, extra=adaptive_args)
         port2 = server2.wait_ready()

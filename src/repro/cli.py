@@ -246,13 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotate WAL segments at this size",
     )
     serve.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="FILE_OR_JSON",
-        help="deterministic fault-injection plan (a JSON file path or "
-        "inline JSON) for crash drills; see scripts/chaos_drill.py",
-    )
-    serve.add_argument(
         "--worker-restart-limit",
         type=int,
         default=5,
@@ -423,19 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_commands = campaign.add_subparsers(dest="campaign_command")
     advance = campaign_commands.add_parser(
         "advance",
-        help="close an adaptive campaign's live round: drain + checkpoint, "
+        help="close an adaptive campaign's live round: checkpoint it, "
         "privately select the worst-approximated sub-workload, re-optimize, "
-        "open the next round",
+        "open the next round and checkpoint again",
     )
     advance.add_argument("--host", default="127.0.0.1", help="service address")
     advance.add_argument("--port", type=int, default=8320, help="service port")
     advance.add_argument("--campaign", required=True, help="campaign name")
-    advance.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="skip the checkpoint after the round swap (fault-injection "
-        "hook; the pre-advance round checkpoint is always written)",
-    )
 
     report = subcommands.add_parser(
         "report", help="randomize values locally and send them to a service"
@@ -856,7 +843,6 @@ def _run_serve(arguments) -> int:
             tracing=not arguments.no_tracing,
             wal_dir=arguments.wal_dir,
             wal_segment_bytes=arguments.wal_segment_bytes,
-            fault_plan=arguments.fault_plan,
             worker_restart_limit=arguments.worker_restart_limit,
         )
     except ServiceError as error:
@@ -1057,9 +1043,7 @@ def _run_campaign_advance(arguments) -> int:
     from repro.service import ServiceClient
 
     with ServiceClient(arguments.host, arguments.port) as client:
-        report = client.advance_campaign(
-            arguments.campaign, checkpoint=not arguments.no_checkpoint
-        )
+        report = client.advance_campaign(arguments.campaign)
     scores = ", ".join(f"{s:.3g}" for s in report["scores"])
     print(
         f"campaign {report['campaign']!r} advanced to round {report['round']}: "

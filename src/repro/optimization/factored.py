@@ -109,8 +109,6 @@ class FactoredOptimizationResult:
         workload — directly comparable to the dense optimizer's objective.
     factor_objectives:
         Final per-factor subproblem objectives, in attribute order.
-    epsilon_split:
-        The per-factor budget shares (equal, summing to 1).
     rounds_run:
         Alternating passes executed (1 for pure Kron workloads).
     iterations_run:
@@ -123,7 +121,6 @@ class FactoredOptimizationResult:
     strategy: FactoredStrategy
     objective: float
     factor_objectives: list[float]
-    epsilon_split: tuple[float, ...]
     rounds_run: int
     iterations_run: int
     factor_results: list[OptimizationResult] = field(default_factory=list)
@@ -262,8 +259,7 @@ def optimize_factored_strategy(
     blocks = _factor_gram_blocks(workload)
     num_factors = len(blocks[0])
     sizes = [blocks[0][i].shape[0] for i in range(num_factors)]
-    split = tuple([1.0 / num_factors] * num_factors)
-    budgets = [epsilon * share for share in split]
+    budgets = [epsilon * (1.0 / num_factors)] * num_factors
     seeds = _factor_seeds(base.seed, num_factors)
 
     # Pure Kron workloads decouple (block weights only rescale the Gram,
@@ -322,7 +318,6 @@ def optimize_factored_strategy(
         strategy=strategy,
         objective=total,
         factor_objectives=[float(result.objective) for result in final_results],
-        epsilon_split=split,
         rounds_run=best_round,
         iterations_run=iterations_total,
         factor_results=final_results,

@@ -39,8 +39,6 @@ a crash.  Clients randomize locally — the server never sees a raw value.
   (``repro serve --wal-dir``): accepted bodies fsync before the ack,
   checkpoints cut + truncate, recovery replays the suffix (zero acked
   reports lost); it also unlocks self-healing worker supervision.
-* :class:`~repro.service.faults.FaultPlan` — seeded deterministic fault
-  injection (``repro serve --fault-plan``, ``scripts/chaos_drill.py``).
 
 See ``docs/serving.md`` for the architecture and endpoint reference,
 ``docs/adaptive-campaigns.md`` for the round lifecycle, and
@@ -62,7 +60,6 @@ from repro.service.checkpoint import MANIFEST_VERSION, CheckpointStore
 from repro.service.client import CampaignReporter, ServiceClient
 from repro.service.cluster import ShardManager, WorkerPool
 from repro.service.edge import EdgeAggregator, run_edge
-from repro.service.faults import FAULT_ACTIONS, Fault, FaultPlan
 from repro.service.framing import (
     FRAME_CONTENT_TYPE,
     MAX_FRAME_ROUND,
@@ -97,10 +94,7 @@ __all__ = [
     "CheckpointStore",
     "CollectionService",
     "EdgeAggregator",
-    "FAULT_ACTIONS",
     "FRAME_CONTENT_TYPE",
-    "Fault",
-    "FaultPlan",
     "Frame",
     "IngestPipeline",
     "IngestStats",

@@ -88,18 +88,8 @@ class CheckpointStore:
     True
     """
 
-    def __init__(
-        self,
-        root,
-        registry: MetricsRegistry | None = None,
-        *,
-        faults=None,
-    ) -> None:
+    def __init__(self, root, registry: MetricsRegistry | None = None) -> None:
         self.root = Path(root)
-        #: Optional :class:`~repro.service.faults.FaultPlan`; consulted
-        #: once per save (``fail_checkpoint_fsync``) so drills can prove a
-        #: failed checkpoint never loses WAL coverage.
-        self.faults = faults
         # (strategy object, payload digest) this instance last
         # wrote/verified per campaign; strategies are immutable, so a
         # repeat checkpoint of the same object can skip re-serializing,
@@ -202,16 +192,6 @@ class CheckpointStore:
         manifest key — absent (older manifests, no WAL) means 0.
         """
         started = time.perf_counter()
-        if self.faults is not None:
-            spec = self.faults.check("fail_checkpoint_fsync")
-            if spec is not None:
-                # Injected before anything is written: the previous
-                # checkpoint and the uncovered WAL suffix stay exactly as
-                # they were, which is the invariant the drill asserts.
-                raise OSError(
-                    "injected checkpoint fsync failure "
-                    f"(fault at save #{spec['at']})"
-                )
         written_bytes = 0
         entries: dict[str, dict] = {}
         for item in frozen:

@@ -236,20 +236,18 @@ class ServiceClient:
                 return self.campaign(name)
             raise
 
-    def advance_campaign(self, name: str, *, checkpoint: bool = True) -> dict:
+    def advance_campaign(self, name: str) -> dict:
         """Close an adaptive campaign's live round and open the next.
 
-        The server drains ingest, checkpoints the completed round, selects
-        the worst-approximated sub-workload, re-optimizes, and swaps in the
-        next round's strategy; reporters must :meth:`CampaignReporter.refresh`
-        (or be rebuilt) afterwards — the old round's strategy is retired and
-        stale-round reports are rejected.  ``checkpoint=False`` skips the
-        post-commit checkpoint (fault-injection hook).
+        The server checkpoints the completed round, selects the
+        worst-approximated sub-workload, re-optimizes, swaps in the next
+        round's strategy and checkpoints again; reporters must
+        :meth:`CampaignReporter.refresh` (or be rebuilt) afterwards — the
+        old round's strategy is retired and stale-round reports are
+        rejected.
         """
         return self._request(
-            "POST",
-            f"/v1/campaigns/{urllib.parse.quote(name)}/advance",
-            {"checkpoint": bool(checkpoint)},
+            "POST", f"/v1/campaigns/{urllib.parse.quote(name)}/advance"
         )
 
     def campaigns(self) -> list[dict]:

@@ -60,7 +60,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import multiprocessing
-import os
 import queue
 import signal
 import threading
@@ -184,7 +183,7 @@ class ShardManager:
         return len(self._campaigns)
 
 
-def _worker_main(connection, index: int, faults=None):
+def _worker_main(connection):
     """Entry point of one worker process (module-level so ``spawn`` can
     import it).  Shutdown is protocol-driven — ``("stop",)`` or pipe EOF —
     so terminal signals aimed at the process *group* (an operator's
@@ -192,12 +191,12 @@ def _worker_main(connection, index: int, faults=None):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     try:
-        asyncio.run(_worker_loop(connection, index, faults))
+        asyncio.run(_worker_loop(connection))
     finally:
         connection.close()
 
 
-async def _worker_loop(connection, index: int, faults=None):
+async def _worker_loop(connection):
     manager = ShardManager()
     # Each worker owns its telemetry: only trace *ids* cross the pipe, and
     # the coordinator merges the histogram snapshots pulled via "stats".
@@ -218,14 +217,6 @@ async def _worker_loop(connection, index: int, faults=None):
             # An unexpected internal bug: tagged so the coordinator maps
             # it to a 500, exactly as the in-process path would.
             reply = ("fatal", f"{type(error).__name__}: {error}")
-        if (
-            faults is not None
-            and faults.check("drop_reply", op=message[0], worker=index) is not None
-        ):
-            # The armed drill fault: die *after* processing the op but
-            # before replying — the coordinator cannot know whether the op
-            # landed, the worst case its supervision must absorb.
-            os._exit(11)
         try:
             connection.send(reply)
         except (BrokenPipeError, OSError):
@@ -380,10 +371,6 @@ class WorkerPool:
         from checkpoint cuts + WAL replay (see the module docstring).
         Without it, a dead worker degrades the pool loudly, exactly the
         pre-WAL behavior.
-    faults:
-        Optional :class:`~repro.service.faults.FaultPlan`; consulted at
-        the dispatch site (``kill_worker``) and shipped to every worker
-        process (``drop_reply``).
     restart_limit:
         Respawns allowed per worker before the pool degrades.
     restart_backoff_base, restart_backoff_cap:
@@ -396,7 +383,6 @@ class WorkerPool:
         *,
         start_method: str = DEFAULT_START_METHOD,
         wal=None,
-        faults=None,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
         restart_backoff_base: float = DEFAULT_RESTART_BACKOFF_BASE,
         restart_backoff_cap: float = DEFAULT_RESTART_BACKOFF_CAP,
@@ -407,7 +393,6 @@ class WorkerPool:
             raise ServiceError(f"restart_limit must be >= 0, got {restart_limit}")
         self.num_workers = num_workers
         self.wal = wal
-        self.faults = faults
         self.restart_limit = restart_limit
         self.restart_backoff_base = restart_backoff_base
         self.restart_backoff_cap = restart_backoff_cap
@@ -431,12 +416,12 @@ class WorkerPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _spawn_process(self, index: int, *, faults=None):
+    def _spawn_process(self, index: int):
         """Spawn one worker process; returns ``(process, parent_pipe_end)``."""
         parent_end, child_end = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
-            args=(child_end, index, faults),
+            args=(child_end,),
             name=f"repro-cluster-{index}",
             daemon=True,
         )
@@ -476,7 +461,7 @@ class WorkerPool:
         self._loop = asyncio.get_running_loop()
         self._stopping = False
         for index in range(self.num_workers):
-            process, parent_end = self._spawn_process(index, faults=self.faults)
+            process, parent_end = self._spawn_process(index)
             worker = _WorkerHandle(
                 index=index,
                 process=process,
@@ -685,11 +670,6 @@ class WorkerPool:
             worker.connection.close()
         except OSError:
             pass
-        # A replacement spawns *clean* — no fault plan.  Re-shipping the
-        # plan would reset its fired flags (pickling resets them) and a
-        # worker-side fault like "die on the first cut" would re-arm on
-        # every respawn, crash-looping the pool through its whole restart
-        # budget instead of injecting one deterministic death.
         process, parent_end = self._spawn_process(worker.index)
         # Swap the plumbing in place.  In-flight users of the old handle
         # already failed with _WorkerLost; the generation bump makes any
@@ -855,17 +835,6 @@ class WorkerPool:
             return worker, await self._call(worker, message)
         while True:
             worker = await self._pick_worker()
-            if self.faults is not None:
-                spec = self.faults.check("kill_worker")
-                if spec is not None:
-                    # The armed drill fault: SIGKILL the target (default:
-                    # the worker this very batch was routed to) right
-                    # before the send — a death mid-dispatch.
-                    target = self._workers[
-                        int(spec.get("worker", worker.index)) % len(self._workers)
-                    ]
-                    if target.alive and target.process.pid is not None:
-                        os.kill(target.process.pid, signal.SIGKILL)
             try:
                 reply = await self._call(worker, message)
             except _WorkerLost:

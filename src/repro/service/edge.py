@@ -377,7 +377,7 @@ class EdgeAggregator(HttpTier):
         bound = await self._start_listener(host, port)
         self._tasks = [
             asyncio.create_task(self._cut_timer(), name="edge-cutter"),
-            asyncio.create_task(self._forward_pump(), name="edge-forwarder"),
+            asyncio.create_task(self._forward_outbox(), name="edge-forwarder"),
         ]
         _LOG.info(
             "edge aggregator started",
@@ -412,7 +412,7 @@ class EdgeAggregator(HttpTier):
         if final_checkpoint:
             for mirror in self.manager.campaigns():
                 self._cut(mirror)
-            await self._drain_outbox(self.drain_timeout)
+            await self._forward_outbox(self.drain_timeout)
         else:
             self._outbox.clear()
 
@@ -531,12 +531,23 @@ class EdgeAggregator(HttpTier):
         self._m_forwarded_reports.inc(item.num_reports)
         return True
 
-    async def _forward_pump(self) -> None:
+    async def _forward_outbox(self, timeout: float | None = None) -> None:
         """Ship outbox items strictly in order, one in flight at a time —
-        per-campaign sequences must reach the root monotonically."""
+        per-campaign sequences must reach the root monotonically.  A
+        transient failure keeps the head item and retries it with
+        exponential backoff.
+
+        Without a ``timeout`` (the forwarder task) this waits for new items
+        until cancelled.  With one (the graceful stop's drain) it returns
+        once the outbox is empty, or counts every report still in it as
+        lost when the next retry would start past the deadline.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
         backoff = self.retry_base
         while True:
             if not self._outbox:
+                if deadline is not None:
+                    return
                 self._outbox_event.clear()
                 await self._outbox_event.wait()
                 continue
@@ -547,21 +558,7 @@ class EdgeAggregator(HttpTier):
                 continue
             item.attempts += 1
             self._m_forward_retries.inc()
-            await asyncio.sleep(backoff)
-            backoff = min(backoff * 2, self.retry_cap)
-
-    async def _drain_outbox(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        backoff = self.retry_base
-        while self._outbox:
-            item = self._outbox[0]
-            if await self._forward_one(item):
-                self._outbox.popleft()
-                backoff = self.retry_base
-                continue
-            item.attempts += 1
-            self._m_forward_retries.inc()
-            if time.monotonic() + backoff > deadline:
+            if deadline is not None and time.monotonic() + backoff > deadline:
                 lost = sum(entry.num_reports for entry in self._outbox)
                 self._count_lost(
                     lost,

@@ -75,7 +75,6 @@ from repro.service.cluster import (
     DEFAULT_START_METHOD,
     WorkerPool,
 )
-from repro.service.faults import FaultPlan
 from repro.service.framing import FRAME_CONTENT_TYPE
 from repro.service.ingest import (
     IngestPipeline,
@@ -568,11 +567,6 @@ class CollectionService(HttpTier):
         :mod:`repro.service.cluster`).
     wal_segment_bytes:
         Segment rotation size.
-    fault_plan:
-        Optional :class:`~repro.service.faults.FaultPlan` (or a path /
-        inline-JSON string for :meth:`FaultPlan.load`): deterministic
-        fault injection for crash drills — see ``repro serve
-        --fault-plan`` and ``scripts/chaos_drill.py``.
     worker_restart_limit:
         Respawns allowed per worker before a supervised pool degrades.
     """
@@ -591,7 +585,6 @@ class CollectionService(HttpTier):
         tracing: bool = True,
         wal_dir=None,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        fault_plan: FaultPlan | str | None = None,
         worker_restart_limit: int = DEFAULT_RESTART_LIMIT,
     ) -> None:
         if checkpoint_interval <= 0:
@@ -615,20 +608,13 @@ class CollectionService(HttpTier):
             registry if registry is not None else MetricsRegistry(),
             tracing=tracing,
         )
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.load(fault_plan)
-        self.faults = fault_plan
         self.wal = (
-            WriteAheadLog(
-                wal_dir, segment_bytes=wal_segment_bytes, faults=self.faults
-            )
+            WriteAheadLog(wal_dir, segment_bytes=wal_segment_bytes)
             if wal_dir is not None
             else None
         )
         self.checkpoints = (
-            CheckpointStore(
-                checkpoint_dir, registry=self.registry, faults=self.faults
-            )
+            CheckpointStore(checkpoint_dir, registry=self.registry)
             if checkpoint_dir is not None
             else None
         )
@@ -657,7 +643,6 @@ class CollectionService(HttpTier):
                 cluster_workers,
                 start_method=cluster_start_method,
                 wal=self.wal,
-                faults=self.faults,
                 restart_limit=worker_restart_limit,
             )
         else:
@@ -1118,8 +1103,8 @@ class CollectionService(HttpTier):
         self, kind: int, raw: bytes, trace_id: str, span
     ) -> dict[str, int]:
         """The root's ingest steps around the fold: the transport check,
-        then WAL append + fsync (when durable), the fold or cluster
-        dispatch, and the ``delay_ack`` drill fault."""
+        then WAL append + fsync (when durable) and the fold or cluster
+        dispatch."""
         self._require_transport("binary" if kind == KIND_FRAMES else "json")
 
         async def fold(wal_seq: int | None):
@@ -1127,19 +1112,8 @@ class CollectionService(HttpTier):
                 return await self._fold(kind, raw, trace_id, wal_seq)
 
         if self.wal is not None:
-            per_campaign = await self._wal_guarded(kind, raw, fold)
-        else:
-            per_campaign = await fold(None)
-        await self._maybe_delay_ack()
-        return per_campaign
-
-    async def _maybe_delay_ack(self) -> None:
-        """The ``delay_ack`` drill fault: stall this ack."""
-        if self.faults is None:
-            return
-        spec = self.faults.check("delay_ack")
-        if spec is not None:
-            await asyncio.sleep(float(spec.get("seconds", 0.05)))
+            return await self._wal_guarded(kind, raw, fold)
+        return await fold(None)
 
     # -- routing -----------------------------------------------------------
 
@@ -1162,7 +1136,7 @@ class CollectionService(HttpTier):
         if path.startswith("/v1/campaigns/"):
             parts = path.split("/")[3:]
             if method == "POST" and len(parts) == 2 and parts[1] == "advance":
-                return await self._advance_campaign(parts[0], request.json())
+                return await self._advance_campaign(parts[0])
             if method == "POST" and len(parts) == 2 and parts[1] == "partials":
                 return await self._apply_partial(parts[0], request)
             return self._campaign_subresource(method, path)
@@ -1272,7 +1246,7 @@ class CollectionService(HttpTier):
         await self.checkpoint()
         return 200, self._describe(campaign)
 
-    async def _advance_campaign(self, name: str, body: dict) -> tuple[int, dict]:
+    async def _advance_campaign(self, name: str) -> tuple[int, dict]:
         """Close the live round of an adaptive campaign and open the next.
 
         Order matters for crash safety (every acknowledged report is
@@ -1285,10 +1259,7 @@ class CollectionService(HttpTier):
         3. commit on-loop (ledger debits, session swap, round bump) — the
            round-``r`` accumulator, reports accepted during the
            optimization included, becomes the round record;
-        4. checkpoint the new round, unless the body says
-           ``{"checkpoint": false}`` — the fault-injection hook that leaves
-           a SIGKILL landing between the round checkpoint and the durable
-           strategy swap, which recovery must replay deterministically.
+        4. checkpoint the new round, which makes the strategy swap durable.
 
         A crash anywhere in between recovers from the round checkpoint into
         round ``r``; re-advancing re-plans with the same seeded selection
@@ -1309,8 +1280,7 @@ class CollectionService(HttpTier):
             self.manager.optimize_round_strategy, advance, store=self.store
         )
         report = self.manager.commit_advance(advance, session)
-        if body.get("checkpoint", True):
-            await self.checkpoint()
+        await self.checkpoint()
         return 200, report.to_json()
 
     def _require_transport(self, wire: str) -> None:

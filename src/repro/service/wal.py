@@ -241,9 +241,6 @@ class WriteAheadLog:
         ``False`` trades durability for speed (tests, benchmark floors
         for the no-durability comparison); the append protocol and
         recovery semantics are unchanged.
-    faults:
-        Optional :class:`~repro.service.faults.FaultPlan`; the flusher
-        consults it to inject torn writes (``torn_wal``).
     """
 
     def __init__(
@@ -252,7 +249,6 @@ class WriteAheadLog:
         *,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         fsync: bool = True,
-        faults=None,
     ) -> None:
         if segment_bytes < 1024:
             raise ServiceError(
@@ -261,7 +257,6 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.segment_bytes = int(segment_bytes)
         self.fsync = bool(fsync)
-        self.faults = faults
         self.last_sequence = 0
         # Telemetry counters (plain ints; the service exposes them).
         self.appends_total = 0
@@ -464,19 +459,6 @@ class WriteAheadLog:
         worker thread so the fsync — milliseconds on a loaded disk — never
         stalls the event loop; ordering needs no locks because the single
         flusher awaits each batch before swapping out the next."""
-        if self.faults is not None:
-            for payload, sequence, _ in batch:
-                if self.faults.check("torn_wal", count=sequence) is not None:
-                    # A torn write then a crash: persist a *prefix* of the
-                    # first unacked record and die.  Tearing the batch's
-                    # first record (not the matched one) guarantees no
-                    # record becomes durable without its ack being sent.
-                    first_payload, first_seq, _ = batch[0]
-                    self._ensure_segment(len(first_payload), first_seq)
-                    self._handle.write(first_payload[: max(9, len(first_payload) // 2)])
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                    os._exit(17)
         for payload, sequence, _ in batch:
             self._ensure_segment(len(payload), sequence)
             self._handle.write(payload)

@@ -185,9 +185,9 @@ def _encode_payload(
     A dense payload keeps the strategy matrix, its corridor bounds, the
     objective trajectory and the step size.  A factored payload keeps only
     the per-factor matrices — ``O(sum_i m_i d_i)`` bytes however large the
-    flat domain — plus the per-factor objectives, the budget split and a
-    ``kind`` field.  Dense payloads have no ``kind`` field, as they had
-    none before factored builds existed.
+    flat domain — with each factor's budget, plus the per-factor objectives
+    and a ``kind`` field.  Dense payloads have no ``kind`` field, as they
+    had none before factored builds existed.
     """
     strategy = result.strategy
     if isinstance(strategy, FactoredStrategy):
@@ -195,7 +195,6 @@ def _encode_payload(
             "kind": np.asarray("factored"),
             "num_factors": np.asarray(strategy.num_attributes, dtype=np.int64),
             "factor_objectives": np.asarray(result.factor_objectives, dtype=float),
-            "epsilon_split": np.asarray(result.epsilon_split, dtype=float),
             "rounds_run": np.asarray(result.rounds_run, dtype=np.int64),
             "iterations_run": np.asarray(result.iterations_run, dtype=np.int64),
         }
@@ -232,7 +231,6 @@ def _decode_payload(
             strategy=FactoredStrategy(factors, name=str(archive["strategy_name"])),
             objective=float(archive["objective"]),
             factor_objectives=[float(value) for value in archive["factor_objectives"]],
-            epsilon_split=tuple(float(value) for value in archive["epsilon_split"]),
             rounds_run=int(archive["rounds_run"]),
             iterations_run=int(archive["iterations_run"]),
         )

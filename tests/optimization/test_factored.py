@@ -194,11 +194,12 @@ class TestFactoredOptimizerDriver:
                 base=OptimizerConfig(num_iterations=40, seed=0), rounds=1
             ),
         )
-        # Equal shares, and m_i = 4 d_i outputs per factor.
-        assert result.strategy.epsilon == pytest.approx(2.0)
-        assert result.epsilon_split == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        # Equal per-factor budgets summing to epsilon, and m_i = 4 d_i
+        # outputs per factor.
         factors = result.strategy.factors
         assert [factor.epsilon for factor in factors] == pytest.approx([2 / 3] * 3)
+        assert sum(factor.epsilon for factor in factors) == pytest.approx(2.0)
+        assert result.strategy.epsilon == pytest.approx(2.0)
         assert [factor.num_outputs for factor in factors] == [12, 8, 8]
 
     def test_deterministic_given_seed(self):

@@ -6,6 +6,8 @@ recovery between the round checkpoint and the strategy swap, and the
 cross-round query combination rule.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -494,23 +496,28 @@ class TestServiceAdvance:
         assert answer["round"] == 2
 
     def test_crash_between_round_checkpoint_and_swap_recovers(
-        self, adaptive_live
+        self, adaptive_live, tmp_path_factory
     ):
-        """Satellite: the service dies after the round checkpoint but
-        before the post-commit checkpoint lands; recovery replays into the
-        correct round with bit-identical accumulators and strategy."""
+        """The service dies after the round checkpoint but before the
+        post-commit checkpoint lands; recovery replays into the correct
+        round with bit-identical accumulators and strategy."""
         thread, client, checkpoint_dir = adaptive_live
         rng = np.random.default_rng(3)
         client.send_reports("demo", rng.integers(0, 8, size=250))
         before = client.query("demo", sync=True)
 
-        # checkpoint=False skips the post-commit checkpoint: on disk the
-        # campaign is still in round 1 (the advance's own round checkpoint),
-        # in memory it is in round 2.
-        report = client.advance_campaign("demo", checkpoint=False)
+        # A checkpoint now holds what the advance's own round checkpoint
+        # writes.  Putting a copy of it back after the crash leaves the
+        # disk in the window: round 1 on disk, round 2 in memory.
+        client.checkpoint()
+        round_checkpoint = tmp_path_factory.mktemp("crash") / "round"
+        shutil.copytree(checkpoint_dir, round_checkpoint)
+        report = client.advance_campaign("demo")
         strategy = client.strategy("demo")
         client.close()
         thread.stop(final_checkpoint=False)  # crash
+        shutil.rmtree(checkpoint_dir)
+        shutil.copytree(round_checkpoint, checkpoint_dir)
 
         service = CollectionService(
             checkpoint_dir=checkpoint_dir,

@@ -1,14 +1,15 @@
 """Client-side retry/backoff against a scripted socket server.
 
-The rules under test: connection errors retry idempotent GETs only; HTTP
-503 retries *every* method (the server refused or shed the request
-before folding it, so a resend cannot double-count); other 5xx retry
-GETs only; ``retries=0`` restores fail-fast.
+The rules under test: connection errors and timeouts retry idempotent
+GETs only; HTTP 503 retries *every* method (the server refused or shed the
+request before folding it, so a resend cannot double-count); other 5xx
+retry GETs only; ``retries=0`` restores fail-fast.
 """
 
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,7 +19,8 @@ from repro.service import ServiceClient
 
 class ScriptedServer:
     """A real listening socket that answers each connection's requests
-    from a fixed script of (status, body) tuples, recording what arrives."""
+    from a fixed script of (status, body) tuples, recording what arrives.
+    A third element stalls the reply by that many seconds."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -45,18 +47,22 @@ class ScriptedServer:
                     if request is None:
                         break
                     self.requests.append(request)
-                    status, body = self.script.pop(0)
+                    status, body, *stall = self.script.pop(0)
                     if status is None:
                         # scripted connection drop, mid-request
                         break
+                    time.sleep(sum(stall))
                     payload = json.dumps(body).encode()
                     reason = {200: "OK", 500: "Error", 503: "Unavailable"}
-                    connection.sendall(
-                        f"HTTP/1.1 {status} {reason.get(status, 'X')}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"Content-Length: {len(payload)}\r\n\r\n".encode()
-                        + payload
-                    )
+                    try:
+                        connection.sendall(
+                            f"HTTP/1.1 {status} {reason.get(status, 'X')}\r\n"
+                            f"Content-Type: application/json\r\n"
+                            f"Content-Length: {len(payload)}\r\n\r\n".encode()
+                            + payload
+                        )
+                    except OSError:
+                        break  # the client gave up waiting and hung up
 
     def _read_request(self, connection):
         data = b""
@@ -84,7 +90,8 @@ class ScriptedServer:
 def make_client(port, **kwargs):
     kwargs.setdefault("retries", 3)
     kwargs.setdefault("retry_base", 0.01)  # keep test backoffs tiny
-    return ServiceClient("127.0.0.1", port, timeout=10.0, **kwargs)
+    kwargs.setdefault("timeout", 10.0)
+    return ServiceClient("127.0.0.1", port, **kwargs)
 
 
 def test_post_retries_on_503_and_succeeds(tmp_path):
@@ -155,6 +162,37 @@ def test_post_does_not_retry_connection_drop():
     finally:
         server.close()
     assert len(server.requests) == 1
+
+
+#: A client timeout and a scripted stall between one and two timeouts long:
+#: the first attempt times out, and a retry sent right after it is
+#: answered when the stall ends.
+TIMEOUT, STALL = 0.6, 0.9
+
+
+def test_post_slower_than_timeout_raises_without_resending():
+    """A POST whose reply outlasts ``timeout`` is ambiguous like a drop:
+    the server may have folded it, so the client raises after one send."""
+    server = ScriptedServer([(200, {"accepted": 1}, STALL)])
+    try:
+        client = make_client(server.port, timeout=TIMEOUT)
+        with pytest.raises(TimeoutError):
+            client.send_reports("demo", [1])
+        client.close()
+    finally:
+        server.close()
+    assert [request[0] for request in server.requests] == ["POST"]
+
+
+def test_get_slower_than_timeout_retries_and_succeeds():
+    server = ScriptedServer([(200, {"status": "late"}, STALL), (200, {"status": "ok"})])
+    try:
+        client = make_client(server.port, timeout=TIMEOUT)
+        assert client.healthz()["status"] == "ok"
+        client.close()
+    finally:
+        server.close()
+    assert [request[0] for request in server.requests] == ["GET", "GET"]
 
 
 def test_retries_zero_fails_fast():

@@ -459,6 +459,44 @@ class TestEdgeAggregator:
         assert client.query("demo", sync=True)["num_reports"] == 40
         assert edge.reports_lost == 0
 
+    def test_drain_gives_up_at_its_deadline_and_counts_the_loss(self, root):
+        """A graceful stop against an unreachable root retries until
+        ``drain_timeout``, then counts every buffered report as lost."""
+        _, root_thread, client = root
+        make_campaign(client)
+        down = {"flag": False}
+        real_host, real_port = root_thread.host, root_thread.port
+
+        def factory():
+            if down["flag"]:
+                raise ConnectionRefusedError("injected: root is down")
+            return ServiceClient(real_host, real_port)
+
+        drain_timeout, retry_cap = 0.5, 0.4
+        edge, edge_thread, host, port = start_edge(
+            root_thread,
+            forward_interval=600.0,
+            retry_base=0.1,
+            retry_cap=retry_cap,
+            drain_timeout=drain_timeout,
+            upstream_factory=factory,
+        )
+        edge_client = ServiceClient(host, port)
+        try:
+            edge_client.send_reports("demo", [1, 2, 3])
+            edge_client.send_reports("demo", [4] * 5)
+        finally:
+            edge_client.close()
+        down["flag"] = True
+        started = time.monotonic()
+        edge_thread.stop()
+        assert time.monotonic() - started < drain_timeout + retry_cap
+        assert edge._m_forward_retries.value > 0
+        assert edge.reports_lost == 8
+        assert edge.registry.to_json()["repro_edge_reports_lost_total"] == 8
+        assert edge.reports_forwarded == 0
+        assert client.query("demo", sync=True)["num_reports"] == 0
+
     def test_sigterm_drains_a_real_edge_process(self, root, tmp_path):
         """Satellite: `repro edge` under SIGTERM forwards the final partial
         before exiting — the full CLI entry point, not just stop()."""
@@ -637,4 +675,4 @@ async def _drain_now(edge):
     """Cut every mirror and forward synchronously."""
     for mirror in edge.manager.campaigns():
         edge._cut(mirror)
-    await edge._drain_outbox(10.0)
+    await edge._forward_outbox(10.0)

@@ -10,6 +10,8 @@ Worker processes are spawned (interpreter + numpy import each), so these
 tests keep worker counts and batch sizes small.
 """
 
+import functools
+import itertools
 import os
 import signal
 import time
@@ -19,11 +21,14 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import (
+    CheckpointStore,
     CollectionService,
     ServiceClient,
     ServiceThread,
     WorkerPool,
+    cluster,
 )
+from tests.service.crash_worker import drop_reply_main
 
 NUM_OUTPUTS = 8
 
@@ -245,13 +250,22 @@ def test_pipeline_mode_wal_crash_recovery_is_bit_identical(tmp_path):
     assert answer["estimates"] == reference["estimates"]
 
 
-def test_failed_checkpoint_fsync_keeps_wal_coverage(tmp_path):
-    """An injected checkpoint fsync failure surfaces as a server error but
-    loses nothing: the WAL is not truncated past a checkpoint that never
-    became durable, and the next checkpoint succeeds."""
-    # save #1 is the campaign-creation checkpoint; #2 is ours below
-    plan = '{"faults": [{"action": "fail_checkpoint_fsync", "at": 2}]}'
-    service = make_service(tmp_path, fault_plan=plan)
+def test_failed_checkpoint_fsync_keeps_wal_coverage(tmp_path, monkeypatch):
+    """A checkpoint fsync failure surfaces as a server error but loses
+    nothing: the WAL is not truncated past a checkpoint that never became
+    durable, and the next checkpoint succeeds."""
+    # save #1 is the campaign-creation checkpoint; #2 is ours below, and it
+    # fails before any byte is written
+    saves = itertools.count(1)
+    save_frozen = CheckpointStore.save_frozen
+
+    def failing_save(self, *args, **kwargs):
+        if next(saves) == 2:
+            raise OSError("checkpoint fsync failed")
+        return save_frozen(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointStore, "save_frozen", failing_save)
+    service = make_service(tmp_path)
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)
@@ -264,7 +278,7 @@ def test_failed_checkpoint_fsync_keeps_wal_coverage(tmp_path):
             client.checkpoint()
         # nothing was truncated on the failed save
         assert client.metrics()["wal"]["truncations"] == 0
-        client.checkpoint()  # the fault armed once; this one lands
+        client.checkpoint()  # only save #2 fails; this one lands
         assert client.metrics()["wal"]["truncations"] >= 1
     finally:
         client.close()
@@ -280,7 +294,7 @@ def test_failed_checkpoint_fsync_keeps_wal_coverage(tmp_path):
     assert answer["estimates"] == reference["estimates"]
 
 
-def test_drop_reply_mid_cut_retries_the_checkpoint(tmp_path):
+def test_drop_reply_mid_cut_retries_the_checkpoint(tmp_path, monkeypatch):
     """A worker dying *during* the checkpoint cut (after computing it,
     before acking) is the worst case: the coordinator retries the cut
     after the respawn, and the rebuilt shard makes the retry exact.
@@ -288,9 +302,15 @@ def test_drop_reply_mid_cut_retries_the_checkpoint(tmp_path):
     Each worker counts its own ops: cut #1 is the campaign-creation
     checkpoint, cut #2 is the explicit one below — every original worker
     dies mid-cut *with real shard data*, and the respawned replacements
-    (spawned without the plan) let the retry land."""
-    plan = '{"faults": [{"action": "drop_reply", "at": 2, "op": "cut"}]}'
-    service = make_service(tmp_path, fault_plan=plan)
+    (whose death is already claimed) let the retry land."""
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    monkeypatch.setattr(
+        cluster,
+        "_worker_main",
+        functools.partial(drop_reply_main, str(markers), "cut", 2),
+    )
+    service = make_service(tmp_path)
     thread = ServiceThread(service)
     host, port = thread.start()
     client = ServiceClient(host, port)

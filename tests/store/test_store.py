@@ -9,14 +9,21 @@ import pytest
 
 from repro.analysis.reconstruction import reconstruction_operator
 from repro.exceptions import StoreError
-from repro.optimization import OptimizerConfig, optimize_strategy
+from repro.optimization import (
+    FactoredOptimizerConfig,
+    OptimizerConfig,
+    optimize_factored_strategy,
+    optimize_strategy,
+)
 from repro.store import (
     StrategyStore,
     config_fingerprint,
     gram_fingerprint,
     key_for,
+    key_for_factored,
 )
-from repro.workloads import histogram, prefix
+from repro.store.store import _sha256_file
+from repro.workloads import histogram, k_way_product_marginals, prefix
 
 
 CONFIG = OptimizerConfig(num_iterations=40, seed=0)
@@ -218,9 +225,7 @@ class TestCorruption:
         fields["probabilities"] = bad
         np.savez_compressed(path, **fields)
         entries = store._read_index()
-        entries[key.entry_id]["payload_sha256"] = __import__(
-            "repro.store.store", fromlist=["_sha256_file"]
-        )._sha256_file(path)
+        entries[key.entry_id]["payload_sha256"] = _sha256_file(path)
         store._write_index(entries)
         with pytest.raises(StoreError, match="corrupt"):
             store.load(key.entry_id)
@@ -239,6 +244,46 @@ class TestCorruption:
         store.index_path.write_text(json.dumps(document))
         with pytest.raises(StoreError, match="version"):
             store.records()
+
+
+class TestFactoredPayload:
+    WORKLOAD = k_way_product_marginals((3, 2, 2), 2)
+    CONFIG = FactoredOptimizerConfig(
+        base=OptimizerConfig(num_iterations=20, seed=0), rounds=1
+    )
+
+    def _stored_key(self, store):
+        result = optimize_factored_strategy(self.WORKLOAD, 1.0, self.CONFIG)
+        key = key_for_factored(self.WORKLOAD, 1.0, self.CONFIG)
+        store.put(key, result, config=self.CONFIG)
+        return key, result
+
+    def test_budget_split_not_written(self, store):
+        # Each factor_<i>_epsilon already holds its budget.
+        key, result = self._stored_key(store)
+        with np.load(store.entry_path(key.entry_id)) as archive:
+            assert "epsilon_split" not in archive.files
+            budgets = [float(archive[f"factor_{index}_epsilon"]) for index in range(3)]
+        assert budgets == [factor.epsilon for factor in result.strategy.factors]
+
+    def test_entry_with_old_budget_split_still_loads(self, store):
+        # Entries written before the split was dropped carry an
+        # ``epsilon_split`` array; reads ignore it.
+        key, result = self._stored_key(store)
+        path = store.entry_path(key.entry_id)
+        with np.load(path, allow_pickle=False) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        fields["epsilon_split"] = np.full(3, 1 / 3)
+        np.savez_compressed(path, **fields)
+        entries = store._read_index()
+        entries[key.entry_id]["payload_sha256"] = _sha256_file(path)
+        store._write_index(entries)
+        for loaded in (store.load(key.entry_id), store.get(key)):
+            assert loaded.objective == result.objective
+            for left, right in zip(loaded.strategy.factors, result.strategy.factors):
+                assert np.array_equal(left.probabilities, right.probabilities)
+                assert left.epsilon == right.epsilon
+        assert key in store
 
 
 class TestLookupsAndPruning:
