@@ -43,7 +43,7 @@ def _distinct_levels(matrix: np.ndarray) -> int:
 
 def run(domain_size: int = DOMAIN_SIZE, epsilon: float = EPSILON) -> list[Table1Row]:
     """Construct and audit the four Table 1 strategy matrices."""
-    from scipy.special import comb
+    from math import comb
 
     from repro.linalg import next_power_of_two
     from repro.mechanisms.subset_selection import recommended_subset_size
@@ -60,7 +60,7 @@ def run(domain_size: int = DOMAIN_SIZE, epsilon: float = EPSILON) -> list[Table1
         (
             "Subset Selection",
             subset_selection(domain_size, epsilon),
-            comb(domain_size, subset_size, exact=True),
+            comb(domain_size, subset_size),
         ),
     ]
     rows = []

@@ -3,8 +3,9 @@
 This subpackage contains the numerical building blocks that the rest of the
 library is written against:
 
-* :mod:`repro.linalg.pseudo_inverse` — pseudo-inverse and PSD solve helpers
-  that are robust to the near-singular matrices produced mid-optimization.
+* :mod:`repro.linalg.pseudo_inverse` — a conditioning-gated Cholesky
+  factor and a pseudo-inverse for the near-singular matrices produced
+  mid-optimization.
 * :mod:`repro.linalg.hadamard` — Sylvester–Hadamard matrix construction and
   the fast Walsh–Hadamard transform, used by the Hadamard-response and
   Fourier mechanisms.
@@ -39,7 +40,6 @@ from repro.linalg.kron import (
 )
 from repro.linalg.pseudo_inverse import (
     psd_pinv,
-    psd_solve,
     spd_factor,
     symmetrize,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "max_abs_column_sum_error",
     "next_power_of_two",
     "psd_pinv",
-    "psd_solve",
     "single_threaded",
     "spd_factor",
     "symmetrize",

@@ -54,6 +54,11 @@ def _libraries() -> tuple[tuple[str, object, object], ...]:
     """``(package, set_num_threads, get_num_threads)`` of every bundled
     OpenBLAS found."""
     import numpy
+
+    # A bare ``import scipy`` loads no submodule, yet it locates
+    # ``scipy.libs``: the OpenBLAS opened below is the one ``scipy.linalg``
+    # links when the optimizer first imports it, so a scope entered before
+    # that import already covers it.
     import scipy
 
     found = []

@@ -26,7 +26,9 @@ def hadamard_matrix(order: int) -> np.ndarray:
     """Return the Sylvester-Hadamard matrix of the given power-of-two order.
 
     Entry ``H[o, u] = (-1)^{popcount(o & u)}``, so row ``o`` is the character
-    indexed by the bit pattern of ``o``.
+    indexed by the bit pattern of ``o``.  The matrix is built in place by
+    Sylvester doubling, ``H_2K = [[H_K, H_K], [H_K, -H_K]]``, with no
+    temporary beyond the result.
 
     Parameters
     ----------
@@ -37,16 +39,27 @@ def hadamard_matrix(order: int) -> np.ndarray:
     -------
     numpy.ndarray
         ``(order, order)`` array with entries in ``{-1.0, +1.0}``.
+
+    Examples
+    --------
+    >>> hadamard_matrix(4)
+    array([[ 1.,  1.,  1.,  1.],
+           [ 1., -1.,  1., -1.],
+           [ 1.,  1., -1., -1.],
+           [ 1., -1., -1.,  1.]])
     """
     if order < 1 or order & (order - 1):
         raise DomainError(f"Hadamard order must be a power of two, got {order}")
-    indices = np.arange(order)
-    overlap = indices[:, None] & indices[None, :]
-    parity = np.zeros_like(overlap)
-    while overlap.any():
-        parity ^= overlap & 1
-        overlap >>= 1
-    return np.where(parity == 1, -1.0, 1.0)
+    matrix = np.empty((order, order))
+    matrix[0, 0] = 1.0
+    size = 1
+    while size < order:
+        block = matrix[:size, :size]
+        matrix[:size, size : 2 * size] = block
+        matrix[size : 2 * size, :size] = block
+        np.negative(block, out=matrix[size : 2 * size, size : 2 * size])
+        size *= 2
+    return matrix
 
 
 def fwht(vector: np.ndarray) -> np.ndarray:

@@ -1,20 +1,20 @@
-"""Pseudo-inverse and solve helpers for symmetric positive semi-definite
-matrices.
+"""Factorization and pseudo-inverse helpers for symmetric positive
+semi-definite matrices.
 
 The optimization objective of the factorization mechanism repeatedly needs
 ``(Q^T D^-1 Q)^†`` applied to the workload Gram matrix.  On the feasible
 interior this matrix is positive definite and a Cholesky solve is both the
 fastest and most numerically stable option; near the boundary (or for
 deliberately rank-deficient strategies) it degrades to an eigenvalue-based
-pseudo-inverse.  These helpers encapsulate that fallback so callers never
-branch on conditioning themselves.
+pseudo-inverse.  :func:`spd_factor` returns the Cholesky factor with a
+condition estimate so the caller can choose, and :func:`psd_pinv` is the
+fallback.  Only :func:`spd_factor` needs ``scipy.linalg``, and it imports
+it on call: a process that never optimizes never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -25,33 +25,6 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     decomposition real and the downstream algebra exact.
     """
     return (matrix + matrix.T) / 2.0
-
-
-def psd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ X = rhs`` for a symmetric PSD ``matrix``.
-
-    Tries a Cholesky factorization first (the common, positive-definite
-    case) and falls back to an eigenvalue pseudo-inverse when the matrix is
-    singular or indefinite up to round-off.
-
-    Parameters
-    ----------
-    matrix:
-        Symmetric positive semi-definite ``(n, n)`` array.
-    rhs:
-        Right-hand side with shape ``(n,)`` or ``(n, k)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        The (least-squares, minimum-norm) solution ``X``.
-    """
-    matrix = symmetrize(np.asarray(matrix, dtype=float))
-    try:
-        factor = scipy.linalg.cho_factor(matrix, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return psd_pinv(matrix) @ rhs
 
 
 def spd_factor(
@@ -79,10 +52,13 @@ def spd_factor(
     >>> bool(np.isclose(rcond, 0.25))
     True
     """
+    import scipy.linalg
+
     matrix = np.asarray(matrix, dtype=float)
     anorm = float(np.abs(matrix).sum(axis=0).max(initial=0.0))
     factor = scipy.linalg.cho_factor(matrix, lower=lower, check_finite=False)
-    rcond, info = lapack.dpocon(factor[0], anorm, uplo=b"L" if lower else b"U")
+    uplo = b"L" if lower else b"U"
+    rcond, info = scipy.linalg.lapack.dpocon(factor[0], anorm, uplo=uplo)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpocon failed with info={info}")
     return factor, float(rcond)

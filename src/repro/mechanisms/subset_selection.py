@@ -16,9 +16,9 @@ large-domain experiments); the closed-form column normalizer is
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
-from scipy.special import comb
 
 from repro.exceptions import DomainError
 from repro.mechanisms.base import StrategyMatrix
@@ -41,16 +41,14 @@ def subset_selection(
     d = recommended_subset_size(domain_size, epsilon) if subset_size is None else subset_size
     if not 1 <= d <= domain_size:
         raise DomainError(f"subset size must be in [1, {domain_size}], got {d}")
-    num_outputs = comb(domain_size, d, exact=True)
+    num_outputs = comb(domain_size, d)
     if num_outputs > MAX_SUBSET_OUTPUTS:
         raise DomainError(
             f"subset selection with C({domain_size}, {d}) = {num_outputs} outputs "
             f"exceeds the {MAX_SUBSET_OUTPUTS} limit for explicit materialization"
         )
     boost = np.exp(epsilon)
-    normalizer = boost * comb(domain_size - 1, d - 1, exact=True) + comb(
-        domain_size - 1, d, exact=True
-    )
+    normalizer = boost * comb(domain_size - 1, d - 1) + comb(domain_size - 1, d)
     matrix = np.empty((num_outputs, domain_size))
     for row, subset in enumerate(combinations(range(domain_size), d)):
         indicator = np.zeros(domain_size, dtype=bool)

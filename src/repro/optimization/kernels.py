@@ -27,13 +27,15 @@ workload, so the fast path never pays for the check at all.
 evaluator interface Algorithm 2's descent loop is written against, including
 batched multi-candidate evaluation through shared buffers and fused batch
 projection.
+
+``scipy.linalg`` (``syrk``, Cholesky and the triangular solves) is imported
+inside the methods that factor, so the serving processes, which import this
+module through :mod:`repro` but never optimize, do not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsyrk
 
 from repro.exceptions import OptimizationError
 from repro.linalg import spd_factor
@@ -171,11 +173,15 @@ class ObjectiveWorkspace:
         ``None`` when the eigenvalue path finds the strategy infeasible for
         the workload.
         """
+        import scipy.linalg
+
         safe = np.maximum(row_sums, _ROW_SUM_FLOOR)
         live = row_sums > _ROW_SUM_FLOOR
         inv_sqrt = np.where(live, 1.0 / np.sqrt(safe), 0.0)
         np.multiply(strategy, inv_sqrt[:, None], out=self._scaled)
-        core = dsyrk(1.0, self._scaled, trans=1, lower=0, c=self._core, overwrite_c=1)
+        core = scipy.linalg.blas.dsyrk(
+            1.0, self._scaled, trans=1, lower=0, c=self._core, overwrite_c=1
+        )
         # syrk writes one triangle; mirror it so the eigh fallback and the
         # condition estimate see the full (exactly symmetric) matrix.
         rows, cols = self._tril
@@ -233,6 +239,8 @@ class ObjectiveWorkspace:
         return float(np.sum(pinv * self.gram))
 
     def _cholesky_value(self, factor) -> float:
+        import scipy.linalg
+
         if self._gram_factor_t is not None:
             # tr(A^-1 C) = ||L^-1 F^T||_F^2 with A = L L^T = U^T U.
             matrix, lower = factor
@@ -255,6 +263,8 @@ class ObjectiveWorkspace:
         Returns ``(inf, None)`` when the strategy cannot answer the
         workload (the factorization constraint fails).
         """
+        import scipy.linalg
+
         strategy = self._validate(strategy)
         row_sums = self._row_sums(strategy)
         factorization = self._factorize(strategy, row_sums)
@@ -269,7 +279,7 @@ class ObjectiveWorkspace:
                     data, self._gram_factor_t, check_finite=False
                 )
                 value = float(np.sum(solved * self._gram_factor_t))
-                sensitivity = dsyrk(-1.0, np.asfortranarray(solved))
+                sensitivity = scipy.linalg.blas.dsyrk(-1.0, np.asfortranarray(solved))
                 rows, cols = self._tril
                 sensitivity[rows, cols] = sensitivity[cols, rows]
             else:

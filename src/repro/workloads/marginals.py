@@ -16,8 +16,9 @@ with ``a = k - hamming(u, v)`` agreeing attributes:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import comb
 
 from repro.domains import BinaryDomain
 from repro.exceptions import WorkloadError
@@ -124,11 +125,10 @@ class KWayMarginalsWorkload(MarginalsWorkload):
         super().__init__(domain, masks, name=f"{way}-Way Marginals")
 
     def _compute_gram(self) -> np.ndarray:
-        agree = (
-            self.binary_domain.num_attributes
-            - self.binary_domain.hamming_distance_table()
-        )
-        return comb(agree, self.way).astype(float)
+        k = self.binary_domain.num_attributes
+        agree = k - self.binary_domain.hamming_distance_table()
+        table = np.array([math.comb(a, self.way) for a in range(k + 1)], dtype=float)
+        return table[agree]
 
 
 def all_marginals(num_attributes: int) -> Workload:

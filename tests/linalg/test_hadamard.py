@@ -29,6 +29,13 @@ class TestHadamardMatrix:
     def test_order_two(self):
         assert np.array_equal(hadamard_matrix(2), [[1.0, 1.0], [1.0, -1.0]])
 
+    @pytest.mark.parametrize("order", [1 << power for power in range(11)])
+    def test_bytes_match_popcount_definition(self, order):
+        indices = np.arange(order)
+        parity = np.bitwise_count(indices[:, None] & indices[None, :]) & 1
+        expected = np.where(parity == 1, -1.0, 1.0)
+        assert hadamard_matrix(order).tobytes() == expected.tobytes()
+
     def test_sylvester_recursion(self):
         h4 = hadamard_matrix(4)
         h2 = hadamard_matrix(2)

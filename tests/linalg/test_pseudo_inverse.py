@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.linalg import psd_pinv, psd_solve, symmetrize
+from repro.linalg import psd_pinv, symmetrize
 
 
 def random_psd(size: int, rank: int, seed: int) -> np.ndarray:
@@ -26,26 +26,6 @@ class TestSymmetrize:
     def test_average_of_transposes(self):
         matrix = np.array([[0.0, 2.0], [4.0, 0.0]])
         assert np.allclose(symmetrize(matrix), [[0.0, 3.0], [3.0, 0.0]])
-
-
-class TestPsdSolve:
-    def test_positive_definite_exact(self):
-        matrix = random_psd(6, 6, 0) + np.eye(6)
-        rhs = np.arange(6.0)
-        solution = psd_solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs)
-
-    def test_matrix_rhs(self):
-        matrix = random_psd(5, 5, 1) + np.eye(5)
-        rhs = np.eye(5)
-        solution = psd_solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs)
-
-    def test_singular_falls_back_to_pinv(self):
-        matrix = random_psd(6, 3, 2)
-        rhs = matrix @ np.ones(6)  # in the range space
-        solution = psd_solve(matrix, rhs)
-        assert np.allclose(matrix @ solution, rhs, atol=1e-8)
 
 
 class TestPsdPinv:

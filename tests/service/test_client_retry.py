@@ -83,8 +83,13 @@ class ScriptedServer:
         return (method, path, rest[:length])
 
     def close(self):
+        # Closing a listener does not wake an ``accept`` blocked on it in
+        # another thread; shutting it down does, so the thread ends now
+        # instead of at the accept timeout.
+        self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
         self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
 
 
 def make_client(port, **kwargs):

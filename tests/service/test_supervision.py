@@ -127,13 +127,22 @@ def test_restart_budget_exhaustion_degrades(tmp_path):
     host, port = thread.start()
     client = ServiceClient(host, port)
     create_demo(client)
+
+    async def pool_health():
+        # On the service loop: a poll that notices the death first starts
+        # the supervisor task, which needs the running loop.
+        return service.pool.health
+
     try:
         client.send_reports("demo", [0, 1, 2])
         os.kill(service.pool.worker_pids()[0], signal.SIGKILL)
         deadline = time.time() + 15
-        while service.pool.health != "degraded" and time.time() < deadline:
+        while (
+            thread.run_coroutine(pool_health()) != "degraded"
+            and time.time() < deadline
+        ):
             time.sleep(0.05)
-        assert service.pool.health == "degraded"
+        assert thread.run_coroutine(pool_health()) == "degraded"
         with pytest.raises(ServiceError, match="degraded"):
             client.healthz()
         with pytest.raises(ServiceError, match="restart budget"):

@@ -57,6 +57,14 @@ class TestKWayMarginals:
         explicit = workload.matrix
         assert np.allclose(workload.gram(), explicit.T @ explicit)
 
+    @pytest.mark.parametrize("attributes", range(1, 11))
+    def test_gram_bytes_match_scipy_comb(self, attributes):
+        agree = attributes - BinaryDomain(attributes).hamming_distance_table()
+        for way in range(1, attributes + 1):
+            expected = comb(agree, way).astype(float)
+            gram = k_way_marginals(attributes, way).gram()
+            assert gram.tobytes() == expected.tobytes()
+
     def test_rows_are_indicators(self):
         matrix = k_way_marginals(4, 2).matrix
         assert set(np.unique(matrix)) <= {0.0, 1.0}
