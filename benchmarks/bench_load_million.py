@@ -310,7 +310,7 @@ def main(argv=None) -> int:
 
     # Serial single-accumulator reference fold: the answer every topology
     # must reproduce bit for bit.
-    serial = ShardAccumulator(strategy.num_outputs, 0)
+    serial = ShardAccumulator(strategy.num_outputs)
     serial.add_reports(reports)
     reference_service = CollectionService()
     reference_service.manager.create(

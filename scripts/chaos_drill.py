@@ -31,7 +31,9 @@ batches folded serially by an in-process service.
 Everything — batch data and fault occurrence points — derives from
 ``--seed``, so a failure replays exactly.  Exits non-zero on any
 violation; ``--out`` writes a JSON artifact with the plan, the ledger,
-and both answers.  Run::
+and both answers.  Pass or fail, the drill kills every server it started
+together with that server's workers (each server runs in its own process
+group), and removes its temporary directories.  Run::
 
     PYTHONPATH=src python scripts/chaos_drill.py --seed 7
     PYTHONPATH=src python scripts/chaos_drill.py --seed 7 --out drill.json
@@ -43,6 +45,8 @@ import argparse
 import json
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -97,6 +101,8 @@ class Server:
             "--checkpoint-interval",
             "3600",
         ]
+        # A session of its own makes the server and the workers it spawns
+        # one process group, which kill() ends whole.
         self.process = subprocess.Popen(
             arguments,
             cwd=REPO_ROOT,
@@ -104,6 +110,7 @@ class Server:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            start_new_session=True,
         )
         self.lines: list[str] = []
         self.port: int | None = None
@@ -120,12 +127,19 @@ class Server:
                 self._bound.set()
         self._bound.set()
 
+    def kill(self) -> None:
+        """SIGKILL the server and its workers, then reap the server."""
+        try:
+            os.killpg(self.process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the whole group is already gone
+        self.process.wait(timeout=30)
+
     def wait_ready(self, timeout: float = 120.0) -> int:
         deadline = time.time() + timeout
         self._bound.wait(timeout)
         if self.port is None:
             output = "".join(self.lines)
-            self.process.kill()
             raise SystemExit(f"[chaos] server never reported its port:\n{output}")
         while time.time() < deadline:
             try:
@@ -226,6 +240,24 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="write a JSON artifact here")
     arguments = parser.parse_args()
 
+    directories = [
+        tempfile.mkdtemp(prefix=f"repro-chaos-{kind}-")
+        for kind in ("ckpt", "wal", "markers")
+    ]
+    servers: list[Server] = []
+    try:
+        return drill(arguments, *directories, servers)
+    finally:
+        for server in servers:
+            server.kill()
+        for directory in directories:
+            shutil.rmtree(directory, ignore_errors=True)
+
+
+def drill(
+    arguments, checkpoint_dir: str, wal_dir: str, markers: str, servers: list
+) -> int:
+    """The drill itself; every server it starts goes into ``servers``."""
     total = arguments.phase1 + arguments.phase3 + 1 + arguments.phase5
     batches = make_batches(arguments.seed, total)
     plan = build_plan(arguments.seed, arguments.phase1, arguments.phase3)
@@ -233,13 +265,11 @@ def main() -> int:
     for fault in plan["faults"]:
         print(f"[chaos]   {fault}")
 
-    checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-    wal_dir = tempfile.mkdtemp(prefix="repro-chaos-wal-")
-    markers = tempfile.mkdtemp(prefix="repro-chaos-markers-")
     ledger = {"acked": 0, "resent": 0}
     artifact = {"seed": arguments.seed, "plan": plan, "phases": {}}
 
     server = Server(checkpoint_dir, wal_dir, plan={**plan, "markers": markers})
+    servers.append(server)
     port = server.wait_ready()
     client = ServiceClient("127.0.0.1", port)
     create_campaign(client)
@@ -297,6 +327,7 @@ def main() -> int:
     # Restart on the same directories, no faults armed: recovery must cut
     # the torn tail and replay the phase-3 suffix past checkpoint A.
     server = Server(checkpoint_dir, wal_dir)
+    servers.append(server)
     port = server.wait_ready()
     client = ServiceClient("127.0.0.1", port)
     client.send_reports(CAMPAIGN, torn_batch)
@@ -318,8 +349,7 @@ def main() -> int:
         "wal": metrics["wal"],
     }
     client.close()
-    server.process.kill()
-    server.process.wait(timeout=30)
+    server.kill()
 
     reference = serial_reference(batches)
     artifact["ledger"] = ledger

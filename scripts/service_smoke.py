@@ -20,21 +20,11 @@ Drives the collection service exactly as a deployment would:
 cluster tier (coordinator + K worker processes), including the SIGKILL
 of the coordinator, which orphans and reaps the workers.
 
-``--adaptive`` runs the multi-round scenario instead: a 2-round adaptive
-campaign ingests a round-1 cohort, checkpoints, keeps a copy of the
-checkpoint directory, advances, and is SIGKILLed; putting the copy back
-leaves the disk **between the round checkpoint and the persisted
-strategy swap** — the narrowest recovery window.  The restarted service
-must come back in round 1 with bit-identical estimates, replay the
-advance to the identical selection and strategy, reject stale round-1
-reports, and finish the campaign with the combined two-round answer
-beating the round-1-only answer on worst-sub-workload error.
-
-Exits non-zero on any failure.  Run::
+Exits non-zero on any failure, and removes its checkpoint directory
+either way.  Run::
 
     PYTHONPATH=src python scripts/service_smoke.py
     PYTHONPATH=src python scripts/service_smoke.py --workers 2 --transport binary
-    PYTHONPATH=src python scripts/service_smoke.py --adaptive
 """
 
 from __future__ import annotations
@@ -70,13 +60,7 @@ _LISTENING = re.compile(r"listening on http://[\d.]+:(\d+)")
 class Server:
     """One ``repro serve`` subprocess bound to an ephemeral port."""
 
-    def __init__(
-        self,
-        checkpoint_dir: str,
-        workers: int,
-        transport: str,
-        extra: tuple[str, ...] = (),
-    ):
+    def __init__(self, checkpoint_dir: str, workers: int, transport: str):
         self.process = subprocess.Popen(
             [
                 sys.executable,
@@ -101,9 +85,6 @@ class Server:
                 str(DOMAIN),
                 "--epsilon",
                 str(EPSILON),
-                # repeated options override the defaults above (argparse
-                # keeps the last occurrence)
-                *extra,
             ],
             cwd=REPO_ROOT,
             env={
@@ -214,167 +195,6 @@ def check_prometheus_scrape(
     )
 
 
-def worst_group_error(estimates, truth, num_reports: int) -> float:
-    """Max over the two sub-workload halves of per-report RMS error."""
-    error = np.asarray(estimates, dtype=float) - np.asarray(truth, dtype=float)
-    half = DOMAIN // 2
-
-    def rms(block):
-        return float(np.sqrt(np.mean(block**2)))
-
-    return max(rms(error[:half]), rms(error[half:])) / num_reports
-
-
-def run_adaptive(transport: str) -> int:
-    """The multi-round crash drill: SIGKILL inside the advance window."""
-    checkpoint_dir = tempfile.mkdtemp(prefix="repro-adaptive-smoke-")
-    adaptive_args = (
-        "--epsilon", "2.0",
-        "--adaptive", "2",
-        "--adaptive-groups", "2",
-        "--iterations", "100",
-        # no periodic checkpoint may touch disk between the copy and the
-        # kill below
-        "--checkpoint-interval", "3600",
-    )
-    server = Server(checkpoint_dir, 0, transport, extra=adaptive_args)
-    port = server.wait_ready()
-    print(
-        f"[smoke] adaptive serve bound ephemeral port {port} "
-        f"(2 rounds, checkpoints {checkpoint_dir})"
-    )
-    try:
-        client = ServiceClient("127.0.0.1", port, transport=transport)
-        truth_r1 = zipf_data(DOMAIN, NUM_CLIENTS, seed=1)
-        rng = np.random.default_rng(0)
-        cohort_r1 = expand_users(truth_r1)
-        rng.shuffle(cohort_r1)
-
-        reporter = client.reporter(CAMPAIGN, batch_size=1000, rng=rng)
-        assert reporter.round_id == 1, reporter.round_id
-        reporter.report_many(cohort_r1)
-        reporter.flush_all()
-        round1 = client.query(CAMPAIGN, sync=True)
-        assert round1["num_reports"] == NUM_CLIENTS, round1["num_reports"]
-        assert round1["round"] == 1, round1["round"]
-        round1_error = worst_group_error(
-            round1["estimates"], truth_r1, NUM_CLIENTS
-        )
-        print(
-            f"[smoke] round 1: {round1['num_reports']:,} reports, worst "
-            f"sub-workload error {round1_error:.4f} users/report"
-        )
-
-        # a checkpoint now holds what the advance's own round checkpoint
-        # writes; putting a copy of it back after the kill leaves the disk
-        # in round 1 while memory had swapped to the round-2 strategy
-        client.checkpoint()
-        round_checkpoint = tempfile.mkdtemp(prefix="repro-adaptive-round-")
-        shutil.copytree(checkpoint_dir, round_checkpoint, dirs_exist_ok=True)
-        report = client.advance_campaign(CAMPAIGN)
-        assert report["round"] == 2, report
-        strategy = client.strategy(CAMPAIGN)
-        client.close()
-        print(
-            f"[smoke] advanced to round 2 (selected sub-workload "
-            f"{report['selected_group']}); SIGKILL, then the round "
-            "checkpoint goes back on disk"
-        )
-        server.process.send_signal(signal.SIGKILL)
-        server.process.wait(timeout=30)
-        shutil.rmtree(checkpoint_dir)
-        shutil.copytree(round_checkpoint, checkpoint_dir)
-
-        server2 = Server(checkpoint_dir, 0, transport, extra=adaptive_args)
-        port2 = server2.wait_ready()
-        print(f"[smoke] restarted on ephemeral port {port2}")
-        try:
-            client2 = ServiceClient("127.0.0.1", port2, transport=transport)
-            assert client2.healthz()["recovered"], "checkpoint not recovered"
-            recovered = client2.query(CAMPAIGN, sync=True)
-            if recovered["round"] != 1:
-                print(f"[smoke] FAIL: recovered round {recovered['round']}")
-                return 1
-            if recovered["estimates"] != round1["estimates"]:
-                print("[smoke] FAIL: recovered estimates not bit-identical")
-                return 1
-            print(
-                f"[smoke] recovery: back in round 1, "
-                f"{recovered['num_reports']:,} reports bit-identical"
-            )
-
-            replayed = client2.advance_campaign(CAMPAIGN)
-            if replayed != report:
-                print(
-                    "[smoke] FAIL: replayed advance diverged:\n"
-                    f"  crash run: {report}\n  replay:    {replayed}"
-                )
-                return 1
-            if not np.array_equal(
-                client2.strategy(CAMPAIGN).probabilities,
-                strategy.probabilities,
-            ):
-                print("[smoke] FAIL: replayed round-2 strategy diverged")
-                return 1
-            print("[smoke] replayed advance: identical selection + strategy")
-
-            try:
-                client2.send_reports(CAMPAIGN, [0, 1], round_id=1)
-            except Exception as error:
-                assert "stale round" in str(error), error
-                print("[smoke] stale round-1 reports rejected loudly")
-            else:
-                print("[smoke] FAIL: stale round-1 reports were accepted")
-                return 1
-
-            truth_r2 = zipf_data(DOMAIN, NUM_CLIENTS, seed=2)
-            cohort_r2 = expand_users(truth_r2)
-            rng.shuffle(cohort_r2)
-            reporter2 = client2.reporter(CAMPAIGN, batch_size=1000, rng=rng)
-            assert reporter2.round_id == 2, reporter2.round_id
-            reporter2.report_many(cohort_r2)
-            reporter2.flush_all()
-            final = client2.query(CAMPAIGN, sync=True)
-            assert final["num_reports"] == 2 * NUM_CLIENTS
-            combined_error = worst_group_error(
-                final["estimates"], truth_r1 + truth_r2, 2 * NUM_CLIENTS
-            )
-            ledger = client2.campaign(CAMPAIGN)["adaptive"]["ledger"]
-            assert ledger["remaining_epsilon"] == 0.0, ledger
-            check_prometheus_scrape(
-                client2,
-                required_families=(
-                    "repro_uptime_seconds",
-                    "repro_http_requests_total",
-                    "repro_ingest_latency_seconds",
-                    "repro_campaign_reports",
-                    "repro_campaign_epsilon_spent",
-                    "repro_campaign_epsilon_remaining",
-                    "repro_campaign_ledger_info",
-                ),
-            )
-            print(
-                f"[smoke] round 2: {final['num_reports']:,} total reports, "
-                f"worst sub-workload error {combined_error:.4f} users/report "
-                f"(round 1 alone: {round1_error:.4f}), budget fully spent"
-            )
-            if combined_error >= round1_error:
-                print("[smoke] FAIL: round 2 did not improve the worst group")
-                return 1
-            print("[smoke] adaptive campaign drill — PASS")
-            client2.close()
-        finally:
-            server2.process.send_signal(signal.SIGTERM)
-            try:
-                server2.process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                server2.process.kill()
-        return 0
-    finally:
-        if server.process.poll() is None:
-            server.process.kill()
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -389,26 +209,23 @@ def main() -> int:
         default="json",
         help="ingest wire format the SDK ships reports over",
     )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="run the 2-round adaptive crash drill instead",
-    )
     arguments = parser.parse_args()
-    if arguments.adaptive:
-        if arguments.workers:
-            parser.error("--adaptive does not support cluster workers")
-        return run_adaptive(arguments.transport)
-
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-service-smoke-")
-    server = Server(checkpoint_dir, arguments.workers, arguments.transport)
-    port = server.wait_ready()
-    print(
-        f"[smoke] repro serve bound ephemeral port {port} "
-        f"(workers={arguments.workers}, transport={arguments.transport}, "
-        f"checkpoints {checkpoint_dir})"
-    )
     try:
+        return smoke(arguments, checkpoint_dir)
+    finally:
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
+
+
+def smoke(arguments, checkpoint_dir: str) -> int:
+    server = Server(checkpoint_dir, arguments.workers, arguments.transport)
+    try:
+        port = server.wait_ready()
+        print(
+            f"[smoke] repro serve bound ephemeral port {port} "
+            f"(workers={arguments.workers}, transport={arguments.transport}, "
+            f"checkpoints {checkpoint_dir})"
+        )
         client = ServiceClient("127.0.0.1", port, transport=arguments.transport)
         truth = zipf_data(DOMAIN, NUM_CLIENTS, seed=1)
         values = expand_users(truth)
@@ -458,9 +275,9 @@ def main() -> int:
         server.process.wait(timeout=30)
 
         server2 = Server(checkpoint_dir, arguments.workers, arguments.transport)
-        port2 = server2.wait_ready()
-        print(f"[smoke] restarted on ephemeral port {port2}")
         try:
+            port2 = server2.wait_ready()
+            print(f"[smoke] restarted on ephemeral port {port2}")
             client2 = ServiceClient(
                 "127.0.0.1", port2, transport=arguments.transport
             )

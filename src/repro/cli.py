@@ -292,27 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=300, help="optimizer iterations"
     )
     serve.add_argument(
-        "--adaptive",
-        type=int,
-        default=None,
-        metavar="ROUNDS",
-        help="make the bootstrap campaign adaptive with this many rounds "
-        "(--epsilon becomes the campaign total, split across rounds; "
-        "advance rounds with `repro campaign advance`)",
-    )
-    serve.add_argument(
-        "--adaptive-groups",
-        type=int,
-        default=4,
-        help="sub-workload groups the round selector chooses between",
-    )
-    serve.add_argument(
-        "--adaptive-seed",
-        type=int,
-        default=0,
-        help="root seed for the per-round private selection",
-    )
-    serve.add_argument(
         "--log-format",
         choices=("text", "json"),
         default="text",
@@ -409,20 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="seconds between refreshes with --watch",
     )
-
-    campaign = subcommands.add_parser(
-        "campaign", help="operate on campaigns of a running service"
-    )
-    campaign_commands = campaign.add_subparsers(dest="campaign_command")
-    advance = campaign_commands.add_parser(
-        "advance",
-        help="close an adaptive campaign's live round: checkpoint it, "
-        "privately select the worst-approximated sub-workload, re-optimize, "
-        "open the next round and checkpoint again",
-    )
-    advance.add_argument("--host", default="127.0.0.1", help="service address")
-    advance.add_argument("--port", type=int, default=8320, help="service port")
-    advance.add_argument("--campaign", required=True, help="campaign name")
 
     report = subcommands.add_parser(
         "report", help="randomize values locally and send them to a service"
@@ -821,13 +786,6 @@ def _run_serve(arguments) -> int:
     from repro.telemetry import configure_logging
 
     configure_logging(arguments.log_format)
-    if arguments.adaptive is not None and arguments.workers > 0:
-        # checked before the service spins up so no worker processes leak
-        print(
-            "adaptive campaigns are not supported in cluster mode",
-            file=sys.stderr,
-        )
-        return 2
     store = None
     if arguments.store is not None:
         from repro.store import StrategyStore
@@ -846,20 +804,11 @@ def _run_serve(arguments) -> int:
             worker_restart_limit=arguments.worker_restart_limit,
         )
     except ServiceError as error:
-        # e.g. a recovered adaptive campaign with --workers
+        # e.g. a checkpoint that fails its checksums or holds a
+        # multi-round campaign
         print(error, file=sys.stderr)
         return 2
     if arguments.campaign is not None and arguments.campaign not in service.manager:
-        adaptive = None
-        if arguments.adaptive is not None:
-            from repro.service.campaigns import AdaptivePlan
-
-            adaptive = AdaptivePlan(
-                num_rounds=arguments.adaptive,
-                num_groups=arguments.adaptive_groups,
-                iterations=arguments.iterations,
-                seed=arguments.adaptive_seed,
-            )
         service.manager.create(
             arguments.campaign,
             workload=arguments.workload,
@@ -868,17 +817,11 @@ def _run_serve(arguments) -> int:
             mechanism=arguments.mechanism,
             iterations=arguments.iterations,
             store=store,
-            adaptive=adaptive,
-        )
-        rounds = (
-            f", adaptive x{arguments.adaptive} rounds"
-            if arguments.adaptive is not None
-            else ""
         )
         print(
             f"bootstrapped campaign {arguments.campaign!r} "
             f"({arguments.workload}, n = {arguments.domain}, "
-            f"eps = {arguments.epsilon:g}, {arguments.mechanism}{rounds})"
+            f"eps = {arguments.epsilon:g}, {arguments.mechanism})"
         )
     run_service(service, host=arguments.host, port=arguments.port)
     return 0
@@ -966,26 +909,14 @@ def _render_metrics_summary(snapshot: dict) -> str:
     ingest = snapshot.get("ingest", {})
     lines.append(
         f"ingest: {ingest.get('ingested', 0):,} folded, "
-        f"{ingest.get('rejected_batches', 0):,} batches rejected, "
-        f"{ingest.get('reports_dropped', 0):,} stale-cohort drops"
+        f"{ingest.get('rejected_batches', 0):,} batches rejected"
     )
     lines.append(
         f"checkpoints: {snapshot.get('checkpoints_written', 0)} written, "
         f"{snapshot.get('checkpoint_failures', 0)} failed"
     )
     for name, row in sorted(snapshot.get("campaigns", {}).items()):
-        line = (
-            f"campaign {name!r}: {row.get('num_reports', 0):,} reports, "
-            f"round {row.get('round', 0)}"
-        )
-        ledger = row.get("ledger")
-        if ledger:
-            line += (
-                f", eps spent {ledger['epsilon_spent']:g}"
-                f"/{ledger['epsilon_total']:g} "
-                f"(exact {ledger['epsilon_spent_exact']})"
-            )
-        lines.append(line)
+        lines.append(f"campaign {name!r}: {row.get('num_reports', 0):,} reports")
     telemetry = snapshot.get("telemetry", {})
     for family in ("repro_ingest_latency_seconds", "repro_http_request_seconds"):
         for key, row in sorted(telemetry.items()):
@@ -1037,22 +968,6 @@ def _run_metrics(arguments) -> int:
         return 0
     finally:
         client.close()
-
-
-def _run_campaign_advance(arguments) -> int:
-    from repro.service import ServiceClient
-
-    with ServiceClient(arguments.host, arguments.port) as client:
-        report = client.advance_campaign(arguments.campaign)
-    scores = ", ".join(f"{s:.3g}" for s in report["scores"])
-    print(
-        f"campaign {report['campaign']!r} advanced to round {report['round']}: "
-        f"selected sub-workload {report['selected_group']} "
-        f"(scores [{scores}]), new strategy {report['strategy']!r} at "
-        f"eps = {report['round_epsilon']:g} "
-        f"(+ {report['select_epsilon']:g} selection)"
-    )
-    return 0
 
 
 def _run_query(arguments) -> int:
@@ -1112,11 +1027,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_query(arguments)
     if arguments.command == "metrics":
         return _run_metrics(arguments)
-    if arguments.command == "campaign":
-        if arguments.campaign_command == "advance":
-            return _run_campaign_advance(arguments)
-        print("usage: repro campaign advance [options] (see `repro campaign -h`)")
-        return 2
     if arguments.command == "strategy":
         handlers = {
             "build": _run_strategy_build,

@@ -182,10 +182,7 @@ class BinaryDomain:
         )
 
     def hamming_distance_table(self) -> np.ndarray:
-        """``(size, size)`` table of pairwise Hamming distances between types."""
+        """``(size, size)`` int64 table of pairwise Hamming distances between
+        types."""
         xor = np.arange(self.size)[:, None] ^ np.arange(self.size)[None, :]
-        counts = np.zeros_like(xor)
-        while xor.any():
-            counts += xor & 1
-            xor >>= 1
-        return counts
+        return np.bitwise_count(xor).astype(np.int64)

@@ -47,14 +47,6 @@ class ProtocolError(ReproError):
     """Invalid protocol configuration or malformed client/server messages."""
 
 
-class StaleRoundError(ProtocolError):
-    """A report batch is tagged with a retired adaptive-campaign round: its
-    cohort randomized against a strategy that is no longer live.  The
-    service rejects (never folds) such batches and counts them in the
-    ``reports_dropped`` telemetry so operators can see cohorts that missed
-    a round transition."""
-
-
 class DataError(ReproError):
     """Invalid dataset specification or malformed data vector."""
 

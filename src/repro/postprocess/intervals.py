@@ -21,15 +21,10 @@ non-negative (a variance needs non-negative weights) and rescaled to the
 report count; for moderate ``N`` the clipping bias is negligible compared
 to the noise, and the coverage tests in the test suite confirm the
 intervals are calibrated.
-
-Rounds collected from disjoint cohorts over the same workload (an adaptive
-campaign's) are independent, so their answers add: ``est = Σ est_r`` and
-``se = sqrt(Σ se_r²)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -105,7 +100,6 @@ def workload_confidence_intervals(
     matrix: np.ndarray,
     response_histogram: np.ndarray,
     confidence: float = 0.95,
-    completed: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> IntervalEstimate:
     """Point estimates and plug-in CIs for every workload query.
 
@@ -124,10 +118,6 @@ def workload_confidence_intervals(
         Two-sided confidence level in (0, 1); the multiplier is the standard
         normal quantile at ``0.5 + confidence / 2``
         (:meth:`statistics.NormalDist.inv_cdf`).
-    completed:
-        ``(estimates, standard_errors)`` of earlier independent rounds over
-        the same workload, added in.  An empty ``response_histogram`` is
-        left out when there are any.
 
     Examples
     --------
@@ -137,14 +127,10 @@ def workload_confidence_intervals(
     >>> strategy = randomized_response(2, 1.0)
     >>> operator = reconstruction_operator(strategy.probabilities)
     >>> matrix = variance_matrix(histogram(2), strategy, operator)
-    >>> one = workload_confidence_intervals(
+    >>> answer = workload_confidence_intervals(
     ...     histogram(2), operator, matrix, [60.0, 40.0]
     ... )
-    >>> two = workload_confidence_intervals(
-    ...     histogram(2), operator, matrix, [60.0, 40.0],
-    ...     completed=[(one.estimates, one.standard_errors)],
-    ... )
-    >>> bool(np.allclose(two.standard_errors, one.standard_errors * 2**0.5))
+    >>> bool(np.all(answer.lower < answer.estimates))
     True
     """
     # Within 2**-53 of 1, ``0.5 + confidence / 2`` rounds to 1.0, whose
@@ -155,29 +141,19 @@ def workload_confidence_intervals(
             f"got {confidence}"
         )
     response_histogram = np.asarray(response_histogram, dtype=float)
-    parts = list(completed)
-    if response_histogram.any() or not parts:
-        data_estimate = operator @ response_histogram
-        estimates = workload.matvec(data_estimate)
-        plug_in = np.clip(data_estimate, 0.0, None)
-        total = response_histogram.sum()
-        if plug_in.sum() > 0 and total > 0:
-            plug_in = plug_in * (total / plug_in.sum())
-        variances = per_query_variances(matrix, plug_in)
-        standard_errors = np.sqrt(np.clip(variances, 0.0, None))
-        # Queries the mechanism answers exactly (e.g. the total count under
-        # a doubly stochastic strategy) have zero variance; a floating-point
-        # floor keeps their intervals from excluding the truth by round-off.
-        floor = 1e-9 * (1.0 + np.abs(estimates))
-        parts.append((estimates, np.maximum(standard_errors, floor)))
-    estimates, standard_errors = parts[0]
-    if len(parts) > 1:
-        estimates = np.array(estimates, dtype=float)
-        variances = np.asarray(standard_errors, dtype=float) ** 2
-        for part_estimates, part_errors in parts[1:]:
-            estimates += part_estimates
-            variances += np.asarray(part_errors, dtype=float) ** 2
-        standard_errors = np.sqrt(variances)
+    data_estimate = operator @ response_histogram
+    estimates = workload.matvec(data_estimate)
+    plug_in = np.clip(data_estimate, 0.0, None)
+    total = response_histogram.sum()
+    if plug_in.sum() > 0 and total > 0:
+        plug_in = plug_in * (total / plug_in.sum())
+    variances = per_query_variances(matrix, plug_in)
+    # Queries the mechanism answers exactly (e.g. the total count under a
+    # doubly stochastic strategy) have zero variance; a floating-point
+    # floor keeps their intervals from excluding the truth by round-off.
+    standard_errors = np.maximum(
+        np.sqrt(np.clip(variances, 0.0, None)), 1e-9 * (1.0 + np.abs(estimates))
+    )
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return IntervalEstimate(
         estimates=estimates,

@@ -13,24 +13,15 @@ For a strategy with ``m`` outputs over ``n`` types:
   the report also counts);
 * the server keeps ``m`` counters and reconstructs with an ``n x m``
   operator.
-
-The module also owns *privacy-budget* accounting for adaptive multi-round
-campaigns: :class:`BudgetLedger` records every epsilon debit a campaign
-makes (strategy collection per round, exponential-mechanism selection
-between rounds) in exact rational arithmetic, so conservation — debits
-never exceed the campaign budget, round epsilons sum exactly — is a
-checkable invariant rather than a floating-point approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
 from repro.mechanisms.base import StrategyMatrix
 
 
@@ -179,325 +170,3 @@ def session_cost_report(
         reconstruction_flops=2 * strategy.domain_size * strategy.num_outputs,
     )
 
-
-# -- privacy-budget accounting ------------------------------------------------
-
-
-def _exact_epsilon(value) -> Fraction:
-    """Convert a budget amount to an exact :class:`~fractions.Fraction`.
-
-    Floats convert via their exact binary expansion (every float *is* a
-    rational), strings parse as exact decimals or ratios — so a ledger
-    serialized with ``str(Fraction)`` round-trips without drift.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ProtocolError(
-            f"epsilon must be a number or exact string, got {type(value).__name__}"
-        )
-    try:
-        exact = Fraction(value)
-    except (ValueError, OverflowError, ZeroDivisionError) as error:
-        raise ProtocolError(f"epsilon {value!r} is not a finite number: {error}")
-    return exact
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One recorded privacy-budget debit.
-
-    Attributes
-    ----------
-    round_id:
-        The campaign round this debit belongs to (1-based).
-    purpose:
-        What the budget bought: ``"collect"`` (clients randomize against a
-        strategy at this epsilon) or ``"select"`` (the exponential-mechanism
-        sub-workload selection between rounds).
-    epsilon:
-        The exact amount debited.
-    """
-
-    round_id: int
-    purpose: str
-    epsilon: Fraction
-
-    @property
-    def epsilon_float(self) -> float:
-        """The debit as a float (for display; arithmetic stays exact)."""
-        return float(self.epsilon)
-
-    def to_json(self) -> dict:
-        """JSON-ready form; epsilon serialized exactly via ``str(Fraction)``."""
-        return {
-            "round": self.round_id,
-            "purpose": self.purpose,
-            "epsilon": str(self.epsilon),
-        }
-
-
-class BudgetLedger:
-    """Exact privacy-budget ledger for one adaptive campaign.
-
-    Every epsilon a campaign spends — per-round collection budgets, the
-    exponential-mechanism selection steps between rounds — is recorded as a
-    :class:`LedgerEntry`, and the ledger enforces conservation: a debit
-    that would push total spend past the campaign budget raises
-    :class:`~repro.exceptions.ProtocolError` *before any state mutates*.
-    All arithmetic is exact (:class:`~fractions.Fraction`), so "sums to the
-    total" means equality, not closeness.
-
-    Examples
-    --------
-    >>> ledger = BudgetLedger(1.0)
-    >>> _ = ledger.debit(0.5, round_id=1, purpose="collect")
-    >>> _ = ledger.debit(0.5, round_id=2, purpose="collect")
-    >>> ledger.remaining
-    Fraction(0, 1)
-    >>> ledger.debit(0.1, round_id=3, purpose="collect")
-    Traceback (most recent call last):
-        ...
-    repro.exceptions.ProtocolError: debit of 0.1 for round 3 ('collect') \
-exceeds the remaining budget: 0 of 1 left
-    """
-
-    __slots__ = ("_total", "_entries")
-
-    def __init__(self, total_epsilon) -> None:
-        total = _exact_epsilon(total_epsilon)
-        if total <= 0:
-            raise ProtocolError(
-                f"campaign budget must be positive, got {float(total):g}"
-            )
-        self._total = total
-        self._entries: list[LedgerEntry] = []
-
-    # -- balances ----------------------------------------------------------
-
-    @property
-    def total(self) -> Fraction:
-        """The campaign's full budget (exact)."""
-        return self._total
-
-    @property
-    def spent(self) -> Fraction:
-        """Sum of all debits (exact)."""
-        return sum((entry.epsilon for entry in self._entries), Fraction(0))
-
-    @property
-    def remaining(self) -> Fraction:
-        """Budget not yet debited (exact, never negative)."""
-        return self._total - self.spent
-
-    @property
-    def entries(self) -> tuple[LedgerEntry, ...]:
-        """All debits, in the order they were made."""
-        return tuple(self._entries)
-
-    # -- mutation ----------------------------------------------------------
-
-    def debit(self, epsilon, *, round_id: int, purpose: str) -> LedgerEntry:
-        """Record one budget debit; raises before mutating on any violation.
-
-        Examples
-        --------
-        >>> ledger = BudgetLedger(2.0)
-        >>> ledger.debit(1.5, round_id=1, purpose="collect").to_json()
-        {'round': 1, 'purpose': 'collect', 'epsilon': '3/2'}
-        """
-        amount = _exact_epsilon(epsilon)
-        if amount <= 0:
-            raise ProtocolError(
-                f"debit for round {round_id} ({purpose!r}) must be positive, "
-                f"got {float(amount):g}"
-            )
-        if int(round_id) < 1:
-            raise ProtocolError(f"round ids are 1-based, got {round_id}")
-        if amount > self.remaining:
-            raise ProtocolError(
-                f"debit of {float(amount):g} for round {round_id} "
-                f"({purpose!r}) exceeds the remaining budget: "
-                f"{float(self.remaining):g} of {float(self._total):g} left"
-            )
-        entry = LedgerEntry(
-            round_id=int(round_id), purpose=str(purpose), epsilon=amount
-        )
-        self._entries.append(entry)
-        return entry
-
-    # -- inspection --------------------------------------------------------
-
-    def round_spent(self, round_id: int) -> Fraction:
-        """Total debited for one round (exact).
-
-        Examples
-        --------
-        >>> ledger = BudgetLedger(1.0)
-        >>> _ = ledger.debit(0.25, round_id=2, purpose="select")
-        >>> _ = ledger.debit(0.5, round_id=2, purpose="collect")
-        >>> ledger.round_spent(2)
-        Fraction(3, 4)
-        """
-        return sum(
-            (e.epsilon for e in self._entries if e.round_id == round_id),
-            Fraction(0),
-        )
-
-    def describe(self) -> dict:
-        """JSON-ready summary with float balances (exactness stays inside)."""
-        return {
-            "total_epsilon": float(self._total),
-            "spent_epsilon": float(self.spent),
-            "remaining_epsilon": float(self.remaining),
-            "entries": [entry.to_json() for entry in self._entries],
-        }
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Exact JSON form (every amount a ``str(Fraction)``)."""
-        return {
-            "total_epsilon": str(self._total),
-            "entries": [entry.to_json() for entry in self._entries],
-        }
-
-    @classmethod
-    def from_json(cls, document: dict) -> "BudgetLedger":
-        """Inverse of :meth:`to_json`.
-
-        Entries are *replayed* through :meth:`debit`, so a tampered or
-        corrupt document that over-spends the recorded total fails loudly
-        instead of deserializing into an invalid ledger.
-
-        Examples
-        --------
-        >>> ledger = BudgetLedger(0.75)
-        >>> _ = ledger.debit(0.375, round_id=1, purpose="collect")
-        >>> BudgetLedger.from_json(ledger.to_json()) == ledger
-        True
-        """
-        try:
-            ledger = cls(document["total_epsilon"])
-            for row in document["entries"]:
-                ledger.debit(
-                    row["epsilon"],
-                    round_id=int(row["round"]),
-                    purpose=str(row["purpose"]),
-                )
-        except (KeyError, TypeError) as error:
-            raise ProtocolError(f"malformed budget-ledger document: {error}")
-        return ledger
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BudgetLedger):
-            return NotImplemented
-        return self._total == other._total and self._entries == other._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"BudgetLedger(total={float(self._total):g}, "
-            f"spent={float(self.spent):g}, entries={len(self._entries)})"
-        )
-
-
-@dataclass(frozen=True)
-class RoundBudget:
-    """The planned budget of one campaign round.
-
-    ``collect`` is what the round's cohort spends randomizing against the
-    round's strategy; ``select`` is the exponential-mechanism budget the
-    transition *into* this round consumed picking which sub-workload to
-    boost (zero for round 1, which has no preceding selection).
-    """
-
-    round_id: int
-    collect: Fraction
-    select: Fraction
-
-    @property
-    def total(self) -> Fraction:
-        return self.collect + self.select
-
-    @property
-    def collect_epsilon(self) -> float:
-        return float(self.collect)
-
-    @property
-    def select_epsilon(self) -> float:
-        return float(self.select)
-
-
-def split_budget(
-    total_epsilon,
-    num_rounds: int,
-    *,
-    weights=None,
-    selector_share: float = 0.0,
-) -> list[RoundBudget]:
-    """Split a campaign budget across rounds, exactly.
-
-    Parameters
-    ----------
-    total_epsilon:
-        The campaign's full budget.
-    num_rounds:
-        How many collection rounds to plan.
-    weights:
-        Optional per-round proportions (default: equal). Only ratios
-        matter; they are normalized exactly.
-    selector_share:
-        Fraction of each round's budget (rounds 2..R) carved out for the
-        exponential-mechanism selection that chose the round's focus.
-
-    Returns
-    -------
-    list[RoundBudget]
-        One entry per round; ``sum(r.total for r) == total`` **exactly**.
-
-    Examples
-    --------
-    >>> rounds = split_budget(1.0, 2, selector_share=0.1)
-    >>> rounds[0].collect, rounds[0].select
-    (Fraction(1, 2), Fraction(0, 1))
-    >>> sum(r.total for r in rounds) == Fraction(1)
-    True
-    """
-    total = _exact_epsilon(total_epsilon)
-    if total <= 0:
-        raise ProtocolError(
-            f"campaign budget must be positive, got {float(total):g}"
-        )
-    if num_rounds < 1:
-        raise ProtocolError(f"need >= 1 round, got {num_rounds}")
-    share = _exact_epsilon(selector_share) if selector_share else Fraction(0)
-    if not 0 <= share < 1:
-        raise ProtocolError(
-            f"selector_share must be in [0, 1), got {float(share):g}"
-        )
-    if weights is None:
-        exact_weights = [Fraction(1)] * num_rounds
-    else:
-        exact_weights = [_exact_epsilon(w) for w in weights]
-        if len(exact_weights) != num_rounds:
-            raise ProtocolError(
-                f"{len(exact_weights)} weights for {num_rounds} rounds"
-            )
-        if any(w <= 0 for w in exact_weights):
-            raise ProtocolError("round weights must all be positive")
-    denominator = sum(exact_weights)
-    rounds = []
-    for index, weight in enumerate(exact_weights):
-        round_total = total * weight / denominator
-        select = round_total * share if index > 0 else Fraction(0)
-        rounds.append(
-            RoundBudget(
-                round_id=index + 1,
-                collect=round_total - select,
-                select=select,
-            )
-        )
-    return rounds

@@ -91,11 +91,6 @@ class ShardAccumulator:
     ----------
     num_outputs:
         Output alphabet size ``m`` of the strategy being aggregated.
-    round_id:
-        Which campaign round these reports belong to (``0`` for
-        non-adaptive campaigns).  Rounds use *different strategies*, so
-        their histograms are not interchangeable: merging accumulators from
-        different rounds raises instead of silently mixing cohorts.
 
     Examples
     --------
@@ -108,16 +103,13 @@ class ShardAccumulator:
     array([1., 2., 0., 1.])
     """
 
-    __slots__ = ("histogram", "num_reports", "round_id")
+    __slots__ = ("histogram", "num_reports")
 
-    def __init__(self, num_outputs: int, round_id: int = 0) -> None:
+    def __init__(self, num_outputs: int) -> None:
         if num_outputs < 1:
             raise ProtocolError(f"need >= 1 output, got {num_outputs}")
-        if round_id < 0:
-            raise ProtocolError(f"round id must be >= 0, got {round_id}")
         self.histogram = np.zeros(num_outputs)
         self.num_reports = 0
-        self.round_id = int(round_id)
 
     @property
     def num_outputs(self) -> int:
@@ -181,12 +173,7 @@ class ShardAccumulator:
                 f"cannot merge accumulators over {self.num_outputs} and "
                 f"{other.num_outputs} outputs"
             )
-        if other.round_id != self.round_id:
-            raise ProtocolError(
-                f"cannot merge accumulators from rounds {self.round_id} and "
-                f"{other.round_id}; rounds use different strategies"
-            )
-        merged = ShardAccumulator(self.num_outputs, self.round_id)
+        merged = ShardAccumulator(self.num_outputs)
         merged.histogram = self.histogram + other.histogram
         merged.num_reports = self.num_reports + other.num_reports
         return merged
@@ -211,12 +198,6 @@ class ShardAccumulator:
                     f"cannot merge accumulators over {merged.num_outputs} "
                     f"and {accumulator.num_outputs} outputs"
                 )
-            if accumulator.round_id != merged.round_id:
-                raise ProtocolError(
-                    f"cannot merge accumulators from rounds {merged.round_id} "
-                    f"and {accumulator.round_id}; rounds use different "
-                    "strategies"
-                )
             merged.histogram += accumulator.histogram
             merged.num_reports += accumulator.num_reports
         return merged
@@ -233,7 +214,7 @@ class ShardAccumulator:
         >>> frozen.num_reports
         1
         """
-        copy = ShardAccumulator(self.num_outputs, self.round_id)
+        copy = ShardAccumulator(self.num_outputs)
         copy.histogram = self.histogram.copy()
         copy.num_reports = self.num_reports
         return copy
@@ -257,7 +238,6 @@ class ShardAccumulator:
             format_version=np.asarray(ACCUMULATOR_FORMAT_VERSION, dtype=np.int64),
             histogram=self.histogram,
             num_reports=np.asarray(self.num_reports, dtype=np.int64),
-            round_id=np.asarray(self.round_id, dtype=np.int64),
         )
         return buffer.getvalue()
 
@@ -268,7 +248,10 @@ class ShardAccumulator:
         Payloads are tagged with a magic string and a format version so a
         checkpoint written by an incompatible library fails with a clear
         :class:`ProtocolError` rather than a numpy decode error.  Untagged
-        payloads (written before the tag existed) are still accepted.
+        payloads (written before the tag existed) are still accepted, and
+        so is the zero ``round_id`` field older writers stored; a nonzero
+        one held a cohort of a multi-round campaign, which no campaign
+        takes any more, so it is refused.
         """
         try:
             with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
@@ -289,12 +272,8 @@ class ShardAccumulator:
                         )
                 histogram = np.asarray(archive["histogram"], dtype=float)
                 num_reports = int(archive["num_reports"])
-                # Payloads written before rounds existed carry no tag and
-                # load as round 0 (the non-adaptive round).
                 round_id = (
-                    int(archive["round_id"])
-                    if "round_id" in archive.files
-                    else 0
+                    int(archive["round_id"]) if "round_id" in archive.files else 0
                 )
         except ProtocolError:
             raise
@@ -315,9 +294,12 @@ class ShardAccumulator:
                 f"serialized accumulator counts {num_reports} reports but "
                 f"its histogram holds {total}"
             )
-        if round_id < 0:
-            raise ProtocolError("serialized accumulator has a negative round")
-        accumulator = ShardAccumulator(histogram.shape[0], round_id)
+        if round_id:
+            raise ProtocolError(
+                f"serialized accumulator is tagged round {round_id}; campaigns "
+                "have no rounds, so only untagged (round 0) payloads load"
+            )
+        accumulator = ShardAccumulator(histogram.shape[0])
         accumulator.histogram = histogram
         accumulator.num_reports = num_reports
         return accumulator
@@ -327,15 +309,13 @@ class ShardAccumulator:
             return NotImplemented
         return (
             self.num_reports == other.num_reports
-            and self.round_id == other.round_id
             and np.array_equal(self.histogram, other.histogram)
         )
 
     def __repr__(self) -> str:
-        rounds = f", round_id={self.round_id}" if self.round_id else ""
         return (
             f"ShardAccumulator(num_outputs={self.num_outputs}, "
-            f"num_reports={self.num_reports}{rounds})"
+            f"num_reports={self.num_reports})"
         )
 
 
@@ -546,11 +526,8 @@ class ProtocolSession:
 
     # -- shard-level API ---------------------------------------------------
 
-    def new_accumulator(self, round_id: int = 0) -> ShardAccumulator:
+    def new_accumulator(self) -> ShardAccumulator:
         """A fresh, empty shard state for this session's strategy.
-
-        ``round_id`` tags the accumulator with the adaptive-campaign round
-        it collects for (0 = non-adaptive).
 
         Examples
         --------
@@ -560,7 +537,7 @@ class ProtocolSession:
         >>> session.new_accumulator().num_outputs
         4
         """
-        return ShardAccumulator(self.strategy.num_outputs, round_id)
+        return ShardAccumulator(self.strategy.num_outputs)
 
     def randomize_shard(
         self,

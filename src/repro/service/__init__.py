@@ -26,11 +26,6 @@ a crash.  Clients randomize locally — the server never sees a raw value.
 * :class:`~repro.service.client.ServiceClient` /
   :class:`~repro.service.client.CampaignReporter` — the client SDK with
   client-side randomization and fire-and-forget batching.
-* :class:`~repro.service.campaigns.AdaptivePlan` — multi-round adaptive
-  campaigns (``repro serve --adaptive R``): a per-campaign
-  :class:`~repro.protocol.accounting.BudgetLedger` splits epsilon across
-  rounds, each round transition privately selects the worst-approximated
-  sub-workload and re-optimizes the strategy for a fresh cohort.
 * :class:`~repro.service.edge.EdgeAggregator` — the stateless two-tier
   fan-in (``repro edge``): edges accept client reports near the clients,
   fold them locally with the same pipeline, and forward sealed partial
@@ -40,20 +35,14 @@ a crash.  Clients randomize locally — the server never sees a raw value.
   checkpoints cut + truncate, recovery replays the suffix (zero acked
   reports lost); it also unlocks self-healing worker supervision.
 
-See ``docs/serving.md`` for the architecture and endpoint reference,
-``docs/adaptive-campaigns.md`` for the round lifecycle, and
+See ``docs/serving.md`` for the architecture and endpoint reference, and
 ``docs/operations.md`` for the failure-modes & recovery runbook.
 """
 
 from repro.service.campaigns import (
-    AdaptivePlan,
-    AdaptiveSnapshot,
-    AdvancePlan,
-    AdvanceReport,
     Campaign,
     CampaignManager,
     QueryAnswer,
-    RoundRecord,
     validate_campaign_name,
 )
 from repro.service.checkpoint import MANIFEST_VERSION, CheckpointStore
@@ -62,7 +51,6 @@ from repro.service.cluster import ShardManager, WorkerPool
 from repro.service.edge import EdgeAggregator, run_edge
 from repro.service.framing import (
     FRAME_CONTENT_TYPE,
-    MAX_FRAME_ROUND,
     Frame,
     decode_frame,
     decode_frames,
@@ -72,7 +60,6 @@ from repro.service.ingest import (
     MAX_BATCH_REPORTS,
     IngestPipeline,
     IngestStats,
-    resolve_round,
     validate_reports,
 )
 from repro.service.server import (
@@ -84,10 +71,6 @@ from repro.service.server import (
 from repro.service.wal import WalRecord, WriteAheadLog
 
 __all__ = [
-    "AdaptivePlan",
-    "AdaptiveSnapshot",
-    "AdvancePlan",
-    "AdvanceReport",
     "Campaign",
     "CampaignManager",
     "CampaignReporter",
@@ -100,9 +83,7 @@ __all__ = [
     "IngestStats",
     "MANIFEST_VERSION",
     "MAX_BATCH_REPORTS",
-    "MAX_FRAME_ROUND",
     "QueryAnswer",
-    "RoundRecord",
     "ServiceClient",
     "ServiceThread",
     "ShardManager",
@@ -113,7 +94,6 @@ __all__ = [
     "decode_frame",
     "decode_frames",
     "encode_reports",
-    "resolve_round",
     "run_edge",
     "run_service",
     "validate_campaign_name",

@@ -22,17 +22,12 @@ Layout under the checkpoint root::
     root/
       manifest.json               campaign table + checksums (written last)
       strategies/<name>.npz       public strategy, one per campaign
-      strategies/<name>@r<k>.npz  completed round k of an adaptive campaign
       accumulators/<name>.bin     serialized ShardAccumulator snapshot
-      accumulators/<name>@r<k>.bin  frozen round-k accumulator
 
-Adaptive campaigns additionally record their plan, the exact budget ledger
-(every amount a ``str(Fraction)``, so recovery replays the identical
-arithmetic), the live round number, and one strategy + accumulator payload
-per *completed* round — recovery rebuilds the full round history, making
-mid-campaign crash recovery bit-identical, combined estimates included.
-``@`` cannot appear in a campaign name, so round payloads can never collide
-with another campaign's files.
+Older releases also wrote multi-round campaigns, whose manifest entries
+carry an ``adaptive`` key (plan, budget ledger, completed rounds).  Those
+entries are refused on load, naming the campaign: one strategy per
+campaign cannot answer for cohorts that randomized against several.
 """
 
 from __future__ import annotations
@@ -44,13 +39,10 @@ from pathlib import Path
 
 from repro.exceptions import ProtocolError, ReproError, ServiceError
 from repro.mechanisms.base import StrategyMatrix
-from repro.protocol.accounting import BudgetLedger
 from repro.protocol.engine import ProtocolSession, ShardAccumulator
 from repro.service.campaigns import (
-    AdaptivePlan,
     Campaign,
     CampaignManager,
-    RoundRecord,
     validate_campaign_name,
 )
 from repro.store.store import _atomic_write_bytes
@@ -58,8 +50,8 @@ from repro.telemetry import MetricsRegistry
 from repro.workloads import by_name as workload_by_name
 
 #: Manifest schema version; bumped on incompatible layout changes.
-#: Version 2 added adaptive round state; version-1 manifests (no adaptive
-#: campaigns by construction) still load.
+#: Version 2 added multi-round campaign entries, which are now refused;
+#: every other entry of a version-1 or version-2 manifest loads.
 MANIFEST_VERSION = 2
 
 _READABLE_VERSIONS = (1, 2)
@@ -112,13 +104,11 @@ class CheckpointStore:
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
 
-    def strategy_path(self, name: str, round_id: int | None = None) -> Path:
-        stem = name if round_id is None else f"{name}@r{round_id}"
-        return self.root / "strategies" / f"{stem}.npz"
+    def strategy_path(self, name: str) -> Path:
+        return self.root / "strategies" / f"{name}.npz"
 
-    def accumulator_path(self, name: str, round_id: int | None = None) -> Path:
-        stem = name if round_id is None else f"{name}@r{round_id}"
-        return self.root / "accumulators" / f"{stem}.bin"
+    def accumulator_path(self, name: str) -> Path:
+        return self.root / "accumulators" / f"{name}.bin"
 
     def exists(self) -> bool:
         """Whether a recoverable checkpoint is present."""
@@ -141,23 +131,24 @@ class CheckpointStore:
                 campaign,
                 (snapshots or {}).get(campaign.name)
                 or campaign.accumulator.snapshot(),
-                campaign.freeze_adaptive(),
+                dict(campaign.edge_sequences),
             )
             for campaign in manager.campaigns()
         ]
         return self.save_frozen(frozen)
 
-    def _write_strategy(self, cache_key: str, strategy, path: Path) -> str:
-        """Write one immutable strategy payload, skipping repeat work.
+    def _write_strategy(self, name: str, strategy) -> str:
+        """Write one campaign's immutable strategy payload, skipping repeat
+        work.
 
-        The cache maps ``cache_key`` to the exact strategy *object* last
-        written there; on a hit, serializing, hashing, and re-reading the
-        file are all skipped.  On a miss the file is verified against the
+        The cache maps the campaign name to the exact strategy *object*
+        last written for it; on a hit, serializing, hashing, and re-reading
+        the file are all skipped.  On a miss the file is verified against the
         fresh digest — a leftover from a crashed prior deployment (same
         name, different strategy) must not be checksummed into this
         manifest — and rewritten on any mismatch.
         """
-        cached = self._strategy_digests.get(cache_key)
+        cached = self._strategy_digests.get(name)
         if cached is not None and cached[0] is strategy:
             return cached[1]
         import io
@@ -166,15 +157,15 @@ class CheckpointStore:
         strategy.save(buffer)
         payload = buffer.getvalue()
         digest = _sha256(payload)
+        path = self.strategy_path(name)
         if not path.exists() or _sha256(path.read_bytes()) != digest:
             _atomic_write_bytes(path, payload)
-        self._strategy_digests[cache_key] = (strategy, digest)
+        self._strategy_digests[name] = (strategy, digest)
         return digest
 
     def save_frozen(self, frozen: list, *, wal_sequence: int | None = None) -> dict:
         """Write a checkpoint from ``(campaign, accumulator snapshot,
-        adaptive snapshot)`` triples captured by the caller (pairs are
-        accepted for non-adaptive callers).
+        edge sequences)`` triples captured by the caller.
 
         Payloads are written (atomically) before the manifest, and the
         manifest itself is swapped in atomically, so readers and a
@@ -194,16 +185,9 @@ class CheckpointStore:
         started = time.perf_counter()
         written_bytes = 0
         entries: dict[str, dict] = {}
-        for item in frozen:
-            campaign, snapshot = item[0], item[1]
-            adaptive = item[2] if len(item) > 2 else campaign.freeze_adaptive()
-            edge_sequences = (
-                item[3] if len(item) > 3 else dict(campaign.edge_sequences)
-            )
-            session = adaptive.session if adaptive else campaign.session
-            strategy_sha = self._write_strategy(
-                campaign.name, session.strategy, self.strategy_path(campaign.name)
-            )
+        for campaign, snapshot, edge_sequences in frozen:
+            session = campaign.session
+            strategy_sha = self._write_strategy(campaign.name, session.strategy)
             payload = snapshot.to_bytes()
             _atomic_write_bytes(self.accumulator_path(campaign.name), payload)
             written_bytes += len(payload)
@@ -222,42 +206,6 @@ class CheckpointStore:
                 # highest applied partial-forward sequence per edge, so a
                 # retried forward stays a no-op across recovery.
                 entry["edge_sequences"] = edge_sequences
-            if adaptive is not None:
-                rounds = []
-                for record in adaptive.rounds:
-                    round_key = f"{campaign.name}@r{record.round_id}"
-                    round_sha = self._write_strategy(
-                        round_key,
-                        record.session.strategy,
-                        self.strategy_path(campaign.name, record.round_id),
-                    )
-                    round_payload = record.accumulator.to_bytes()
-                    round_file = self.accumulator_path(
-                        campaign.name, record.round_id
-                    )
-                    round_digest = _sha256(round_payload)
-                    # Frozen-round accumulators never change; skip the
-                    # rewrite when the file already matches.
-                    if (
-                        not round_file.exists()
-                        or _sha256(round_file.read_bytes()) != round_digest
-                    ):
-                        _atomic_write_bytes(round_file, round_payload)
-                    rounds.append(
-                        {
-                            "round": record.round_id,
-                            "selected_group": record.selected_group,
-                            "num_reports": record.accumulator.num_reports,
-                            "strategy_sha256": round_sha,
-                            "accumulator_sha256": round_digest,
-                        }
-                    )
-                entry["adaptive"] = {
-                    "plan": adaptive.plan.to_json(),
-                    "ledger": adaptive.ledger_json,
-                    "current_round": adaptive.current_round,
-                    "rounds": rounds,
-                }
             entries[campaign.name] = entry
         manifest = {
             "manifest_version": MANIFEST_VERSION,
@@ -337,49 +285,16 @@ class CheckpointStore:
         self._verify_payload(name, path, recorded)
         return ProtocolSession(StrategyMatrix.load(path), workload)
 
-    def _load_rounds(
-        self, name: str, adaptive_entry: dict, workload
-    ) -> list[RoundRecord]:
-        """Rebuild the completed-round history of one adaptive campaign."""
-        rounds = []
-        for row in adaptive_entry.get("rounds", []):
-            round_id = int(row["round"])
-            session = self._load_session(
-                name,
-                self.strategy_path(name, round_id),
-                row.get("strategy_sha256"),
-                workload,
-            )
-            payload = self._verify_payload(
-                name,
-                self.accumulator_path(name, round_id),
-                row.get("accumulator_sha256"),
-            )
-            accumulator = ShardAccumulator.from_bytes(payload)
-            if accumulator.round_id != round_id:
-                raise ServiceError(
-                    f"checkpoint for campaign {name!r}: round-{round_id} "
-                    f"accumulator is tagged round {accumulator.round_id}"
-                )
-            if accumulator.num_reports != int(row.get("num_reports", -1)):
-                raise ServiceError(
-                    f"checkpoint for campaign {name!r} disagrees with its "
-                    f"manifest: round-{round_id} accumulator holds "
-                    f"{accumulator.num_reports} reports, manifest recorded "
-                    f"{row.get('num_reports')}"
-                )
-            rounds.append(
-                RoundRecord(
-                    round_id=round_id,
-                    session=session,
-                    accumulator=accumulator,
-                    selected_group=int(row["selected_group"]),
-                )
-            )
-        return rounds
-
     def _load_campaign(self, name: str, entry: dict) -> Campaign:
         validate_campaign_name(name)
+        if entry.get("adaptive") is not None:
+            raise ServiceError(
+                f"checkpoint for campaign {name!r} carries multi-round "
+                "(adaptive) state, which this version cannot serve: its "
+                "cohorts randomized against more than one strategy.  Recover "
+                "it with the release that wrote it, or move the checkpoint "
+                "aside and re-create the campaign"
+            )
         try:
             workload = workload_by_name(
                 entry["workload"], int(entry["domain_size"])
@@ -401,16 +316,6 @@ class CheckpointStore:
                 str(edge): int(seq)
                 for edge, seq in (entry.get("edge_sequences") or {}).items()
             }
-            adaptive_entry = entry.get("adaptive")
-            plan = None
-            ledger = None
-            rounds: list[RoundRecord] = []
-            current_round = 0
-            if adaptive_entry is not None:
-                plan = AdaptivePlan.from_json(adaptive_entry["plan"])
-                ledger = BudgetLedger.from_json(adaptive_entry["ledger"])
-                current_round = int(adaptive_entry["current_round"])
-                rounds = self._load_rounds(name, adaptive_entry, workload)
         except KeyError as error:
             raise ServiceError(
                 f"checkpoint manifest entry for {name!r} is missing {error}"
@@ -429,10 +334,6 @@ class CheckpointStore:
             source=str(entry.get("source", "checkpoint")),
             created_at=float(entry.get("created_at", time.time())),
             accumulator=accumulator,
-            adaptive=plan,
-            ledger=ledger,
-            rounds=rounds,
-            current_round=current_round,
             edge_sequences=edge_sequences,
         )
         if campaign.accumulator.num_reports != int(entry.get("num_reports", -1)):

@@ -210,15 +210,9 @@ class ServiceClient:
         mechanism: str = "Hadamard",
         iterations: int = 300,
         exist_ok: bool = False,
-        adaptive: dict | None = None,
     ) -> dict:
         """Create a campaign; with ``exist_ok`` an existing campaign with
-        the same name is returned instead of raising.
-
-        ``adaptive`` (e.g. ``{"rounds": 2}``) makes ``epsilon`` a campaign
-        total split across a multi-round plan; see
-        :class:`~repro.service.campaigns.AdaptivePlan`.
-        """
+        the same name is returned instead of raising."""
         body = {
             "name": name,
             "workload": workload,
@@ -227,28 +221,12 @@ class ServiceClient:
             "mechanism": mechanism,
             "iterations": iterations,
         }
-        if adaptive is not None:
-            body["adaptive"] = adaptive
         try:
             return self._request("POST", "/v1/campaigns", body)
         except ServiceError:
             if exist_ok and name in {c["name"] for c in self.campaigns()}:
                 return self.campaign(name)
             raise
-
-    def advance_campaign(self, name: str) -> dict:
-        """Close an adaptive campaign's live round and open the next.
-
-        The server checkpoints the completed round, selects the
-        worst-approximated sub-workload, re-optimizes, swaps in the next
-        round's strategy and checkpoints again; reporters must
-        :meth:`CampaignReporter.refresh` (or be rebuilt) afterwards — the
-        old round's strategy is retired and stale-round reports are
-        rejected.
-        """
-        return self._request(
-            "POST", f"/v1/campaigns/{urllib.parse.quote(name)}/advance"
-        )
 
     def campaigns(self) -> list[dict]:
         return self._request("GET", "/v1/campaigns")["campaigns"]
@@ -261,14 +239,6 @@ class ServiceClient:
             "GET", f"/v1/campaigns/{urllib.parse.quote(name)}/strategy"
         )
 
-    @staticmethod
-    def _strategy_from_document(document: dict) -> StrategyMatrix:
-        return StrategyMatrix(
-            np.asarray(document["probabilities"], dtype=float),
-            float(document["epsilon"]),
-            name=str(document["name"]),
-        )
-
     def strategy(self, name: str) -> StrategyMatrix:
         """Fetch a campaign's public strategy, re-validated locally.
 
@@ -276,19 +246,16 @@ class ServiceClient:
         stochasticity and the claimed epsilon-LDP ratio, so the SDK refuses
         to randomize against a matrix that would leak more than promised.
         """
-        return self._strategy_from_document(self._strategy_document(name))
+        document = self._strategy_document(name)
+        return StrategyMatrix(
+            np.asarray(document["probabilities"], dtype=float),
+            float(document["epsilon"]),
+            name=str(document["name"]),
+        )
 
-    def send_reports(
-        self, campaign: str, reports, *, round_id: int | None = None
-    ) -> dict:
+    def send_reports(self, campaign: str, reports) -> dict:
         """Ship already-randomized output ids (the aggregation-tier path),
-        as JSON or a packed binary frame per the client's ``transport``.
-
-        ``round_id`` tags the batch with the adaptive round its reports
-        were randomized for; the server rejects a tag that no longer
-        matches the live round instead of folding a stale cohort into the
-        wrong strategy's histogram.
-        """
+        as JSON or a packed binary frame per the client's ``transport``."""
         # The id travels both as the X-Repro-Trace header (adopted by the
         # HTTP edge for its ingest span and the echoed reply) and inside
         # the body/frame (so a cluster worker that decodes the payload can
@@ -298,17 +265,13 @@ class ServiceClient:
             return self._request(
                 "POST",
                 "/v1/reports",
-                raw=encode_reports(
-                    campaign, reports, round_id=round_id or 0, trace_id=trace_id
-                ),
+                raw=encode_reports(campaign, reports, trace_id=trace_id),
                 trace_id=trace_id,
             )
         body = {
             "campaign": campaign,
             "reports": [int(r) for r in np.asarray(reports)],
         }
-        if round_id is not None:
-            body["round"] = int(round_id)
         if trace_id:
             body["trace"] = trace_id
         return self._request("POST", "/v1/reports", body, trace_id=trace_id)
@@ -368,19 +331,9 @@ class ServiceClient:
         batch_size: int = 500,
         rng: np.random.Generator | None = None,
     ) -> "CampaignReporter":
-        """A local randomizer + batcher bound to one campaign.
-
-        The reporter pins the campaign's *current* round: its reports are
-        tagged with the round whose strategy it randomizes against.
-        """
-        document = self._strategy_document(campaign)
+        """A local randomizer + batcher bound to one campaign."""
         return CampaignReporter(
-            self,
-            campaign,
-            self._strategy_from_document(document),
-            batch_size=batch_size,
-            rng=rng,
-            round_id=int(document.get("round", 0)),
+            self, campaign, self.strategy(campaign), batch_size=batch_size, rng=rng
         )
 
     def __enter__(self) -> "ServiceClient":
@@ -404,9 +357,6 @@ class CampaignReporter:
         Buffered reports are shipped whenever this many accumulate.
     rng:
         Randomness source for the local randomizer.
-    round_id:
-        Adaptive round the strategy belongs to; every shipped batch is
-        tagged with it (0 = non-adaptive, untagged).
     """
 
     def __init__(
@@ -417,7 +367,6 @@ class CampaignReporter:
         *,
         batch_size: int = 500,
         rng: np.random.Generator | None = None,
-        round_id: int = 0,
     ) -> None:
         if batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
@@ -426,33 +375,8 @@ class CampaignReporter:
         self.strategy = strategy
         self.batch_size = batch_size
         self.rng = rng or np.random.default_rng()
-        self.round_id = int(round_id)
         self._buffer: list[int] = []
         self.reports_sent = 0
-        self.reports_dropped = 0
-
-    def refresh(self) -> int:
-        """Re-fetch the campaign's live strategy and round (cohort rotation).
-
-        Ships anything still buffered *first* — those reports were
-        randomized under the old strategy and belong to the old round; once
-        the strategy is swapped they would be rejected as stale.  If the
-        campaign already advanced past the reporter's round, the buffered
-        reports can never be accepted by any future send — they are dropped
-        and counted in ``reports_dropped`` rather than wedging the reporter
-        forever.  Returns the round the reporter now randomizes for.
-        """
-        try:
-            self.flush_all()
-        except ServiceError as error:
-            if "round tag" not in str(error):
-                raise
-            self.reports_dropped += len(self._buffer)
-            self._buffer.clear()
-        document = self.client._strategy_document(self.campaign)
-        self.strategy = self.client._strategy_from_document(document)
-        self.round_id = int(document.get("round", 0))
-        return self.round_id
 
     @property
     def pending(self) -> int:
@@ -491,9 +415,7 @@ class CampaignReporter:
         if not self._buffer:
             return 0
         batch = self._buffer[: self.batch_size]
-        self.client.send_reports(
-            self.campaign, batch, round_id=self.round_id or None
-        )
+        self.client.send_reports(self.campaign, batch)
         del self._buffer[: len(batch)]
         self.reports_sent += len(batch)
         return len(batch)

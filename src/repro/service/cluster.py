@@ -113,21 +113,14 @@ class _ShardSession:
     def __init__(self, num_outputs: int) -> None:
         self.num_outputs = int(num_outputs)
 
-    def new_accumulator(self, round_id: int = 0) -> ShardAccumulator:
-        return ShardAccumulator(self.num_outputs, round_id)
+    def new_accumulator(self) -> ShardAccumulator:
+        return ShardAccumulator(self.num_outputs)
 
 
 class _ShardCampaign:
     """Worker-side view of one campaign: its shard accumulator."""
 
     __slots__ = ("name", "session", "accumulator")
-
-    # Adaptive campaigns are refused in cluster mode (at creation and on
-    # restart from a checkpoint), so the worker-side view is always
-    # single-round; the ingest pipeline's round resolution reads these two
-    # attributes.
-    adaptive = None
-    current_round = 0
 
     def __init__(self, name: str, num_outputs: int) -> None:
         self.name = name

@@ -13,25 +13,21 @@ upstream via ``POST /v1/campaigns/<name>/partials``.  The root folds ``E``
 partial blobs per forward window instead of ``N`` client batches, so its
 load is independent of the client population.
 
-Exactly-once folding without a transaction log:
-
-* Every forward carries the edge's id and a **per-campaign flush sequence
-  number** that increases by one per cut partial.  The root remembers the
-  highest sequence it has applied per ``(campaign, edge)`` (persisted in
-  checkpoints), so a retried forward — say, a timeout whose first attempt
-  actually landed — is acknowledged as a *duplicate* and never folded twice.
-* Every partial is tagged with the adaptive round it aggregated; the root
-  refuses stale or unknown rounds with the same
-  :class:`~repro.exceptions.ProtocolError` family the report paths use.
+Exactly-once folding without a transaction log: every forward carries the
+edge's id and a **per-campaign flush sequence number** that increases by
+one per cut partial.  The root remembers the highest sequence it has
+applied per ``(campaign, edge)`` (persisted in checkpoints), so a retried
+forward — say, a timeout whose first attempt actually landed — is
+acknowledged as a *duplicate* and never folded twice.
 
 Failure handling in the forwarder: connection errors and 5xx responses are
 *transient* — the partial stays at the head of the outbox and is retried
 with exponential backoff, so an unreachable root loses nothing.  4xx
-responses are *permanent* — the payload can never be accepted (usually a
-round that advanced under the edge), so it is dropped, counted, and the
-campaign mirror refreshed.  A graceful stop (SIGTERM via ``repro edge``)
-closes the listener, cuts the final partials, and forwards them before
-exiting.
+responses are *permanent* — the payload can never be accepted (say, a
+campaign re-created upstream with another strategy), so it is dropped,
+counted, and the campaign mirror refreshed.  A graceful stop (SIGTERM via
+``repro edge``) closes the listener, cuts the final partials, and forwards
+them before exiting.
 """
 
 from __future__ import annotations
@@ -67,44 +63,25 @@ class _EdgeSession:
     def __init__(self, num_outputs: int) -> None:
         self.num_outputs = int(num_outputs)
 
-    def new_accumulator(self, round_id: int = 0) -> ShardAccumulator:
-        return ShardAccumulator(self.num_outputs, round_id)
+    def new_accumulator(self) -> ShardAccumulator:
+        return ShardAccumulator(self.num_outputs)
 
 
 class _MirroredCampaign:
     """Edge-local mirror of one upstream campaign.
 
-    Duck-typed to the campaign surface :class:`IngestPipeline` and
-    :func:`~repro.service.ingest.resolve_round` consume (``name``,
-    ``session``, ``current_round``, ``adaptive``, ``accumulator``), so the
-    pipeline folds into it exactly as the root folds into a real
+    Duck-typed to the campaign surface :class:`IngestPipeline` consumes
+    (``name``, ``session``, ``accumulator``), so the pipeline folds into it
+    exactly as the root folds into a real
     :class:`~repro.service.campaigns.Campaign`.
     """
 
-    __slots__ = (
-        "name",
-        "session",
-        "current_round",
-        "adaptive",
-        "accumulator",
-        "sequence",
-        "last_cut",
-    )
+    __slots__ = ("name", "session", "accumulator", "sequence", "last_cut")
 
-    def __init__(
-        self,
-        name: str,
-        num_outputs: int,
-        round_id: int,
-        adaptive: bool,
-    ) -> None:
+    def __init__(self, name: str, num_outputs: int) -> None:
         self.name = name
         self.session = _EdgeSession(num_outputs)
-        self.current_round = int(round_id)
-        #: ``resolve_round`` only checks ``is None``; the mirror keeps a
-        #: truthy marker instead of the upstream plan object.
-        self.adaptive = True if adaptive else None
-        self.accumulator = self.session.new_accumulator(self.current_round)
+        self.accumulator = self.session.new_accumulator()
         #: Last flush sequence this edge cut for the campaign (the upstream
         #: applies each ``(edge, campaign, sequence)`` at most once).
         self.sequence = 0
@@ -149,7 +126,6 @@ class _PendingForward:
     sequence: int
     payload: bytes
     num_reports: int
-    round_id: int
     attempts: int = 0
     enqueued_at: float = field(default_factory=time.monotonic)
 
@@ -281,8 +257,8 @@ class EdgeAggregator(HttpTier):
         )
         self._m_lost_reports = registry.counter(
             "repro_edge_reports_lost_total",
-            "Buffered reports abandoned (permanent rejection, retired "
-            "round, or drain timeout).",
+            "Buffered reports abandoned (permanent rejection, an output "
+            "alphabet that changed under the edge, or drain timeout).",
         )
         outbox = registry.gauge(
             "repro_edge_outbox_depth", "Cut partials waiting to forward."
@@ -303,10 +279,12 @@ class EdgeAggregator(HttpTier):
         """(Re)mirror campaign metadata from the root; returns how many
         campaigns the edge now mirrors.
 
-        A mirror whose round advanced upstream restarts its buffered
-        partial: those reports were accepted for a retired round and no
-        future forward can land them, so they are counted as lost rather
-        than wedging the outbox forever.
+        A root restarted without its checkpoint can re-create a campaign
+        name with another strategy.  A mirror whose output alphabet no
+        longer matches the root's restarts its buffered partial: those
+        reports were randomized against the old strategy and no future
+        forward can land them, so they are counted as lost rather than
+        wedging the outbox forever.
         """
         documents = await asyncio.to_thread(self._fetch_campaigns_sync)
         seen = set()
@@ -318,34 +296,21 @@ class EdgeAggregator(HttpTier):
             ):
                 continue
             seen.add(name)
-            round_id = int(document.get("round", 0))
-            adaptive = document.get("adaptive") is not None
+            num_outputs = int(document["num_outputs"])
             mirror = self.manager.peek(name)
             if mirror is None:
-                self.manager.add(
-                    _MirroredCampaign(
-                        name, int(document["num_outputs"]), round_id, adaptive
-                    )
-                )
+                self.manager.add(_MirroredCampaign(name, num_outputs))
                 continue
-            mirror.adaptive = True if adaptive else None
-            num_outputs = int(document["num_outputs"])
-            if (
-                round_id != mirror.current_round
-                or num_outputs != mirror.session.num_outputs
-            ):
+            if num_outputs != mirror.session.num_outputs:
                 buffered = mirror.accumulator.num_reports
                 if buffered:
                     self._count_lost(
                         buffered,
-                        f"campaign {name!r} advanced to round {round_id} "
-                        f"under the edge",
+                        f"campaign {name!r} changed to {num_outputs} outputs "
+                        "under the edge",
                     )
-                mirror.current_round = round_id
-                # A round advance can re-optimize onto a different output
-                # alphabet; the mirror must validate against the new one.
                 mirror.session.num_outputs = num_outputs
-                mirror.accumulator = mirror.session.new_accumulator(round_id)
+                mirror.accumulator = mirror.session.new_accumulator()
                 mirror.last_cut = time.monotonic()
         if self._campaign_filter is not None:
             missing = self._campaign_filter - seen
@@ -429,9 +394,7 @@ class EdgeAggregator(HttpTier):
         mirror.last_cut = time.monotonic()
         if accumulator.num_reports == 0:
             return
-        mirror.accumulator = mirror.session.new_accumulator(
-            mirror.current_round
-        )
+        mirror.accumulator = mirror.session.new_accumulator()
         mirror.sequence += 1
         self._outbox.append(
             _PendingForward(
@@ -439,7 +402,6 @@ class EdgeAggregator(HttpTier):
                 sequence=mirror.sequence,
                 payload=accumulator.to_bytes(),
                 num_reports=accumulator.num_reports,
-                round_id=accumulator.round_id,
             )
         )
         self._outbox_event.set()
@@ -488,7 +450,7 @@ class EdgeAggregator(HttpTier):
             if error.status >= 500:
                 return False
             # Permanent: the root understood the forward and refused it —
-            # a retired round, an unknown campaign, a malformed payload.
+            # an unknown campaign, a changed alphabet, a malformed payload.
             # Retrying the identical request can never succeed.
             outcome = self._m_forwards.labels("rejected")
             outcome.inc()  # type: ignore[union-attr]
@@ -624,7 +586,6 @@ class EdgeAggregator(HttpTier):
                 mirror.name: {
                     "buffered_reports": mirror.accumulator.num_reports,
                     "sequence": mirror.sequence,
-                    "round": mirror.current_round,
                 }
                 for mirror in self.manager.campaigns()
             },

@@ -15,7 +15,7 @@ Frame layout (all little-endian)::
     4       1     format version (1)
     5       1     kind: 1 = report batch (the only kind accepted)
     6       1     item size in bytes (1, 2, 4 or 8)
-    7       1     adaptive-campaign round id (0 = untagged / non-adaptive)
+    7       1     reserved, written as 0 (a nonzero value is refused)
     8       2     campaign-name length in bytes
     10      2     trace-id length in bytes (0 = no trace attached)
     12      4     body length  = name length + count * item size
@@ -23,12 +23,11 @@ Frame layout (all little-endian)::
     24      ...   campaign name (UTF-8), then the packed payload,
                   then the optional trace id (UTF-8)
 
-The round byte was the version-1 reserved byte at offset 7, so a round-0
-frame is byte-identical to what older writers emitted and older readers
-accept — the format version stays 1.  Adaptive cohorts tag their round (1
-onward, capped at 255 rounds) and the service refuses a tag that does not
-match the campaign's live round instead of silently folding a stale
-cohort's reports into the wrong strategy's histogram.
+Byte 7 once tagged the cohort of a multi-round campaign with its round.
+Campaigns have one strategy now, so a frame with a nonzero byte 7 was
+randomized against some other strategy: the decoder refuses it rather than
+fold it into this campaign's histogram.  Frames with a zero byte 7 are
+byte-identical to what every writer emitted, so the format version stays 1.
 
 The trace-id length at offset 10 follows the same discipline: it was the
 version-1 reserved (zero) field, so a frame with no trace attached is
@@ -71,18 +70,15 @@ KIND_REPORTS = 1
 #: Content type the service and SDK use for binary ingest bodies.
 FRAME_CONTENT_TYPE = "application/x-repro-frame"
 
-#: magic, version, kind, item_size, round, name_len, trace_len, body_len,
-#: count.  ``trace_len`` occupies what version 1 reserved as zero padding,
-#: so trace-free frames are byte-identical to the original encoding.
+#: magic, version, kind, item_size, reserved, name_len, trace_len,
+#: body_len, count.  ``trace_len`` occupies what version 1 reserved as zero
+#: padding, so trace-free frames are byte-identical to the original encoding.
 _HEADER = struct.Struct("<4sBBBBHHIQ")
 
 #: Longest accepted trace id on the wire (minted ids are 16 hex chars;
 #: the cap leaves room for foreign tracing systems without letting the
 #: field smuggle arbitrary payloads).
 _MAX_TRACE_BYTES = 64
-
-#: Largest round id the one-byte header field can carry.
-MAX_FRAME_ROUND = 255
 
 #: Longest accepted campaign name on the wire (matches the service's
 #: 64-character campaign-name alphabet with UTF-8 headroom).
@@ -109,7 +105,6 @@ class Frame:
     count: int
     item_size: int
     payload: bytes
-    round_id: int = 0
     trace_id: str = ""
 
     def reports(self) -> np.ndarray:
@@ -143,7 +138,7 @@ def unpack_reports(payload: bytes, item_size: int) -> np.ndarray:
 
 
 def encode_reports(
-    campaign: str, reports, *, round_id: int = 0, trace_id: str | None = None
+    campaign: str, reports, *, trace_id: str | None = None
 ) -> bytes:
     """Pack a batch of privatized reports (output ids) into one frame.
 
@@ -157,8 +152,6 @@ def encode_reports(
     4
     >>> decode_frame(encode_reports("demo", [70000])).reports()
     array([70000])
-    >>> decode_frame(encode_reports("demo", [1, 2], round_id=3)).round_id
-    3
 
     A trace id rides outside the body; a frame without one is
     byte-identical to the pre-telemetry encoding:
@@ -199,10 +192,6 @@ def encode_reports(
         raise ServiceError(
             f"campaign name of {len(name)} bytes outside [1, {_MAX_NAME_BYTES}]"
         )
-    if not 0 <= int(round_id) <= MAX_FRAME_ROUND:
-        raise ServiceError(
-            f"frame round id {round_id} outside [0, {MAX_FRAME_ROUND}]"
-        )
     trace = (trace_id or "").encode("utf-8")
     if len(trace) > _MAX_TRACE_BYTES:
         raise ServiceError(
@@ -213,7 +202,7 @@ def encode_reports(
         FRAME_VERSION,
         KIND_REPORTS,
         item_size,
-        int(round_id),
+        0,
         len(name),
         len(trace),
         len(name) + len(payload),
@@ -277,7 +266,7 @@ def _decode_at(buffer: bytes, offset: int) -> tuple[Frame, int]:
         version,
         kind,
         item_size,
-        round_id,
+        reserved,
         name_len,
         trace_len,
         body_len,
@@ -295,6 +284,11 @@ def _decode_at(buffer: bytes, offset: int) -> tuple[Frame, int]:
         )
     if item_size not in _REPORT_DTYPES:
         raise ServiceError(f"invalid report item size {item_size}")
+    if reserved:
+        raise ServiceError(
+            f"frame byte 7 is {reserved}, not 0: it tags the cohort of a "
+            "multi-round campaign, and campaigns take no round tag"
+        )
     if name_len < 1:
         raise ServiceError("frame has an empty campaign name")
     if body_len != name_len + count * item_size:
@@ -323,7 +317,5 @@ def _decode_at(buffer: bytes, offset: int) -> tuple[Frame, int]:
         trace = bytes(buffer[body_end:end]).decode("utf-8")
     except UnicodeDecodeError as error:
         raise ServiceError(f"frame trace id is not UTF-8: {error}")
-    frame = Frame(
-        kind, campaign, int(count), item_size, payload, int(round_id), trace
-    )
+    frame = Frame(kind, campaign, int(count), item_size, payload, trace)
     return frame, end

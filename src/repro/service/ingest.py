@@ -10,9 +10,14 @@ integers held in float64, so in-place folds in any order are bit-identical
 to a serial fold.
 
 Validation and fold run with no ``await`` between them.  Every other
-mutation of a campaign (a round swap, an edge cut, a checkpoint snapshot)
-also runs on the event loop, so none of them can interleave with a
-half-folded body.
+mutation of a campaign (an edge cut, a checkpoint snapshot) also runs on
+the event loop, so none of them can interleave with a half-folded body.
+
+A JSON body's ``round`` field (and byte 7 of a binary frame, see
+:mod:`repro.service.framing`) once tagged the cohort of a multi-round
+campaign.  Campaigns have one strategy now, so a batch tagged with a
+nonzero round was randomized against some other strategy and is refused
+with :class:`~repro.exceptions.ServiceError`, folding nothing.
 """
 
 from __future__ import annotations
@@ -24,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import (
-    ProtocolError,
-    ReproError,
-    ServiceError,
-    StaleRoundError,
-)
+from repro.exceptions import ReproError, ServiceError
 from repro.service.campaigns import CampaignManager
 from repro.service.framing import decode_frames
 from repro.telemetry.metrics import MetricsRegistry
@@ -81,77 +81,28 @@ def validate_reports(reports, num_outputs: int) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def resolve_round(campaign, round_id) -> int:
-    """Resolve a submission's round tag against a campaign's live round.
-
-    ``None`` and ``0`` mean *untagged* — the report folds into whatever
-    round is live (round ``0`` on non-adaptive campaigns).  An explicit tag
-    must match the campaign's current round exactly: a lower tag is a stale
-    cohort still reporting against a retired strategy, a higher one is a
-    round the campaign has not opened, and a tag on a non-adaptive campaign
-    is a client confusing campaigns.  All three raise
-    :class:`~repro.exceptions.ProtocolError` — folding them in silently
-    would mix cohorts that used *different strategies* into one histogram.
-    """
-    if round_id is None:
-        return campaign.current_round
-    if isinstance(round_id, bool) or not isinstance(round_id, int):
-        raise ProtocolError(f"round tag must be an integer, got {round_id!r}")
-    if round_id == 0:
-        return campaign.current_round
-    if campaign.adaptive is None:
-        raise ProtocolError(
-            f"campaign {campaign.name!r} is not adaptive; round-{round_id} "
-            "reports belong to some other campaign"
-        )
-    if round_id < campaign.current_round:
-        raise StaleRoundError(
-            f"stale round tag {round_id} for campaign {campaign.name!r}: "
-            f"round {campaign.current_round} is live and round-{round_id} "
-            "reports used a retired strategy; refresh the campaign strategy "
-            "and re-randomize"
-        )
-    if round_id > campaign.current_round:
-        raise ProtocolError(
-            f"unknown round tag {round_id} for campaign {campaign.name!r}: "
-            f"the campaign has only opened round {campaign.current_round}"
-        )
-    return round_id
-
-
 @dataclass
 class IngestStats:
     """Counters exposed via ``/v1/metrics``."""
 
     ingested: int = 0
     rejected_batches: int = 0
-    reports_dropped: int = 0
 
     def to_json(self) -> dict:
         return {
             "ingested": self.ingested,
             "rejected_batches": self.rejected_batches,
-            "reports_dropped": self.reports_dropped,
         }
 
 
 @dataclass
 class _Batch:
     """One validated report batch, checked against ``campaign`` (the live
-    campaign object) in its current round."""
+    campaign object)."""
 
     campaign: object
     reports: np.ndarray
     trace_id: str
-
-
-def _batch_size(reports) -> int:
-    """Reports in a batch that has not been validated (0 when the batch
-    is too malformed to tell)."""
-    try:
-        return len(reports)
-    except TypeError:
-        return 0
 
 
 class _PipelineMetrics:
@@ -170,12 +121,7 @@ class _PipelineMetrics:
         self.rejected = registry.counter(
             "repro_ingest_rejected_batches_total",
             "Ingest bodies refused: undecodable, unknown campaign, invalid "
-            "reports, or a stale round.",
-        )
-        self.dropped = registry.counter(
-            "repro_reports_dropped_total",
-            "Reports dropped because their cohort's round was retired "
-            "(stale-cohort rejections).",
+            "reports, or a round tag.",
         )
         self.fold_seconds = registry.histogram(
             "repro_ingest_fold_seconds",
@@ -237,19 +183,17 @@ class IngestPipeline:
         self,
         campaign: str,
         reports,
-        round_id: int | None = None,
         trace_id: str = "",
     ) -> int:
         """Validate and fold a batch of privatized reports; returns the
         number accepted.
 
-        Raises :class:`ServiceError` (or :class:`ProtocolError` for a
-        round-tag mismatch) and counts a refused batch, folding nothing,
-        if validation fails.  Never suspends: the batch is folded when
-        this returns.
+        Raises :class:`ServiceError` and counts a refused batch, folding
+        nothing, if validation fails.  Never suspends: the batch is folded
+        when this returns.
         """
         with self._refusals():
-            batch = self._validate(campaign, reports, round_id, trace_id)
+            batch = self._validate(campaign, reports, trace_id)
         return self._fold([batch])[campaign]
 
     @contextlib.contextmanager
@@ -264,27 +208,10 @@ class IngestPipeline:
                 self._metrics.rejected.inc()
             raise
 
-    def _validate(
-        self, campaign: str, reports, round_id, trace_id: str = ""
-    ) -> _Batch:
-        """Check one report batch against its campaign's live round and
-        output alphabet; folds nothing.
-
-        The round is resolved first: a round advance can re-optimize onto
-        a different output alphabet, and a stale batch should be refused
-        as stale, not as out of range.
-        """
+    def _validate(self, campaign: str, reports, trace_id: str = "") -> _Batch:
+        """Check one report batch against its campaign's output alphabet;
+        folds nothing."""
         target = self.manager.get(campaign)
-        try:
-            resolve_round(target, round_id)
-        except StaleRoundError:
-            # The cohort randomized against a retired strategy; surface
-            # the loss in the stale-drop telemetry before the 400.
-            dropped = _batch_size(reports)
-            self.stats.reports_dropped += dropped
-            if self._metrics is not None:
-                self._metrics.dropped.inc(dropped)
-            raise
         array = validate_reports(reports, target.session.num_outputs)
         return _Batch(target, array, trace_id)
 
@@ -339,6 +266,13 @@ def _parse_json_body(payload: bytes, single: bool) -> dict:
         )
     if "reports" not in body:
         raise ServiceError("body needs a 'reports' field")
+    tag = body.get("round")
+    if tag is not None and (isinstance(tag, bool) or tag != 0):
+        raise ServiceError(
+            f"campaign {body['campaign']!r} takes no round tag, got round "
+            f"{tag!r}: the reports were randomized for a multi-round "
+            "campaign's cohort"
+        )
     return body
 
 
@@ -363,9 +297,7 @@ async def fold_json_body(
         body = _parse_json_body(payload, single)
         if is_trace_id(body.get("trace")):
             trace_id = body["trace"]
-        batch = pipeline._validate(
-            body["campaign"], body["reports"], body.get("round"), trace_id
-        )
+        batch = pipeline._validate(body["campaign"], body["reports"], trace_id)
     pipeline._span("decode", time.perf_counter() - started, trace_id, transport="json")
     return pipeline._fold([batch])
 
@@ -388,10 +320,7 @@ async def fold_frame_body(
     with pipeline._refusals():
         batches = [
             pipeline._validate(
-                frame.campaign,
-                frame.reports(),
-                frame.round_id or None,
-                frame.trace_id or trace_id,
+                frame.campaign, frame.reports(), frame.trace_id or trace_id
             )
             for frame in decode_frames(payload)
         ]

@@ -12,17 +12,11 @@ Endpoints (all JSON):
 ====== ================================ =======================================
 method path                             purpose
 ====== ================================ =======================================
-POST   ``/v1/campaigns``                create a campaign (pass ``adaptive``
-                                        for a multi-round plan)
+POST   ``/v1/campaigns``                create a campaign
 GET    ``/v1/campaigns``                list campaigns
 GET    ``/v1/campaigns/<name>``         one campaign's summary
 GET    ``/v1/campaigns/<name>/strategy`` the public strategy matrix (clients
-                                        randomize locally against it; carries
-                                        the live round for adaptive campaigns)
-POST   ``/v1/campaigns/<name>/advance`` close the live round of an adaptive
-                                        campaign: checkpoint, select the
-                                        worst-approximated sub-workload,
-                                        re-optimize, open the next round
+                                        randomize locally against it)
 POST   ``/v1/report``                   one privatized report
 POST   ``/v1/reports``                  a batch of reports (JSON, or
                                         binary report frames)
@@ -35,7 +29,7 @@ GET    ``/v1/query``                    current estimates + confidence
                                         nothing)
 POST   ``/v1/checkpoint``               force a checkpoint now
 GET    ``/v1/metrics``                  ingest/checkpoint/uptime counters,
-                                        latency percentiles, ledger balances
+                                        latency percentiles
                                         (``?format=prometheus`` for the text
                                         exposition format)
 GET    ``/v1/healthz``                  liveness + library version
@@ -64,11 +58,7 @@ from dataclasses import dataclass
 from repro._version import __version__
 from repro.exceptions import ClusterDegradedError, ReproError, ServiceError
 from repro.protocol.engine import ShardAccumulator
-from repro.service.campaigns import (
-    AdaptivePlan,
-    CampaignManager,
-    validate_campaign_name,
-)
+from repro.service.campaigns import CampaignManager, validate_campaign_name
 from repro.service.checkpoint import CheckpointStore
 from repro.service.cluster import (
     DEFAULT_RESTART_LIMIT,
@@ -110,6 +100,11 @@ TRANSPORTS = ("json", "binary", "both")
 
 #: Largest accepted request body (10 MiB ≈ a 1.3M-report JSON batch).
 MAX_BODY_BYTES = 10 << 20
+
+#: The fields a campaign-creation body may carry.
+_CAMPAIGN_FIELDS = frozenset(
+    ("name", "workload", "domain_size", "epsilon", "mechanism", "iterations")
+)
 
 #: Largest accepted request line + headers.
 MAX_HEADER_BYTES = 64 << 10
@@ -536,8 +531,7 @@ class CollectionService(HttpTier):
         (:class:`~repro.service.cluster.WorkerPool`), each folding into
         its own shard accumulators; queries and checkpoints merge the
         worker shards (bit-identical to the in-process fold).  ``0`` (the
-        default) folds in this process.  Adaptive campaigns are refused in
-        cluster mode, including ones recovered from a checkpoint.
+        default) folds in this process.
     transport:
         Which ingest wire formats to accept on ``/v1/report(s)``:
         ``"json"``, ``"binary"`` (the framed format of
@@ -625,15 +619,6 @@ class CollectionService(HttpTier):
                 self.recovered = True
             else:
                 manager = CampaignManager()
-        if cluster_workers > 0:
-            adaptive = [c.name for c in manager.campaigns() if c.adaptive]
-            if adaptive:
-                # Checked before any worker spawns: a round advance would
-                # swap the strategy under the worker shards.
-                raise ServiceError(
-                    f"adaptive campaign(s) {adaptive} cannot be served in "
-                    "cluster mode; run without --workers"
-                )
         self.manager = manager
         self.store = store
         self.checkpoint_interval = checkpoint_interval
@@ -854,22 +839,13 @@ class CollectionService(HttpTier):
                     if extra is not None:
                         snapshot = snapshot.merge(extra)
                     frozen.append(
-                        (
-                            campaign,
-                            snapshot,
-                            campaign.freeze_adaptive(),
-                            dict(campaign.edge_sequences),
-                        )
+                        (campaign, snapshot, dict(campaign.edge_sequences))
                     )
             else:
-                # Round state is frozen here too, on the loop — a round
-                # advance committing while save_frozen runs on the worker
-                # thread must not tear the ledger/session/history apart.
                 frozen = [
                     (
                         campaign,
                         campaign.accumulator.snapshot(),
-                        campaign.freeze_adaptive(),
                         dict(campaign.edge_sequences),
                     )
                     for campaign in self.manager.campaigns()
@@ -956,7 +932,6 @@ class CollectionService(HttpTier):
                 (
                     campaign,
                     campaign.accumulator.snapshot(),
-                    campaign.freeze_adaptive(),
                     dict(campaign.edge_sequences),
                 )
                 for campaign in self.manager.campaigns()
@@ -1135,8 +1110,6 @@ class CollectionService(HttpTier):
             raise _HttpError(405, f"{method} not allowed on {path}")
         if path.startswith("/v1/campaigns/"):
             parts = path.split("/")[3:]
-            if method == "POST" and len(parts) == 2 and parts[1] == "advance":
-                return await self._advance_campaign(parts[0])
             if method == "POST" and len(parts) == 2 and parts[1] == "partials":
                 return await self._apply_partial(parts[0], request)
             return self._campaign_subresource(method, path)
@@ -1181,7 +1154,6 @@ class CollectionService(HttpTier):
                 "epsilon": strategy.epsilon,
                 "domain_size": strategy.domain_size,
                 "num_outputs": strategy.num_outputs,
-                "round": campaign.current_round,
                 "probabilities": [
                     [float(v) for v in row] for row in strategy.probabilities
                 ],
@@ -1191,6 +1163,16 @@ class CollectionService(HttpTier):
     # -- handlers ----------------------------------------------------------
 
     async def _create_campaign(self, body: dict) -> tuple[int, dict]:
+        unknown = sorted(set(body) - _CAMPAIGN_FIELDS)
+        if unknown:
+            # A misspelt option must not silently fall back to its default,
+            # and an old client's "adaptive" plan must not create a
+            # campaign whose users randomize at the full epsilon.
+            raise _HttpError(
+                400,
+                f"unknown campaign field(s) {unknown}; a campaign takes "
+                f"{sorted(_CAMPAIGN_FIELDS)}",
+            )
         try:
             name = body["name"]
             workload = body["workload"]
@@ -1202,22 +1184,12 @@ class CollectionService(HttpTier):
                 "campaign creation needs name, workload, domain_size, "
                 f"epsilon ({error})",
             )
-        # Every field goes on as sent: CampaignManager.build and
-        # AdaptivePlan refuse a wrong type by name (2.7 iterations or an
-        # 8.9 domain are not truncated, NaN budgets not accepted).
+        # Every field goes on as sent: CampaignManager.build refuses a wrong
+        # type by name (2.7 iterations or an 8.9 domain are not truncated,
+        # NaN budgets not accepted).
         validate_campaign_name(name)
         mechanism = body.get("mechanism", "Hadamard")
         iterations = body.get("iterations", 300)
-        adaptive = None
-        if body.get("adaptive") is not None:
-            if self.pool is not None:
-                raise _HttpError(
-                    400,
-                    "adaptive campaigns are not supported in cluster mode: "
-                    "round advances swap the strategy under the worker "
-                    "shards; run without --workers",
-                )
-            adaptive = AdaptivePlan.from_json(body["adaptive"])
         if name in self.manager:
             raise _HttpError(409, f"campaign {name!r} already exists")
         # Strategy resolution can be slow (PGD); run it off the loop.  The
@@ -1232,7 +1204,6 @@ class CollectionService(HttpTier):
             mechanism=mechanism,
             iterations=iterations,
             store=self.store,
-            adaptive=adaptive,
         )
         try:
             self.manager.adopt(campaign)
@@ -1245,43 +1216,6 @@ class CollectionService(HttpTier):
             )
         await self.checkpoint()
         return 200, self._describe(campaign)
-
-    async def _advance_campaign(self, name: str) -> tuple[int, dict]:
-        """Close the live round of an adaptive campaign and open the next.
-
-        Order matters for crash safety (every acknowledged report is
-        already in the live accumulator, so nothing needs draining):
-
-        1. *round checkpoint* — the completed round is durable before any
-           state moves;
-        2. plan (fast, on-loop) then optimize (slow, off-loop while ingest
-           keeps running into round ``r``);
-        3. commit on-loop (ledger debits, session swap, round bump) — the
-           round-``r`` accumulator, reports accepted during the
-           optimization included, becomes the round record;
-        4. checkpoint the new round, which makes the strategy swap durable.
-
-        A crash anywhere in between recovers from the round checkpoint into
-        round ``r``; re-advancing re-plans with the same seeded selection
-        and re-optimizes deterministically, so the retried transition is
-        bit-identical to the one the crash destroyed.
-        """
-        try:
-            campaign = self.manager.get(name)
-        except ServiceError as error:
-            raise _HttpError(404, str(error))
-        if campaign.adaptive is None:
-            raise _HttpError(
-                400, f"campaign {name!r} is not adaptive; nothing to advance"
-            )
-        await self.checkpoint()
-        advance = self.manager.plan_advance(name)
-        session = await asyncio.to_thread(
-            self.manager.optimize_round_strategy, advance, store=self.store
-        )
-        report = self.manager.commit_advance(advance, session)
-        await self.checkpoint()
-        return 200, report.to_json()
 
     def _require_transport(self, wire: str) -> None:
         if self.transport not in (wire, "both"):
@@ -1296,8 +1230,8 @@ class CollectionService(HttpTier):
 
         Body: ``{"edge": <id>, "sequence": <n>, "accumulator": <base64 of
         the tagged to_bytes payload>}``.  Applied on the event loop via
-        :meth:`CampaignManager.apply_partial`, which enforces round tags
-        and per-edge sequence idempotency; in cluster mode the partial
+        :meth:`CampaignManager.apply_partial`, which enforces per-edge
+        sequence idempotency; in cluster mode the partial
         merges into the campaign's recovery base, which queries and
         checkpoints already layer worker shards on top of.
         """
@@ -1427,29 +1361,14 @@ class CollectionService(HttpTier):
         return cluster, ingest
 
     def _campaign_metrics(self, campaign) -> dict:
-        row = {
+        return {
             "num_reports": campaign.num_reports
             + (
                 self.pool.accepted_reports.get(campaign.name, 0)
                 if self.pool is not None
                 else 0
             ),
-            "round": campaign.current_round,
         }
-        if campaign.adaptive is not None:
-            ledger = campaign.ledger
-            # Floats for dashboards, exact Fraction strings for audits —
-            # the floats round, the strings don't.
-            row["ledger"] = {
-                "epsilon_total": float(ledger.total),
-                "epsilon_spent": float(ledger.spent),
-                "epsilon_remaining": float(ledger.remaining),
-                "epsilon_total_exact": str(ledger.total),
-                "epsilon_spent_exact": str(ledger.spent),
-                "epsilon_remaining_exact": str(ledger.remaining),
-            }
-            row["rounds_completed"] = len(campaign.rounds)
-        return row
 
     async def _metrics(self) -> dict:
         metrics = await super()._metrics()
@@ -1484,8 +1403,8 @@ class CollectionService(HttpTier):
         return metrics
 
     async def _scrape_registries(self) -> list[MetricsRegistry]:
-        """One per-scrape registry holding point-in-time campaign / ledger
-        gauges and, in cluster mode, the order-independent merge of the
+        """One per-scrape registry holding point-in-time campaign gauges
+        and, in cluster mode, the order-independent merge of the
         workers' counters and fold histograms."""
         scrape = MetricsRegistry()
         reports = scrape.gauge(
@@ -1493,41 +1412,9 @@ class CollectionService(HttpTier):
             "Reports folded per campaign (recovery base + live).",
             labelnames=("campaign",),
         )
-        rounds = scrape.gauge(
-            "repro_campaign_round",
-            "Live round per campaign (0 = non-adaptive).",
-            labelnames=("campaign",),
-        )
-        spent = scrape.gauge(
-            "repro_campaign_epsilon_spent",
-            "Budget-ledger epsilon debited so far (float view of the "
-            "exact Fraction; see repro_campaign_ledger_info).",
-            labelnames=("campaign",),
-        )
-        remaining = scrape.gauge(
-            "repro_campaign_epsilon_remaining",
-            "Budget-ledger epsilon still unspent (float view).",
-            labelnames=("campaign",),
-        )
-        ledger_info = scrape.gauge(
-            "repro_campaign_ledger_info",
-            "Exact Fraction ledger balances as labels; value is always 1.",
-            labelnames=("campaign", "total", "spent", "remaining"),
-        )
         for campaign in self.manager.campaigns():
             row = self._campaign_metrics(campaign)
             reports.labels(campaign.name).set(row["num_reports"])
-            rounds.labels(campaign.name).set(campaign.current_round)
-            if campaign.adaptive is not None:
-                ledger = campaign.ledger
-                spent.labels(campaign.name).set(float(ledger.spent))
-                remaining.labels(campaign.name).set(float(ledger.remaining))
-                ledger_info.labels(
-                    campaign.name,
-                    str(ledger.total),
-                    str(ledger.spent),
-                    str(ledger.remaining),
-                ).set(1)
         if self.pool is not None:
             cluster, ingest = await self._cluster_ingest_stats()
             scrape.counter(
@@ -1538,10 +1425,6 @@ class CollectionService(HttpTier):
                 "repro_ingest_rejected_batches_total",
                 "Ingest bodies refused (all workers).",
             ).inc(ingest["rejected_batches"])
-            scrape.counter(
-                "repro_reports_dropped_total",
-                "Stale-cohort reports dropped (all workers).",
-            ).inc(ingest["reports_dropped"])
             fold = scrape.histogram(
                 "repro_ingest_fold_seconds",
                 "Per-batch accumulator fold duration (merged across workers).",

@@ -20,8 +20,8 @@ Record format (little-endian, one per accepted body)::
     8       8     sequence  (monotonic, never reused, starts at 1)
     16      1     kind      (1=json single, 2=json batch, 3=frames,
                              4=edge partial, 5=abort tombstone)
-    17      1     round tag (min(round, 255); bodies carry the exact
-                  round — this byte is for offline inspection only)
+    17      1     reserved, written as 0 (older logs stored a round tag
+                  here; readers ignore it)
     18      2     campaign-name length  (partial records only)
     20      4     body length
     24      -     campaign name bytes + body bytes
@@ -80,7 +80,7 @@ _KINDS = (KIND_JSON_SINGLE, KIND_JSON_BATCH, KIND_FRAMES, KIND_PARTIAL, KIND_ABO
 
 _MAGIC = b"RWAL"
 
-#: magic, crc32, sequence, kind, round, name_len, body_len
+#: magic, crc32, sequence, kind, reserved, name_len, body_len
 _HEADER = struct.Struct("<4sIQBBHI")
 
 #: Default segment rotation threshold.
@@ -104,7 +104,6 @@ class WalRecord:
 
     sequence: int
     kind: int
-    round_id: int
     campaign: str
     body: bytes
 
@@ -115,7 +114,6 @@ def encode_record(
     body: bytes,
     *,
     campaign: str = "",
-    round_id: int = 0,
 ) -> bytes:
     """Serialize one record (exposed for tests and offline tooling)."""
     if kind not in _KINDS:
@@ -128,7 +126,7 @@ def encode_record(
         0,
         sequence,
         kind,
-        min(max(int(round_id), 0), 255),
+        0,
         len(name),
         len(body),
     )[8:]
@@ -142,7 +140,7 @@ def _decode_one(buffer: bytes, offset: int) -> tuple[WalRecord, int] | None:
     not a clean truncation (bad magic, CRC mismatch, absurd lengths)."""
     if offset + _HEADER.size > len(buffer):
         return None
-    magic, crc, sequence, kind, round_id, name_len, body_len = _HEADER.unpack_from(
+    magic, crc, sequence, kind, _, name_len, body_len = _HEADER.unpack_from(
         buffer, offset
     )
     if magic != _MAGIC:
@@ -166,7 +164,6 @@ def _decode_one(buffer: bytes, offset: int) -> tuple[WalRecord, int] | None:
     record = WalRecord(
         sequence=sequence,
         kind=kind,
-        round_id=round_id,
         campaign=buffer[offset + _HEADER.size : name_end].decode("utf-8"),
         body=bytes(buffer[name_end:end]),
     )
@@ -382,7 +379,7 @@ class WriteAheadLog:
     # -- appending ---------------------------------------------------------
 
     async def append(
-        self, kind: int, body: bytes, *, campaign: str = "", round_id: int = 0
+        self, kind: int, body: bytes, *, campaign: str = ""
     ) -> int:
         """Append one record and wait until it is durably on disk (one
         group-committed fsync may cover many concurrent appends).
@@ -393,9 +390,7 @@ class WriteAheadLog:
             raise ServiceError(self._failed)
         self.last_sequence += 1
         sequence = self.last_sequence
-        payload = encode_record(
-            sequence, kind, body, campaign=campaign, round_id=round_id
-        )
+        payload = encode_record(sequence, kind, body, campaign=campaign)
         future = asyncio.get_running_loop().create_future()
         self._pending.append((payload, sequence, future))
         self._kick.set()

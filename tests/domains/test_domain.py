@@ -80,6 +80,7 @@ class TestBinaryDomain:
     def test_hamming_table_matches_popcount(self, bits):
         domain = BinaryDomain(bits)
         table = domain.hamming_distance_table()
+        assert table.dtype == np.int64
         for u in range(domain.size):
             for v in range(domain.size):
                 assert table[u, v] == bin(u ^ v).count("1")

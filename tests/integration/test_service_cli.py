@@ -138,87 +138,36 @@ class TestServeFlags:
             build_parser().parse_args(["serve", "--transport", "tcp"])
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_serve_parser_accepts_adaptive_flags(self):
+    @pytest.mark.parametrize(
+        "flag", ["--adaptive", "--adaptive-groups", "--adaptive-seed"]
+    )
+    def test_serve_parser_refuses_removed_adaptive_flag(self, capsys, flag):
+        # A deployment script still asking for rounds must fail loudly,
+        # not start a campaign whose users spend the full epsilon.
         from repro.cli import build_parser
 
-        arguments = build_parser().parse_args(
-            ["serve", "--adaptive", "3", "--adaptive-groups", "2",
-             "--adaptive-seed", "7", "--port", "0"]
-        )
-        assert arguments.adaptive == 3
-        assert arguments.adaptive_groups == 2
-        assert arguments.adaptive_seed == 7
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", flag, "2"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
-    def test_serve_refuses_adaptive_with_cluster_workers(self, capsys, monkeypatch):
+    def test_campaign_advance_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "advance", "--campaign", "demo"])
+        assert info.value.code == 2
+        assert "invalid choice: 'campaign'" in capsys.readouterr().err
+
+    def test_serve_refuses_checkpoint_with_round_state(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.service import CheckpointStore
+        from tests.service.test_checkpoint import add_round_state, make_manager
+
         # Keep the CLI from pointing the process-wide logger at capsys.
         monkeypatch.setattr("repro.telemetry.configure_logging", lambda _: None)
-        code = main(["serve", "--adaptive", "2", "--workers", "2", "--port", "0"])
+        store = CheckpointStore(tmp_path)
+        store.save(make_manager())
+        add_round_state(store, "alpha")
+        code = main(["serve", "--port", "0", "--checkpoint-dir", str(tmp_path)])
         assert code == 2
-        assert "cluster mode" in capsys.readouterr().err
-
-
-class TestCampaignAdvanceCli:
-    @pytest.fixture
-    def adaptive_server(self):
-        from repro.service import AdaptivePlan
-
-        service = CollectionService()
-        service.manager.create(
-            "cli-adaptive",
-            workload="Prefix",
-            domain_size=8,
-            epsilon=2.0,
-            mechanism="Randomized Response",
-            adaptive=AdaptivePlan(
-                num_rounds=2, num_groups=2, iterations=15, seed=0
-            ),
-        )
-        thread = ServiceThread(service)
-        host, port = thread.start()
-        try:
-            yield host, port
-        finally:
-            thread.stop()
-
-    def test_advance_prints_the_round_report(self, adaptive_server, capsys):
-        host, port = adaptive_server
-        assert main(
-            [
-                "report",
-                "--host", host,
-                "--port", str(port),
-                "--campaign", "cli-adaptive",
-                "--simulate", "300",
-                "--seed", "0",
-            ]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            [
-                "campaign", "advance",
-                "--host", host,
-                "--port", str(port),
-                "--campaign", "cli-adaptive",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "advanced to round 2" in output
-        assert "selected sub-workload" in output
-
-    def test_advance_on_non_adaptive_campaign_errors(self, live_server):
-        from repro.exceptions import ServiceError
-
-        host, port = live_server
-        with pytest.raises(ServiceError, match="not adaptive"):
-            main(
-                [
-                    "campaign", "advance",
-                    "--host", host,
-                    "--port", str(port),
-                    "--campaign", "cli-demo",
-                ]
-            )
-
-    def test_campaign_without_subcommand_is_usage_error(self, capsys):
-        assert main(["campaign"]) == 2
+        assert "campaign 'alpha'" in capsys.readouterr().err

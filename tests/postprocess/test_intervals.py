@@ -212,37 +212,3 @@ class TestConfidenceIntervals:
         coverage = np.mean(covered)
         assert 0.85 <= coverage <= 0.95
 
-
-class TestCompletedRounds:
-    @pytest.fixture
-    def rounds(self, rng):
-        workload = prefix(4)
-        strategy = randomized_response(4, 1.0)
-        operator = reconstruction_operator(strategy.probabilities)
-        matrix = variance_matrix(workload, strategy, operator)
-        x = np.array([40.0, 30.0, 20.0, 10.0])
-        first, second = (strategy.sample_histogram(x, rng) for _ in range(2))
-        return workload, operator, matrix, first, second
-
-    def test_rounds_add_with_independent_errors(self, rounds):
-        workload, operator, matrix, first, second = rounds
-        one = workload_confidence_intervals(workload, operator, matrix, first)
-        two = workload_confidence_intervals(workload, operator, matrix, second)
-        earlier = [(one.estimates, one.standard_errors)]
-        both = workload_confidence_intervals(
-            workload, operator, matrix, second, completed=earlier
-        )
-        assert np.array_equal(both.estimates, one.estimates + two.estimates)
-        combined = np.sqrt(one.standard_errors**2 + two.standard_errors**2)
-        assert np.array_equal(both.standard_errors, combined)
-
-    def test_empty_live_round_is_left_out(self, rounds):
-        workload, operator, matrix, first, _ = rounds
-        one = workload_confidence_intervals(workload, operator, matrix, first)
-        empty = np.zeros_like(first)
-        earlier = [(one.estimates, one.standard_errors)]
-        alone = workload_confidence_intervals(
-            workload, operator, matrix, empty, completed=earlier
-        )
-        for field in ("estimates", "standard_errors", "lower", "upper"):
-            assert np.array_equal(getattr(alone, field), getattr(one, field))

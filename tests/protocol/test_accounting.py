@@ -1,20 +1,9 @@
-"""Tests for protocol resource accounting and the multi-round budget ledger."""
-
-from fractions import Fraction
+"""Tests for protocol resource accounting."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.exceptions import ProtocolError
 from repro.mechanisms import hadamard_response, randomized_response, rappor
-from repro.protocol import (
-    BudgetLedger,
-    communication_bits,
-    compare_costs,
-    cost_report,
-    split_budget,
-)
+from repro.protocol import communication_bits, compare_costs, cost_report
 
 
 class TestCommunicationBits:
@@ -49,125 +38,3 @@ class TestCostReport:
         bits = [report.communication_bits for report in reports]
         assert bits == sorted(bits)
 
-
-positive_epsilon = st.floats(
-    min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-class TestBudgetLedger:
-    def test_debits_accumulate_exactly(self):
-        ledger = BudgetLedger(1.0)
-        ledger.debit(0.1, round_id=1, purpose="collect")
-        ledger.debit(0.2, round_id=2, purpose="collect")
-        # 0.1 + 0.2 != 0.3 in floats; the ledger tracks exact Fractions of
-        # the *float values actually debited*, so the sum is exact too.
-        assert ledger.spent == Fraction(0.1) + Fraction(0.2)
-        assert ledger.spent + ledger.remaining == ledger.total
-        assert ledger.round_spent(1) == Fraction(0.1)
-
-    def test_over_debit_raises_before_any_mutation(self):
-        ledger = BudgetLedger(1.0)
-        ledger.debit(0.75, round_id=1, purpose="collect")
-        before = ledger.to_json()
-        with pytest.raises(ProtocolError, match="exceeds the remaining"):
-            ledger.debit(0.5, round_id=2, purpose="collect")
-        assert ledger.to_json() == before
-        assert len(ledger) == 1
-        # the ledger still accepts a debit that fits exactly
-        ledger.debit(ledger.remaining, round_id=2, purpose="collect")
-        assert ledger.remaining == 0
-
-    def test_invalid_debits_rejected(self):
-        ledger = BudgetLedger(1.0)
-        with pytest.raises(ProtocolError, match="positive"):
-            ledger.debit(0.0, round_id=1, purpose="collect")
-        with pytest.raises(ProtocolError, match="1-based"):
-            ledger.debit(0.1, round_id=0, purpose="collect")
-        with pytest.raises(ProtocolError, match="positive"):
-            BudgetLedger(0.0)
-        assert len(ledger) == 0
-
-    def test_json_round_trip_is_exact(self):
-        ledger = BudgetLedger(2.0)
-        ledger.debit(Fraction(1, 3), round_id=1, purpose="collect")
-        ledger.debit(0.1, round_id=2, purpose="select")
-        restored = BudgetLedger.from_json(ledger.to_json())
-        assert restored == ledger
-        assert restored.spent == ledger.spent
-        assert restored.to_json() == ledger.to_json()
-
-    @given(
-        total=positive_epsilon,
-        splits=st.lists(
-            st.integers(min_value=1, max_value=1000), min_size=1, max_size=8
-        ),
-    )
-    def test_random_round_splits_conserve_epsilon_exactly(self, total, splits):
-        """Property: however the budget is split, debiting every share
-        spends the total *exactly* — no float drift, ever."""
-        ledger = BudgetLedger(total)
-        denominator = sum(splits)
-        for round_id, numerator in enumerate(splits, start=1):
-            share = ledger.total * Fraction(numerator, denominator)
-            ledger.debit(share, round_id=round_id, purpose="collect")
-        assert ledger.spent == ledger.total
-        assert ledger.remaining == 0
-        assert BudgetLedger.from_json(ledger.to_json()) == ledger
-
-    @given(total=positive_epsilon, extra=positive_epsilon)
-    def test_any_overspend_is_refused(self, total, extra):
-        ledger = BudgetLedger(total)
-        overdraft = ledger.total + Fraction(extra)
-        with pytest.raises(ProtocolError):
-            ledger.debit(overdraft, round_id=1, purpose="collect")
-        assert ledger.spent == 0
-
-
-class TestSplitBudget:
-    @given(
-        total=positive_epsilon,
-        num_rounds=st.integers(min_value=1, max_value=12),
-        selector_share=st.floats(min_value=0.0, max_value=0.9),
-    )
-    def test_round_totals_sum_to_campaign_budget_exactly(
-        self, total, num_rounds, selector_share
-    ):
-        rounds = split_budget(total, num_rounds, selector_share=selector_share)
-        assert len(rounds) == num_rounds
-        assert sum(r.total for r in rounds) == Fraction(total)
-        # round 1 never pays the selector: there is nothing to select yet
-        assert rounds[0].select == 0
-        assert all(r.collect > 0 for r in rounds)
-
-    def test_weights_shape_the_split(self):
-        rounds = split_budget(1.0, 2, weights=[1, 3])
-        assert rounds[0].total == Fraction(1, 4)
-        assert rounds[1].total == Fraction(3, 4)
-
-    def test_selector_share_carves_rounds_after_the_first(self):
-        rounds = split_budget(2.0, 2, selector_share=0.25)
-        assert rounds[0].select == 0
-        assert rounds[1].select == rounds[1].total * Fraction(1, 4)
-        assert rounds[1].collect + rounds[1].select == rounds[1].total
-
-    def test_debiting_a_split_drains_the_ledger(self):
-        """The contract the campaign manager relies on: debiting every
-        split share, in schedule order, lands on zero remaining exactly."""
-        ledger = BudgetLedger(0.3)
-        rounds = split_budget(0.3, 3, selector_share=0.05)
-        ledger.debit(rounds[0].collect, round_id=1, purpose="collect")
-        for budget in rounds[1:]:
-            ledger.debit(budget.select, round_id=budget.round_id, purpose="select")
-            ledger.debit(budget.collect, round_id=budget.round_id, purpose="collect")
-        assert ledger.remaining == 0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ProtocolError, match="round"):
-            split_budget(1.0, 0)
-        with pytest.raises(ProtocolError, match="selector_share"):
-            split_budget(1.0, 2, selector_share=1.0)
-        with pytest.raises(ProtocolError, match="weights"):
-            split_budget(1.0, 2, weights=[1, 2, 3])
-        with pytest.raises(ProtocolError, match="positive"):
-            split_budget(1.0, 2, weights=[1, -1])

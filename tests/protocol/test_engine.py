@@ -163,57 +163,53 @@ class TestShardAccumulator:
             ShardAccumulator.from_bytes(b"definitely not an npz payload")
 
 
-class TestRoundTags:
-    def test_default_round_is_zero(self):
-        assert ShardAccumulator(4).round_id == 0
+def round_tagged_payload(histogram, round_id: int) -> bytes:
+    """An accumulator payload with the ``round_id`` field older writers
+    stored beside the histogram."""
+    import io
 
-    def test_round_tag_survives_merge_snapshot_and_bytes(self):
-        tagged = ShardAccumulator(4, 2).add_reports(np.array([1, 3]))
-        other = ShardAccumulator(4, 2).add_reports(np.array([0]))
-        merged = tagged.merge(other)
-        assert merged.round_id == 2
-        assert merged.snapshot().round_id == 2
-        restored = ShardAccumulator.from_bytes(merged.to_bytes())
-        assert restored == merged
-        assert restored.round_id == 2
+    from repro.protocol import ACCUMULATOR_FORMAT_VERSION, ACCUMULATOR_MAGIC
 
-    def test_merge_refuses_cross_round_mix(self):
-        # different rounds ran different strategies; folding them into one
-        # histogram would silently corrupt the reconstruction
-        round_one = ShardAccumulator(4, 1).add_reports(np.array([0]))
-        round_two = ShardAccumulator(4, 2).add_reports(np.array([1]))
-        with pytest.raises(ProtocolError, match="rounds 1 and 2"):
-            round_one.merge(round_two)
-        with pytest.raises(ProtocolError, match="different"):
-            ShardAccumulator.merge_all([round_one, round_two])
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer,
+        format_magic=np.asarray(ACCUMULATOR_MAGIC),
+        format_version=np.asarray(ACCUMULATOR_FORMAT_VERSION, dtype=np.int64),
+        histogram=np.asarray(histogram, dtype=float),
+        num_reports=np.asarray(int(np.sum(histogram)), dtype=np.int64),
+        round_id=np.asarray(round_id, dtype=np.int64),
+    )
+    return buffer.getvalue()
 
-    def test_untagged_payload_loads_as_round_zero(self):
-        # payloads written before round tags existed stay readable
+
+class TestRoundField:
+    def test_payload_writes_no_round_field(self):
         import io
 
-        from repro.protocol import (
-            ACCUMULATOR_FORMAT_VERSION,
-            ACCUMULATOR_MAGIC,
+        payload = ShardAccumulator(3).add_reports(np.array([1])).to_bytes()
+        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
+            assert "round_id" not in archive.files
+
+    @pytest.mark.parametrize(
+        "reports,num_outputs",
+        [([0, 2, 2], 3), ([], 4), (list(np.arange(600) % 300), 300)],
+        ids=["small", "empty", "wide"],
+    )
+    def test_zero_round_payload_loads(self, reports, num_outputs):
+        written = ShardAccumulator(num_outputs).add_reports(
+            np.array(reports, dtype=np.int64)
         )
-
-        buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            format_magic=np.asarray(ACCUMULATOR_MAGIC),
-            format_version=np.asarray(ACCUMULATOR_FORMAT_VERSION, dtype=np.int64),
-            histogram=np.array([1.0, 0.0]),
-            num_reports=np.asarray(1, dtype=np.int64),
+        restored = ShardAccumulator.from_bytes(
+            round_tagged_payload(written.histogram, 0)
         )
-        assert ShardAccumulator.from_bytes(buffer.getvalue()).round_id == 0
+        assert restored == written
+        # What it writes back is today's untagged payload.
+        assert restored.to_bytes() == written.to_bytes()
 
-    def test_negative_round_rejected(self):
-        with pytest.raises(ProtocolError, match="round id"):
-            ShardAccumulator(4, -1)
-
-    def test_session_mints_tagged_accumulators(self, session):
-        accumulator = session.new_accumulator(3)
-        assert accumulator.round_id == 3
-        assert session.new_accumulator().round_id == 0
+    @pytest.mark.parametrize("round_id", [1, 2, 255, 1 << 40])
+    def test_nonzero_round_payload_refused(self, round_id):
+        with pytest.raises(ProtocolError, match=f"tagged round {round_id};"):
+            ShardAccumulator.from_bytes(round_tagged_payload([1, 0, 2], round_id))
 
 
 class TestSplitDataVector:

@@ -9,6 +9,22 @@ from repro.exceptions import ServiceError
 from repro.service import CampaignManager, CheckpointStore
 
 
+def add_round_state(store: CheckpointStore, name: str) -> None:
+    """Give one manifest entry the multi-round state older releases wrote
+    beside it: the plan, the exact budget ledger and the live round."""
+    manifest = json.loads(store.manifest_path.read_text(encoding="utf-8"))
+    manifest["campaigns"][name]["adaptive"] = {
+        "plan": {"num_rounds": 2, "num_groups": 4, "selector_share": 0.05,
+                 "boost": 4.0, "iterations": 150, "restarts": 1, "seed": 0},
+        "ledger": {"total_epsilon": "1",
+                   "entries": [{"round": 1, "purpose": "collect",
+                                "epsilon": "1/2"}]},
+        "current_round": 1,
+        "rounds": [],
+    }
+    store.manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def make_manager() -> CampaignManager:
     manager = CampaignManager()
     manager.create(
@@ -203,3 +219,60 @@ class TestDamage:
         store.manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ServiceError, match="disagrees"):
             store.load()
+
+
+class TestOlderCheckpoints:
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_zero_round_payload_recovers_bit_identically(self, tmp_path, name):
+        """Older releases stored a zero ``round_id`` in every accumulator
+        payload; such a checkpoint still recovers bit for bit."""
+        import hashlib
+
+        from tests.protocol.test_engine import round_tagged_payload
+
+        manager = make_manager()
+        campaign = manager.get(name)
+        campaign.accumulator.add_reports(
+            np.random.default_rng(3).integers(0, campaign.session.num_outputs, 900)
+        )
+        store = CheckpointStore(tmp_path)
+        store.save(manager)
+        payload = round_tagged_payload(campaign.accumulator.histogram, 0)
+        store.accumulator_path(name).write_bytes(payload)
+        manifest = json.loads(store.manifest_path.read_text(encoding="utf-8"))
+        manifest["campaigns"][name]["accumulator_sha256"] = hashlib.sha256(
+            payload
+        ).hexdigest()
+        store.manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        recovered = CheckpointStore(tmp_path).load()
+        assert recovered.get(name).accumulator == campaign.accumulator
+        before, after = manager.query(name), recovered.query(name)
+        for field in ("estimates", "standard_errors"):
+            assert (
+                getattr(after.intervals, field).tobytes()
+                == getattr(before.intervals, field).tobytes()
+            )
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_round_state_is_refused_naming_the_campaign(self, tmp_path, name):
+        from repro.service import CollectionService
+
+        store = CheckpointStore(tmp_path)
+        store.save(make_manager())
+        add_round_state(store, name)
+        with pytest.raises(ServiceError, match=f"campaign '{name}'.*multi-round"):
+            store.load()
+        with pytest.raises(ServiceError, match=f"campaign '{name}'"):
+            CollectionService(checkpoint_dir=tmp_path)
+
+    def test_manifest_stays_version_2_without_round_state(self, tmp_path):
+        """Older releases read what this one writes: the manifest version
+        is unchanged and no entry carries an ``adaptive`` key."""
+        store = CheckpointStore(tmp_path)
+        store.save(make_manager())
+        manifest = json.loads(store.manifest_path.read_text(encoding="utf-8"))
+        assert manifest["manifest_version"] == 2
+        assert sorted(manifest["campaigns"]) == ["alpha", "beta"]
+        for entry in manifest["campaigns"].values():
+            assert "adaptive" not in entry

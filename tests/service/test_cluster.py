@@ -243,6 +243,27 @@ class TestClusterService:
         # on worker shards, not the coordinator's base accumulator.
         assert client.campaign("demo")["num_reports"] == answer["num_reports"]
 
+    @pytest.mark.parametrize("transport", ["json", "binary"])
+    def test_workers_refuse_round_tagged_batches(self, cluster_service, transport):
+        """Workers parse and validate the bodies the coordinator hands
+        them: a round-tagged batch is a 400 in cluster mode too, folds
+        nothing, and leaves every worker up."""
+        from repro.exceptions import ServiceHTTPError
+        from tests.service.test_framing import round_tagged_frame
+
+        _, _, client, _ = cluster_service
+        if transport == "json":
+            request = {"body": {"campaign": "demo", "reports": [1, 2], "round": 1}}
+        else:
+            request = {"raw": round_tagged_frame("demo", [1, 2], 1)}
+        with pytest.raises(ServiceHTTPError, match="round") as info:
+            client._request("POST", "/v1/reports", **request)
+        assert info.value.status == 400
+        client.send_reports("demo", [3])
+        assert client.query("demo", sync=True)["num_reports"] == 1
+        assert client.metrics()["ingest"]["rejected_batches"] == 1
+        assert client.healthz()["workers_alive"] == 2
+
     def test_graceful_stop_checkpoints_every_worker_shard(
         self, cluster_service
     ):

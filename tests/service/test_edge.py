@@ -3,8 +3,8 @@
 The root-side ``POST /v1/campaigns/<name>/partials`` endpoint and the
 :class:`EdgeAggregator` run over real sockets (via :class:`ServiceThread`),
 so every test exercises the same HTTP path production traffic takes.  The
-failure-path tests (unreachable root, lost replies, retired rounds, edge
-restarts) inject faults through the edge's ``upstream_factory`` hook —
+failure-path tests (unreachable root, lost replies, a campaign re-created
+upstream, edge restarts) inject faults through the edge's ``upstream_factory`` hook —
 deterministic, no monkeypatching of sockets.
 """
 
@@ -27,6 +27,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
+from tests.protocol.test_engine import round_tagged_payload
 
 
 @pytest.fixture
@@ -55,8 +56,8 @@ def make_campaign(client, name="demo", domain_size=8, **kwargs):
     )
 
 
-def fold_serially(reports, num_outputs=8, round_id=0):
-    accumulator = ShardAccumulator(num_outputs, round_id)
+def fold_serially(reports, num_outputs=8):
+    accumulator = ShardAccumulator(num_outputs)
     accumulator.add_reports(np.asarray(reports, dtype=np.int64))
     return accumulator
 
@@ -166,7 +167,7 @@ class TestPartialsEndpoint:
             )
         assert info.value.status == 400
         # Output-alphabet mismatch is refused before any folding.
-        wrong = ShardAccumulator(5, 0)
+        wrong = ShardAccumulator(5)
         wrong.add_reports(np.array([0, 1]))
         with pytest.raises(ServiceHTTPError, match="outputs") as info:
             client.send_partial(
@@ -240,35 +241,32 @@ class TestPartialsEndpoint:
             )
         assert info.value.status == 400
 
-    def test_stale_round_partial_refused_with_400(self, root):
-        """Satellite: a partial tagged with a retired round is refused with
-        the ProtocolError family, mapped to HTTP 400."""
-        _, _, client = root
-        make_campaign(client, name="adapt", adaptive={"rounds": 2})
-        outputs = client.campaign("adapt")["num_outputs"]
-        round1 = fold_serially([1, 1, 2], outputs, round_id=1).to_bytes()
-        receipt = client.send_partial(
-            "adapt", edge_id="e1", sequence=1, payload=round1
-        )
-        assert receipt["accepted"] == 3
-        client.advance_campaign("adapt")
-        with pytest.raises(ServiceHTTPError, match="round") as info:
-            client.send_partial("adapt", edge_id="e1", sequence=2, payload=round1)
+    @pytest.mark.parametrize("round_id", [1, 2, 255, 1 << 40])
+    def test_round_tagged_partial_refused_with_400(self, root, round_id):
+        """A partial whose payload carries a nonzero round was cut for a
+        multi-round campaign's cohort: a 400 that folds nothing and
+        consumes no sequence number.  The zero tag older edges wrote is
+        accepted."""
+        service, _, client = root
+        make_campaign(client)
+        histogram = fold_serially([1, 1, 2]).histogram
+        with pytest.raises(
+            ServiceHTTPError, match=f"tagged round {round_id};"
+        ) as info:
+            client.send_partial(
+                "demo",
+                edge_id="e1",
+                sequence=1,
+                payload=round_tagged_payload(histogram, round_id),
+            )
         assert info.value.status == 400
-        # Untagged (round-0) partials are ambiguous on adaptive campaigns:
-        # the edge cannot have folded them against a known strategy.
-        untagged = fold_serially([1], outputs, round_id=0).to_bytes()
-        with pytest.raises(ServiceHTTPError, match="round") as info:
-            client.send_partial("adapt", edge_id="e1", sequence=2, payload=untagged)
-        assert info.value.status == 400
-        # A partial for the live round is accepted, and the failed attempts
-        # did not consume sequence numbers.
-        outputs = client.campaign("adapt")["num_outputs"]
-        round2 = fold_serially([4, 4], outputs, round_id=2).to_bytes()
+        assert service.manager.get("demo").num_reports == 0
+        assert service.manager.get("demo").edge_sequences == {}
         receipt = client.send_partial(
-            "adapt", edge_id="e1", sequence=2, payload=round2
+            "demo", edge_id="e1", sequence=1, payload=round_tagged_payload(histogram, 0)
         )
-        assert receipt["duplicate"] is False and receipt["accepted"] == 2
+        assert receipt["duplicate"] is False and receipt["accepted"] == 3
+        assert client.query("demo")["num_reports"] == 3
 
     def test_edge_sequences_survive_checkpoint_recovery(self, tmp_path):
         """The idempotency ledger is persisted: a forward retried across a
@@ -595,37 +593,46 @@ class TestEdgeAggregator:
             edge_client.close()
             thread2.stop()
 
-    def test_round_advance_under_the_edge(self, root):
-        """A root round advance strands the edge's buffered round-r reports:
-        the forward is permanently rejected (counted lost, never folded into
-        the wrong round) and the refreshed mirror accepts the new round."""
-        _, root_thread, client = root
-        make_campaign(client, name="adapt", adaptive={"rounds": 2})
+    def test_campaign_recreated_with_another_alphabet_under_the_edge(self, root):
+        """A root restarted without its checkpoint can re-create a campaign
+        name with another strategy.  The edge's buffered reports over the
+        old alphabet are permanently rejected (counted lost, never folded)
+        and the refreshed mirror validates against the new alphabet."""
+        _, first_thread, first_client = root
+        make_campaign(first_client)  # Randomized Response: 8 outputs
+        upstream = [first_thread]
         edge, edge_thread, host, port = start_edge(
-            root_thread,
+            first_thread,
             forward_interval=600.0,
             retry_base=0.02,
+            upstream_factory=lambda: ServiceClient(
+                upstream[0].host, upstream[0].port
+            ),
         )
+        second_thread = ServiceThread(CollectionService())
+        second_thread.start()
+        second_client = ServiceClient(second_thread.host, second_thread.port)
         edge_client = ServiceClient(host, port)
         try:
-            edge_client.send_reports("adapt", [1, 1, 1], round_id=1)
-            assert edge.pipeline.stats.ingested == 3
-            client.advance_campaign("adapt")
-            # Force the stranded partial out now (the interval trigger is
-            # parked at 10 minutes).
-            mirror = edge.manager.peek("adapt")
-            edge_thread.run_coroutine(_cut_now(edge, mirror))
+            edge_client.send_reports("demo", [1, 1, 1])
+            second_client.create_campaign(
+                "demo", workload="Histogram", domain_size=8, epsilon=1.0
+            )  # Hadamard: 16 outputs
+            upstream[0] = second_thread
+            edge_thread.run_coroutine(_cut_now(edge, edge.manager.peek("demo")))
             assert wait_until(lambda: edge.forwards_rejected == 1)
             assert edge.reports_lost == 3
             assert wait_until(
-                lambda: edge.manager.peek("adapt").current_round == 2
+                lambda: edge.manager.peek("demo").session.num_outputs == 16
             )
-            edge_client.send_reports("adapt", [4, 4], round_id=2)
+            edge_client.send_reports("demo", [12, 15])
             edge_thread.run_coroutine(_drain_now(edge))
-            assert client.query("adapt", sync=True)["num_reports"] == 2
+            assert second_client.query("demo")["num_reports"] == 2
         finally:
             edge_client.close()
             edge_thread.stop()
+            second_client.close()
+            second_thread.stop()
 
     def test_acked_batch_is_in_the_next_cut(self, root):
         """The edge folds at ack time: a cut right after the 200 seals the

@@ -38,6 +38,14 @@ def legacy_histogram_frame(campaign: str, histogram) -> bytes:
     return header + name + payload
 
 
+def round_tagged_frame(campaign: str, reports, round_id: int) -> bytes:
+    """A report frame whose header byte 7 carries ``round_id``, as older
+    writers tagged a multi-round campaign's cohort."""
+    frame = bytearray(encode_reports(campaign, reports))
+    frame[7] = round_id
+    return bytes(frame)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "reports,item_size",
@@ -174,31 +182,30 @@ class TestDecodeValidation:
             unpack_reports(b"\x00\x00\x00", 2)
 
 
-class TestRoundTags:
-    def test_round_id_round_trips(self):
-        frame = decode_frame(encode_reports("demo", [1, 2], round_id=3))
-        assert frame.round_id == 3
+class TestReservedByte:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            encode_reports("demo", [1, 2, 3]),
+            encode_reports("demo", [300, 70000]),
+            encode_reports("demo", [4], trace_id="ab" * 8),
+        ],
+        ids=["1-byte-items", "4-byte-items", "traced"],
+    )
+    def test_byte_seven_is_written_as_zero(self, frame):
+        assert frame[7] == 0
+        assert decode_frame(frame).reports().size >= 1
 
-    def test_default_round_is_zero(self):
-        assert decode_frame(encode_reports("demo", [1])).round_id == 0
-
-    def test_untagged_frame_is_byte_identical_to_pre_round_format(self):
-        # round 0 lands in what used to be a reserved zero pad byte, so
-        # old decoders keep accepting untagged frames unchanged
-        tagged = encode_reports("demo", [1, 2, 3], round_id=0)
-        assert tagged == encode_reports("demo", [1, 2, 3])
-        assert tagged[7] == 0
-
-    def test_round_tag_occupies_header_byte_seven(self):
-        assert encode_reports("demo", [1], round_id=9)[7] == 9
-
-    def test_out_of_range_rounds_rejected(self):
-        from repro.service.framing import MAX_FRAME_ROUND
-
-        with pytest.raises(ServiceError, match="round"):
-            encode_reports("demo", [1], round_id=MAX_FRAME_ROUND + 1)
-        with pytest.raises(ServiceError, match="round"):
-            encode_reports("demo", [1], round_id=-1)
+    @pytest.mark.parametrize("tag", [1, 3, 128, 255])
+    def test_nonzero_byte_seven_refused(self, tag):
+        # An older writer's multi-round cohort tagged its round here; the
+        # reports belong to some other strategy.
+        with pytest.raises(ServiceError, match=f"byte 7 is {tag},"):
+            decode_frame(round_tagged_frame("demo", [1, 2], tag))
+        with pytest.raises(ServiceError, match=f"byte 7 is {tag},"):
+            decode_frames(
+                encode_reports("demo", [1]) + round_tagged_frame("demo", [1], tag)
+            )
 
 
 class TestTraceField:

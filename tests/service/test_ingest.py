@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ReproError, ServiceError, StaleRoundError
+from repro.exceptions import ReproError, ServiceError
 from repro.service import CampaignManager, IngestPipeline, encode_reports
-from repro.service.edge import _EdgeManager, _MirroredCampaign
 from repro.service.ingest import fold_frame_body, fold_json_body
 from repro.telemetry import MetricsRegistry
-from tests.service.test_framing import legacy_histogram_frame
+from tests.service.test_framing import legacy_histogram_frame, round_tagged_frame
 
 
 def make_manager(domain_size: int = 8) -> CampaignManager:
@@ -163,19 +162,44 @@ class TestRefusedBodies:
         ("fold", "body"),
         [
             (fold_json_body, json_body(reports=[0, 1, 2], round_id=1)),
-            (fold_frame_body, encode_reports("demo", [0, 1, 2], round_id=1)),
+            (fold_json_body, json_body(reports=[0, 1, 2], round_id=True)),
+            (fold_json_body, json_body(reports=[0, 1, 2], round_id="0")),
+            (fold_json_body, json_body(reports=[0, 1, 2], round_id=-1)),
+            (fold_json_body, json_body(reports=[0, 1, 2], round_id=0.5)),
+            (fold_frame_body, round_tagged_frame("demo", [0, 1, 2], 1)),
+            (
+                fold_frame_body,
+                encode_reports("demo", [0, 1]) + round_tagged_frame("demo", [2], 1),
+            ),
         ],
-        ids=["json", "binary"],
+        ids=[
+            "json",
+            "json-bool",
+            "json-string",
+            "json-negative",
+            "json-fraction",
+            "binary",
+            "binary-second-frame",
+        ],
     )
-    def test_stale_round_refusal_counts_batch_and_reports(self, fold, body):
-        manager = _EdgeManager()
-        manager.add(_MirroredCampaign("demo", 8, round_id=2, adaptive=True))
+    def test_round_tag_refused_and_counted(self, fold, body):
+        """A campaign has no rounds: a round-tagged batch was randomized
+        against some other strategy, so it folds nothing."""
+        manager = make_manager()
         pipeline = IngestPipeline(manager)
-        with pytest.raises(StaleRoundError):
+        with pytest.raises(ServiceError, match="round"):
             run(fold(pipeline, body))
         assert pipeline.stats.rejected_batches == 1
-        assert pipeline.stats.reports_dropped == 3
-        assert manager.get("demo").accumulator.num_reports == 0
+        assert manager.get("demo").num_reports == 0
+
+    def test_untagged_and_zero_round_fold(self):
+        manager = make_manager()
+        pipeline = IngestPipeline(manager)
+        run(fold_json_body(pipeline, json_body(reports=[0, 1])))
+        run(fold_json_body(pipeline, json_body(reports=[2], round_id=0)))
+        run(fold_frame_body(pipeline, encode_reports("demo", [3, 3])))
+        assert manager.get("demo").num_reports == 5
+        assert pipeline.stats.rejected_batches == 0
 
 
 # -- fuzzing the one fold path -----------------------------------------------

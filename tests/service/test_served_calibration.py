@@ -1,10 +1,9 @@
 """Calibration of the served answer over seeded repeated cohorts.
 
-Every trial draws fresh cohorts from one fixed population and asks
-:meth:`CampaignManager.query` for 90% intervals, for a plain campaign and
-for a 2-round adaptive one (round 1 Randomized Response, round 2 an
-optimized strategy, combined as ``se = sqrt(Σ se_r²)``).  Per workload
-query, over the trials:
+Every trial draws a fresh cohort from one fixed population and asks
+:meth:`CampaignManager.query` for 90% intervals, for a campaign of each
+kind of strategy (closed-form and optimized).  Per workload query, over
+the trials:
 
 * the mean standardized error ``(est − truth) / se`` is near 0;
 * the variance of the estimates over the mean served ``se²`` is near 1;
@@ -14,60 +13,40 @@ query, over the trials:
 import numpy as np
 import pytest
 
-from repro.service import AdaptivePlan, CampaignManager
+from repro.service import CampaignManager
 
 TRIALS = 400
 CONFIDENCE = 0.9
 DOMAIN = 16
 #: The population every cohort is drawn from: 4,080 users over 16 types.
 POPULATION = 30.0 * np.arange(1, DOMAIN + 1)
-PLAN = AdaptivePlan(num_rounds=2, num_groups=2, iterations=30, restarts=1, seed=0)
 
 
-def create(manager, name, **options):
-    return manager.create(
-        name, workload="Prefix", domain_size=DOMAIN, epsilon=1.0, **options
-    )
-
-
-def draw_cohort(campaign, rng) -> None:
-    histogram = campaign.session.strategy.sample_histogram(POPULATION, rng)
-    campaign.accumulator.add_histogram(histogram)
-
-
-def plain_trials():
+def trials(mechanism):
     manager = CampaignManager()
-    campaign = create(manager, "plain", mechanism="Hadamard")
+    campaign = manager.create(
+        "plain",
+        workload="Prefix",
+        domain_size=DOMAIN,
+        epsilon=1.0,
+        mechanism=mechanism,
+        iterations=30,
+    )
     rng = np.random.default_rng(1)
     answers = []
     for _ in range(TRIALS):
         campaign.accumulator = campaign.session.new_accumulator()
-        draw_cohort(campaign, rng)
+        histogram = campaign.session.strategy.sample_histogram(POPULATION, rng)
+        campaign.accumulator.add_histogram(histogram)
         answers.append(manager.query("plain", CONFIDENCE).intervals)
     return campaign.session.workload.matvec(POPULATION), answers
 
 
-def adaptive_trials():
-    rng = np.random.default_rng(2)
-    answers, second = [], None
-    for _ in range(TRIALS):
-        manager = CampaignManager()
-        campaign = create(
-            manager, "adaptive", mechanism="Randomized Response", adaptive=PLAN
-        )
-        draw_cohort(campaign, rng)
-        advance = manager.plan_advance("adaptive")
-        if second is None:  # optimize once; every trial deploys it
-            second = manager.optimize_round_strategy(advance)
-        manager.commit_advance(advance, second)
-        draw_cohort(campaign, rng)
-        answers.append(manager.query("adaptive", CONFIDENCE).intervals)
-    return second.workload.matvec(2 * POPULATION), answers
-
-
-@pytest.mark.parametrize("trials", [plain_trials, adaptive_trials])
-def test_served_intervals_are_calibrated(trials):
-    truth, answers = trials()
+@pytest.mark.parametrize(
+    "mechanism", ["Hadamard", "Randomized Response", "Optimized"]
+)
+def test_served_intervals_are_calibrated(mechanism):
+    truth, answers = trials(mechanism)
     estimates = np.array([answer.estimates for answer in answers])
     errors = np.array([answer.standard_errors for answer in answers])
     lower = np.array([answer.lower for answer in answers])

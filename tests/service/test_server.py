@@ -222,16 +222,15 @@ class TestEndpoints:
             ("iterations", True, "iterations must be an integer"),
             ("epsilon", float("nan"), "epsilon must be a finite number"),
             ("epsilon", "1.0", "epsilon must be a finite number"),
-            ("adaptive.rounds", 2.7, "num_rounds must be an integer"),
-            ("adaptive.groups", True, "num_groups must be an integer"),
-            ("adaptive.restarts", "1", "restarts must be an integer"),
-            ("adaptive.iterations", 30.0, "iterations must be an integer"),
-            ("adaptive.seed", 1.9, "seed must be an integer"),
-            ("adaptive.seed", -1, "seed must be >= 0"),
-            ("adaptive.boost", "nan", "boost must be a finite number"),
-            ("adaptive.boost", "Infinity", "boost must be a finite number"),
-            ("adaptive.boost", float("inf"), "boost must be a finite number"),
-            ("adaptive.selector_share", float("nan"), "selector_share"),
+            # Campaigns have one strategy: an old client's multi-round plan
+            # must not create a campaign at the full epsilon per user.
+            ("adaptive", {"rounds": 2}, "unknown campaign field.*'adaptive'"),
+            ("rounds", 2, "unknown campaign field.*'rounds'"),
+            # A misspelt or miscased option must not fall back to its default.
+            ("mechansim", "Hadamard", "unknown campaign field.*'mechansim'"),
+            ("iteration", 500, "unknown campaign field.*'iteration'"),
+            ("Epsilon", 2.0, "unknown campaign field.*'Epsilon'"),
+            ("domainsize", 8, "unknown campaign field.*'domainsize'"),
         ],
     )
     def test_bad_campaign_field_gets_400_naming_it(self, live, field, value, match):
@@ -243,14 +242,36 @@ class TestEndpoints:
             "epsilon": 1.0,
             "mechanism": "Randomized Response",
         }
-        if field.startswith("adaptive."):
-            body["adaptive"] = {"rounds": 2, field.split(".", 1)[1]: value}
-        else:
-            body[field] = value
+        body[field] = value
         with pytest.raises(ServiceHTTPError, match=match) as error:
             client._request("POST", "/v1/campaigns", body)
         assert error.value.status == 400
         assert client.campaigns() == []
+
+    def test_sdk_sends_exactly_the_campaign_fields(self, live):
+        """Campaign creation refuses unknown fields, so the SDK's body and
+        the accepted set must agree."""
+        from repro.service.server import _CAMPAIGN_FIELDS
+
+        service, client = live
+        sent = []
+        request = client._request
+
+        def recording_request(method, path, body=None, **options):
+            sent.append(body)
+            return request(method, path, body, **options)
+
+        client._request = recording_request
+        client.create_campaign(
+            "opt",
+            workload="Prefix",
+            domain_size=4,
+            epsilon=1.0,
+            mechanism="Optimized",
+            iterations=20,
+        )
+        assert set(sent[0]) == _CAMPAIGN_FIELDS
+        assert service.manager.get("opt").session.strategy.domain_size == 4
 
     def test_checkpoint_endpoint_requires_directory(self, live):
         _, client = live
@@ -360,6 +381,134 @@ class TestBinaryTransport:
         _, client = live
         with pytest.raises(ServiceError, match="transport"):
             ServiceClient(client.host, client.port, transport="carrier-pigeon")
+
+
+class TestRoundTags:
+    """A campaign has no rounds.  A batch tagged with a nonzero round (JSON
+    ``round`` or frame byte 7) was randomized for a multi-round campaign's
+    cohort: a 400 that folds nothing, on the root and on the edge alike.
+    (Partials, which only the root accepts, are covered in
+    ``test_edge.py``.)"""
+
+    @pytest.fixture(params=["root", "edge"])
+    def tier(self, request, live):
+        """``(tier name, client, reports folded into "demo")``."""
+        service, client = live
+        make_campaign(client)
+        if request.param == "root":
+            yield "root", client, lambda: service.manager.get("demo").num_reports
+            return
+        from repro.service import EdgeAggregator
+
+        edge = EdgeAggregator(client.host, client.port, forward_interval=600.0)
+        thread = ServiceThread(edge)
+        host, port = thread.start()
+        edge_client = ServiceClient(host, port)
+        try:
+            yield "edge", edge_client, (
+                lambda: edge.manager.get("demo").accumulator.num_reports
+            )
+        finally:
+            edge_client.close()
+            thread.stop()
+
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/v1/reports", {"campaign": "demo", "reports": [1], "round": 1}),
+            ("/v1/report", {"campaign": "demo", "report": 1, "round": 2}),
+            ("/v1/reports", {"campaign": "demo", "reports": [1], "round": -1}),
+            ("/v1/reports", {"campaign": "demo", "reports": [1], "round": True}),
+            ("/v1/reports", {"campaign": "demo", "reports": [1], "round": "1"}),
+            ("/v1/reports", ("demo", [1, 2], 1)),
+            ("/v1/reports", ("demo", [1, 2], 255)),
+            ("/v1/reports", (("demo", [1]), ("demo", [2], 1))),
+        ],
+        ids=[
+            "json-round-1",
+            "json-single-round-2",
+            "json-negative",
+            "json-bool",
+            "json-string",
+            "frame-byte-1",
+            "frame-byte-255",
+            "frame-stream-second-tagged",
+        ],
+    )
+    def test_round_tagged_batches_get_400_and_fold_nothing(self, tier, path, body):
+        from repro.service import encode_reports
+        from tests.service.test_framing import round_tagged_frame
+
+        _, client, folded = tier
+        if isinstance(body, dict):
+            request = {"body": body}
+        elif isinstance(body[0], str):
+            request = {"raw": round_tagged_frame(*body)}
+        else:  # an untagged frame, then a tagged one, in one body
+            untagged, tagged = body
+            request = {
+                "raw": encode_reports(*untagged) + round_tagged_frame(*tagged)
+            }
+        with pytest.raises(ServiceHTTPError, match="round") as info:
+            client._request("POST", path, **request)
+        assert info.value.status == 400
+        assert folded() == 0
+
+    def test_untagged_and_zero_round_batches_fold(self, tier):
+        from repro.service import encode_reports
+
+        _, client, folded = tier
+        for body in (
+            {"campaign": "demo", "reports": [1]},
+            {"campaign": "demo", "reports": [2], "round": 0},
+            {"campaign": "demo", "reports": [3], "round": None},
+        ):
+            client._request("POST", "/v1/reports", body)
+        client._request("POST", "/v1/reports", raw=encode_reports("demo", [4, 5]))
+        assert folded() == 5
+
+    @pytest.mark.parametrize("transport", ["json", "binary"])
+    def test_reporter_batches_carry_no_round_tag(self, tier, transport):
+        """A reporter fetches the one strategy and ships untagged batches,
+        which fold on either tier."""
+        _, client, folded = tier
+        sender = ServiceClient(client.host, client.port, transport=transport)
+        batches = []
+        request = sender._request
+
+        def recording_request(method, path, body=None, **options):
+            if path == "/v1/reports":
+                batches.append(options.get("raw") or body)
+            return request(method, path, body, **options)
+
+        sender._request = recording_request
+        try:
+            reporter = sender.reporter(
+                "demo", batch_size=4, rng=np.random.default_rng(0)
+            )
+            reporter.report_many([0, 1, 2, 3, 4, 5, 6, 7, 7, 7])
+            reporter.flush_all()
+        finally:
+            sender.close()
+        assert len(batches) == 3
+        if transport == "json":
+            assert all("round" not in body for body in batches)
+        else:
+            assert all(frame[7] == 0 for frame in batches)
+        assert folded() == 10
+
+    def test_advance_route_is_gone(self, tier):
+        """An older client's round advance finds no route on either tier
+        (the root takes no POST on a campaign but ``/partials``), and the
+        campaign it names describes no round state."""
+        name, client, folded = tier
+        client._request("POST", "/v1/reports", {"campaign": "demo", "reports": [1]})
+        with pytest.raises(ServiceHTTPError) as info:
+            client._request("POST", "/v1/campaigns/demo/advance", {})
+        assert info.value.status == {"root": 405, "edge": 404}[name]
+        described = client.campaign("demo")
+        assert not {"round", "current_round", "adaptive"} & set(described)
+        assert folded() == 1
 
 
 class TestTransportPolicy:

@@ -185,14 +185,14 @@ def test_checkpoint_cuts_and_truncates_wal(tmp_path):
     assert answer["estimates"] == reference["estimates"]
 
 
-def test_wal_histogram_record_replays_as_rejected(tmp_path):
-    """Builds that still accepted pre-aggregated 'histogram' bodies logged
-    them like any JSON batch.  Replaying such a log refuses that record
-    (counted in startup_replay_rejected) and folds everything else."""
+def replay_with_older_record(tmp_path, kind, body, campaign=""):
+    """Fold three batches through a WAL-backed single-process service,
+    stop it without a final checkpoint, append ``body`` as a record an
+    older build logged, and recover.  The record must be refused (counted
+    in startup_replay_rejected) while every other record folds."""
     import asyncio
-    import json
 
-    from repro.service.wal import KIND_JSON_BATCH, WriteAheadLog
+    from repro.service.wal import WriteAheadLog
 
     service = make_service(tmp_path, cluster_workers=0)
     thread = ServiceThread(service)
@@ -207,17 +207,14 @@ def test_wal_histogram_record_replays_as_rejected(tmp_path):
         client.close()
         thread.stop(final_checkpoint=False)
 
-    async def append_histogram_record():
+    async def append_older_record():
         wal = WriteAheadLog(tmp_path / "wal")
         wal.scan()
         await wal.start()
-        body = {"campaign": "demo", "histogram": [5.0] + [0.0] * 7}
-        await wal.append(
-            KIND_JSON_BATCH, json.dumps(body).encode("utf-8"), campaign="demo"
-        )
+        await wal.append(kind, body, campaign=campaign)
         await wal.stop()
 
-    asyncio.run(append_histogram_record())
+    asyncio.run(append_older_record())
     recovered = make_service(tmp_path, cluster_workers=0)
     with ServiceThread(recovered) as (host, port):
         replayed = ServiceClient(host, port)
@@ -229,6 +226,51 @@ def test_wal_histogram_record_replays_as_rejected(tmp_path):
     reference = serial_reference(all_batches)
     assert answer["num_reports"] == reference["num_reports"]
     assert answer["estimates"] == reference["estimates"]
+
+
+def test_wal_histogram_record_replays_as_rejected(tmp_path):
+    """Builds that still accepted pre-aggregated 'histogram' bodies logged
+    them like any JSON batch.  Replaying such a log refuses that record
+    and folds everything else."""
+    import json
+
+    from repro.service.wal import KIND_JSON_BATCH
+
+    body = {"campaign": "demo", "histogram": [5.0] + [0.0] * 7}
+    replay_with_older_record(
+        tmp_path, KIND_JSON_BATCH, json.dumps(body).encode("utf-8")
+    )
+
+
+def _round_tagged_record(form):
+    import base64
+    import json
+
+    from repro.service.wal import KIND_FRAMES, KIND_JSON_BATCH, KIND_PARTIAL
+    from tests.protocol.test_engine import round_tagged_payload
+    from tests.service.test_framing import round_tagged_frame
+
+    if form == "json":
+        body = {"campaign": "demo", "reports": [1, 2], "round": 1}
+        return KIND_JSON_BATCH, json.dumps(body).encode("utf-8"), ""
+    if form == "frames":
+        return KIND_FRAMES, round_tagged_frame("demo", [1, 2], 1), ""
+    payload = round_tagged_payload([0, 1, 1] + [0] * 5, 1)
+    body = {
+        "edge": "e1",
+        "sequence": 1,
+        "accumulator": base64.b64encode(payload).decode("ascii"),
+    }
+    return KIND_PARTIAL, json.dumps(body).encode("utf-8"), "demo"
+
+
+@pytest.mark.parametrize("form", ["json", "frames", "partial"])
+def test_wal_round_tagged_record_replays_as_rejected(tmp_path, form):
+    """Builds with multi-round campaigns logged round-tagged bodies (a
+    JSON ``round``, frame byte 7, a partial's ``round_id``).  Replaying
+    such a log refuses that record and folds everything else."""
+    kind, body, campaign = _round_tagged_record(form)
+    replay_with_older_record(tmp_path, kind, body, campaign)
 
 
 def test_pipeline_mode_wal_crash_recovery_is_bit_identical(tmp_path):

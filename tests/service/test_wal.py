@@ -10,6 +10,7 @@ section drives that contract with arbitrary truncations and bit flips.
 import asyncio
 import os
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,32 @@ class TestRecordFraming:
         path = write_raw_segment(tmp_path, rows)
         records, valid = read_segment(path)
         assert valid == path.stat().st_size
+        assert [
+            (r.sequence, r.kind, r.body, r.campaign) for r in records
+        ] == rows
+
+    @pytest.mark.parametrize("kind", KINDS + (KIND_ABORT,))
+    def test_reserved_byte_is_written_as_zero(self, kind):
+        assert encode_record(1, kind, b"{}", campaign="demo")[17] == 0
+
+    @pytest.mark.parametrize("tag", [1, 255])
+    def test_older_round_tag_byte_is_ignored(self, tmp_path, tag):
+        """Older logs stored a round tag in byte 17 (inside the CRC);
+        readers take such records as they are."""
+        rows = [
+            (1, KIND_JSON_BATCH, b'{"campaign": "demo", "reports": [1]}', ""),
+            (2, KIND_PARTIAL, b'{"edge": "e1"}', "demo"),
+        ]
+        buffer = bytearray()
+        for sequence, kind, body, campaign in rows:
+            record = bytearray(encode_record(sequence, kind, body, campaign=campaign))
+            record[17] = tag
+            record[4:8] = struct.pack("<I", zlib.crc32(record[8:]) & 0xFFFFFFFF)
+            buffer += record
+        path = tmp_path / f"segment-{1:016d}.wal"
+        path.write_bytes(bytes(buffer))
+        records, valid = read_segment(path)
+        assert valid == len(buffer)
         assert [
             (r.sequence, r.kind, r.body, r.campaign) for r in records
         ] == rows

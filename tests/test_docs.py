@@ -7,7 +7,9 @@ too, not just the docs job.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -21,6 +23,9 @@ DOC_PAGES = (
     "strategy-store.md",
     "protocol-engine.md",
     "serving.md",
+    "observability.md",
+    "operations.md",
+    "optimizer.md",
 )
 
 
@@ -68,6 +73,47 @@ def test_mechanism_catalog_covers_every_module():
         assert f"`{module.stem}.py`" in catalog, (
             f"docs/mechanism-catalog.md has no section for {module.stem}.py"
         )
+
+
+METRIC_NAME = re.compile(r"repro_[a-z0-9_]+")
+
+
+def metric_families_in_code() -> set[str]:
+    """Every string constant under ``src/repro`` that is a whole
+    ``repro_*`` metric name."""
+    names = set()
+    for module in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if METRIC_NAME.fullmatch(node.value):
+                    names.add(node.value)
+    return names
+
+
+def test_observability_catalog_names_every_metric_family():
+    """The ``repro_*`` metric names the code spells and the ones
+    docs/observability.md catalogs (each backticked on its own) are the
+    same set: a new family gets documented, a deleted one leaves the
+    page."""
+    in_code = metric_families_in_code()
+    page = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    in_docs = set(re.findall(r"`(repro_[a-z0-9_]+)`", page))
+    assert sorted(in_code - in_docs) == [], "families missing from the page"
+    assert sorted(in_docs - in_code) == [], "page names families no code has"
+
+
+def test_no_page_names_a_metric_family_the_code_lacks():
+    """Other pages (runbook queries, the serving guide) name families
+    too; a deleted family must leave them as well.  A histogram's
+    ``_bucket``/``_sum``/``_count`` series count as its family."""
+    in_code = metric_families_in_code()
+    stale = []
+    for page in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        for name in METRIC_NAME.findall(page.read_text(encoding="utf-8")):
+            family = re.sub(r"_(bucket|sum|count)$", "", name)
+            if name not in in_code and family not in in_code:
+                stale.append(f"{page.name}: {name}")
+    assert stale == []
 
 
 def test_checker_catches_broken_link_with_caret_in_text(tmp_path):
